@@ -15,13 +15,16 @@ import os
 
 from . import _purecore
 
+_reason = ""
 if os.environ.get("ARCCONN_PURE"):
     _impl = _purecore
+    _reason = "ARCCONN_PURE set"
 else:
     try:
         from . import _fastcore as _impl  # type: ignore[no-redef]
-    except ImportError:
+    except ImportError as exc:
         _impl = _purecore
+        _reason = f"ImportError: {exc}"
 
 _FAST_MAX_N = 64
 
@@ -30,6 +33,11 @@ pair_table = _purecore.pair_table
 
 def backend_name() -> str:
     return _impl.BACKEND
+
+
+def backend_reason() -> str:
+    """Why the pure backend was selected, or "" when the compiled one runs."""
+    return _reason
 
 
 def _pick(n: int):

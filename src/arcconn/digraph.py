@@ -89,7 +89,7 @@ class Digraph:
         return len(self.arcs)
 
     def has_arc(self, tail: int, head: int) -> bool:
-        return 0 <= tail < self.n and bool(self.succ[tail] >> head & 1)
+        return 0 <= tail < self.n and 0 <= head < self.n and bool(self.succ[tail] >> head & 1)
 
     def out_degree(self, v: int) -> int:
         (v,) = _check_vertices(self.n, (v,))

@@ -20,6 +20,10 @@ is nevertheless reachable as H6 with both fans empty.
 
 Generated members use a fixed vertex layout: u=0, v=1, w=2, z=3, then x,
 then y where present, then the fan vertices in definition order.
+
+Every member of H1, H2 and H3 has 2n-4 arcs, every member of H4, H5 and H6
+has 2n-3, and H7 has 2n-2, so match_family rejects any graph whose arc
+count lies outside [2n-4, 2n-2] without looking further.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from enum import Enum
 from typing import Iterator, Optional, Union
 
 from .cycles import cycles_of_length, girth
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, _bits
 from .errors import InvalidDigraph, InvalidParams
 
 RoleValue = Union[int, tuple[int, ...]]
@@ -192,52 +196,41 @@ def generate(params: FamilyParams) -> Digraph:
 # recognition
 
 
-def _incidence(D: Digraph, t: int) -> frozenset[Arc]:
-    inc = {(t, h) for h in D.out_neighbors(t)}
-    inc.update((g, t) for g in D.in_neighbors(t))
-    return frozenset(inc)
+def _incidence_table(D: Digraph) -> list[frozenset[Arc]]:
+    """Every vertex's incident arcs, read once from the bitmasks."""
+    return [
+        frozenset([(t, h) for h in _bits(D.succ[t])] + [(g, t) for g in _bits(D.pred[t])])
+        for t in range(D.n)
+    ]
 
 
-def _match_h1(D: Digraph) -> Optional[FamilyMatch]:
-    arcset = set(D.arcs)
+def _match_h1(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch]:
+    """H1 on a graph with 2n-4 arcs.
+
+    Once every vertex off the 4-cycle is a fan vertex, the cycle and fan arcs
+    are 2n-4 distinct arcs of D, so they are all of its arcs.
+    """
     for C in cycles_of_length(D, 4):
         for r in range(4):
             u, v, w, z = (C[(r + j) % 4] for j in range(4))
-            fans: dict[str, list[int]] = {"A": [], "B": [], "C": [], "D": []}
-            patterns = {
-                "A": lambda t: frozenset({(u, t), (t, v)}),
-                "B": lambda t: frozenset({(v, t), (t, w)}),
-                "C": lambda t: frozenset({(w, t), (t, z)}),
-                "D": lambda t: frozenset({(z, t), (t, u)}),
-            }
+            sides = ((u, v), (v, w), (w, z), (z, u))
+            fans: tuple[list[int], ...] = ([], [], [], [])
             ok = True
             for t in range(D.n):
                 if t in (u, v, w, z):
                     continue
-                inc = _incidence(D, t)
-                for name, pat in patterns.items():
-                    if inc == pat(t):
-                        fans[name].append(t)
+                for fan, (src, dst) in zip(fans, sides):
+                    if inc[t] == {(src, t), (t, dst)}:
+                        fan.append(t)
                         break
                 else:
                     ok = False
                     break
             if not ok:
                 continue
-            expected = {(u, v), (v, w), (w, z), (z, u)}
-            for name, (src, dst) in zip("ABCD", ((u, v), (v, w), (w, z), (z, u))):
-                for t in fans[name]:
-                    expected.add((src, t))
-                    expected.add((t, dst))
-            if expected != arcset:
-                continue
-            params = FamilyParams(
-                Family.H1,
-                tuple(len(fans[k]) for k in "ABCD"),
-            )
+            params = FamilyParams(Family.H1, tuple(len(fan) for fan in fans))
             roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w, "z": z}
-            for k in "ABCD":
-                roles[k] = tuple(fans[k])
+            roles.update(zip("ABCD", map(tuple, fans)))
             return FamilyMatch(Family.H1, params, roles)
     return None
 
@@ -252,33 +245,34 @@ class _Buckets:
     y_q: list[int]
 
 
-def _bucket_outside(D: Digraph, u: int, v: int, w: int) -> Optional[_Buckets]:
+def _bucket_outside(inc: list[frozenset[Arc]], u: int, v: int, w: int) -> Optional[_Buckets]:
     """Classify every non-spine vertex by its full incidence pattern."""
     b = _Buckets([], [], [], [], [], [])
-    for t in range(D.n):
+    for t, arcs in enumerate(inc):
         if t in (u, v, w):
             continue
-        inc = _incidence(D, t)
-        p = frozenset({(w, t), (t, u)})
-        q = frozenset({(u, t), (t, w)})
-        if inc == p:
+        p = {(w, t), (t, u)}
+        q = {(u, t), (t, w)}
+        if arcs == p:
             b.plain_p.append(t)
-        elif inc == q:
+        elif arcs == q:
             b.plain_q.append(t)
-        elif inc == frozenset({(u, t), (t, v)}):
+        elif arcs == {(u, t), (t, v)}:
             b.fan_a.append(t)
-        elif inc == frozenset({(v, t), (t, w)}):
+        elif arcs == {(v, t), (t, w)}:
             b.fan_b.append(t)
-        elif p < inc and len(inc) == 3:
+        elif len(arcs) == 3 and p < arcs:
             b.core_p.append(t)
-        elif inc == q | {(t, v)} or inc == q | {(v, t)}:
+        elif arcs == q | {(t, v)} or arcs == q | {(v, t)}:
             b.y_q.append(t)
         else:
             return None
     return b
 
 
-def _core_pair(D: Digraph, b: _Buckets, u: int, w: int) -> Optional[tuple[int, int, str]]:
+def _core_pair(
+    inc: list[frozenset[Arc]], b: _Buckets, u: int, w: int
+) -> Optional[tuple[int, int, str]]:
     """Resolve the two linked 4th-cycle vertices of H5/H6/H7.
 
     Both carry the plain pattern w->t->u plus one arc joining them to each
@@ -288,8 +282,8 @@ def _core_pair(D: Digraph, b: _Buckets, u: int, w: int) -> Optional[tuple[int, i
     if len(b.core_p) != 2 or b.plain_p:
         return None
     c, d = b.core_p
-    extra_c = _incidence(D, c) - {(w, c), (c, u)}
-    extra_d = _incidence(D, d) - {(w, d), (d, u)}
+    extra_c = inc[c] - {(w, c), (c, u)}
+    extra_d = inc[d] - {(w, d), (d, u)}
     if extra_c != extra_d or len(extra_c) != 1:
         return None
     (arc,) = extra_c
@@ -299,49 +293,41 @@ def _core_pair(D: Digraph, b: _Buckets, u: int, w: int) -> Optional[tuple[int, i
     return z, x, "xz"
 
 
-def _spine_expected(D: Digraph, u: int, v: int, w: int, b: _Buckets) -> set[Arc]:
-    expected = {(u, v), (v, w)}
-    for t in b.plain_p + b.core_p:
-        expected.update({(w, t), (t, u)})
-    for t in b.plain_q + b.y_q:
-        expected.update({(u, t), (t, w)})
-    for t in b.fan_a:
-        expected.update({(u, t), (t, v)})
-    for t in b.fan_b:
-        expected.update({(v, t), (t, w)})
-    if len(b.core_p) == 2:
-        c, d = b.core_p
-        if D.has_arc(c, d):
-            expected.add((c, d))
-        if D.has_arc(d, c):
-            expected.add((d, c))
-    for t in b.y_q:
-        if D.has_arc(t, v):
-            expected.add((t, v))
-        if D.has_arc(v, t):
-            expected.add((v, t))
-    return expected
+_SPINE_FAMILIES = (Family.H2, Family.H3, Family.H4, Family.H5, Family.H6, Family.H7)
 
 
-def _match_spine_families(D: Digraph, fam: Family) -> Optional[FamilyMatch]:
-    arcset = set(D.arcs)
+def _match_spines(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch]:
+    """The lowest of H2..H7 that D belongs to, in one pass over the spines.
+
+    Spines u->v->w are visited in arc order and bucketed once each.  A spine
+    is only tried for the families below the best match so far, so every
+    family is judged on its first matching spine.
+
+    The buckets prescribe every arc at a vertex off the spine, and _assemble
+    checks the arcs a bucket leaves open, so D is the prescribed graph
+    exactly when u and w are not adjacent.
+    """
+    best: Optional[FamilyMatch] = None
+    limit = len(_SPINE_FAMILIES)
     for u, v in D.arcs:
-        for w in D.out_neighbors(v):
-            if w == u:
+        for w in _bits(D.succ[v]):
+            if D.has_arc(u, w) or D.has_arc(w, u):
                 continue
-            b = _bucket_outside(D, u, v, w)
+            b = _bucket_outside(inc, u, v, w)
             if b is None:
                 continue
-            if _spine_expected(D, u, v, w, b) != arcset:
-                continue
-            match = _assemble(D, fam, u, v, w, b)
-            if match is not None:
-                return match
-    return None
+            for i, fam in enumerate(_SPINE_FAMILIES[:limit]):
+                match = _assemble(D, inc, fam, u, v, w, b)
+                if match is not None:
+                    best, limit = match, i
+                    break
+            if limit == 0:
+                return best
+    return best
 
 
 def _assemble(
-    D: Digraph, fam: Family, u: int, v: int, w: int, b: _Buckets
+    D: Digraph, inc: list[frozenset[Arc]], fam: Family, u: int, v: int, w: int, b: _Buckets
 ) -> Optional[FamilyMatch]:
     roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w}
     if fam is Family.H2:
@@ -369,7 +355,7 @@ def _assemble(
     elif fam is Family.H5:
         if b.fan_a or b.fan_b or b.y_q or not b.plain_q:
             return None
-        pair = _core_pair(D, b, u, w)
+        pair = _core_pair(inc, b, u, w)
         if pair is None:
             return None
         z, x, orient = pair
@@ -378,7 +364,7 @@ def _assemble(
     elif fam is Family.H6:
         if b.plain_q or b.y_q:
             return None
-        pair = _core_pair(D, b, u, w)
+        pair = _core_pair(inc, b, u, w)
         if pair is None:
             return None
         z, x, orient = pair
@@ -387,7 +373,7 @@ def _assemble(
     elif fam is Family.H7:
         if b.plain_q or b.fan_a or b.fan_b or len(b.y_q) != 1:
             return None
-        pair = _core_pair(D, b, u, w)
+        pair = _core_pair(inc, b, u, w)
         if pair is None:
             return None
         z, x, orient = pair
@@ -403,16 +389,18 @@ def _assemble(
 def match_family(D: Digraph) -> Optional[FamilyMatch]:
     """Exact recognizer: the first of H1..H7 whose arc prescription D equals.
 
-    Returns None when D is not isomorphic to any generated member.
+    Returns None when D is not isomorphic to any generated member; at once
+    when its arc count lies outside [2n-4, 2n-2].
     """
-    match = _match_h1(D)
-    if match is not None:
-        return match
-    for fam in (Family.H2, Family.H3, Family.H4, Family.H5, Family.H6, Family.H7):
-        match = _match_spine_families(D, fam)
+    n, m = D.n, D.m
+    if not 2 * n - 4 <= m <= 2 * n - 2:
+        return None
+    inc = _incidence_table(D)
+    if m == 2 * n - 4:
+        match = _match_h1(D, inc)
         if match is not None:
             return match
-    return None
+    return _match_spines(D, inc)
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,7 @@ class SweepResult:
     accounting_ok: Optional[bool] = None
     runtime: float = 0.0
     backend: str = ""
+    backend_reason: str = ""
     paths: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -463,11 +464,17 @@ class SweepResult:
             "ok": self.ok,
             "runtime_seconds": round(self.runtime, 3),
             "backend": self.backend,
+            "backend_reason": self.backend_reason,
         }
 
 
 def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> SweepResult:
-    result = SweepResult(spec=spec, completed=completed, backend=_kernels.backend_name())
+    result = SweepResult(
+        spec=spec,
+        completed=completed,
+        backend=_kernels.backend_name(),
+        backend_reason=_kernels.backend_reason(),
+    )
     records: list[VerificationRecord] = []
     audit = _new_audit() if spec.audit_readings else None
     for chunk in chunks.values():

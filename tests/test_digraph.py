@@ -18,6 +18,11 @@ def test_build_and_basic_queries(four_cycle):
     assert D.out_neighbors(1) == (2,) and D.in_neighbors(1) == (0,)
 
 
+def test_has_arc_out_of_range_endpoints_are_absent(four_cycle):
+    for tail, head in ((0, -1), (0, 4), (-1, 0), (4, 0), (0, 64)):
+        assert not four_cycle.has_arc(tail, head)
+
+
 def test_arcs_are_sorted_and_deduplicated_input_rejected():
     D = Digraph(3, [(2, 0), (0, 1)])
     assert D.arcs == ((0, 1), (2, 0))

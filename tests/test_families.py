@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,14 @@ from arcconn import (
 )
 from arcconn.families import ORIENT_CHOICES, SIZE_NAMES, _params_for_order
 
-from .conftest import stratum_digraphs
+from .conftest import stratum_codes, stratum_digraphs
+
+# m - 2n for every member of each family
+ARC_EXCESS = {
+    Family.H1: -4, Family.H2: -4, Family.H3: -4,
+    Family.H4: -3, Family.H5: -3, Family.H6: -3,
+    Family.H7: -2,
+}
 
 
 def all_params_up_to(n_max: int) -> list[FamilyParams]:
@@ -26,6 +35,16 @@ def all_params_up_to(n_max: int) -> list[FamilyParams]:
     for n in range(4, n_max + 1):
         out.extend(_params_for_order(n))
     return out
+
+
+def assert_roles_certify(D: Digraph, match) -> None:
+    """The roles, read in the generator's layout order, map the regenerated
+    member onto D arc for arc."""
+    roles = match.roles
+    layout = [roles[k] for k in ("u", "v", "w", "z", "x", "y") if k in roles]
+    for k in "ABCD":
+        layout.extend(roles.get(k, ()))
+    assert generate(match.params).relabel(layout) == D
 
 
 def test_parse_family_names():
@@ -107,9 +126,46 @@ def test_match_survives_relabeling(params, rnd):
     assert regenerated.canonical_form() == D.canonical_form()
 
 
+def test_match_roles_certify_an_isomorphism():
+    for params in all_params_up_to(8):
+        D = generate(params)
+        for seed in (1, 2):
+            perm = list(range(D.n))
+            random.Random(seed).shuffle(perm)
+            E = D.relabel(perm)
+            match = match_family(E)
+            assert match is not None, (params.describe(), seed)
+            assert_roles_certify(E, match)
+
+
+@given(stratum_digraphs(6))
+def test_stratum_matches_carry_certifying_roles(D):
+    match = match_family(D)
+    if match is not None:
+        assert_roles_certify(D, match)
+
+
 @given(stratum_digraphs(5))
 def test_every_stratum_graph_at_n5_is_a_family_member(D):
     assert match_family(D) is not None
+
+
+def test_generated_members_have_their_family_arc_count():
+    for params in all_params_up_to(9):
+        D = generate(params)
+        assert D.m == 2 * D.n + ARC_EXCESS[params.family]
+        assert 2 * D.n - 4 <= D.m <= 2 * D.n - 2
+
+
+def test_stratum_graphs_outside_the_arc_count_range_match_nothing():
+    outside = 0
+    for n in (5, 6):
+        for code in stratum_codes(n):
+            D = Digraph.from_code(n, code)
+            if not 2 * n - 4 <= D.m <= 2 * n - 2:
+                outside += 1
+                assert match_family(D) is None
+    assert outside > 0
 
 
 def test_census_n4():
