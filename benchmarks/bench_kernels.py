@@ -1,8 +1,10 @@
 """Compare the compiled and pure-Python enumeration kernels.
 
-Times the strong/girth filter over a contiguous code range and the three
-per-graph primitives (closure, strong components, girth) on a fixed random
-batch, then prints one row per backend with the speedup.
+Times the strong/girth filter over a contiguous code range (filter_range) and
+over a fixed random batch of codes (filter_codes, the sampled-sweep path),
+each in ns/code, and the three per-graph primitives (closure, strong
+components, girth) on the same batch, then prints one row per backend with
+the speedup.
 
 Usage:
     python benchmarks/bench_kernels.py [--n 6] [--codes 200000] [--batch 2000]
@@ -31,14 +33,14 @@ def _time(fn, repeat: int = 3) -> float:
     return best
 
 
-def bench_filter(mod, n: int, codes: int) -> tuple[float, tuple[int, int, int]]:
+def bench_filter(run) -> tuple[float, tuple[int, int, int]]:
     out = {}
 
-    def run():
-        seen, strong, kept = mod.filter_range(n, 0, codes, girth_target=4, require_strong=True)
+    def once():
+        seen, strong, kept = run()
         out["res"] = (seen, strong, len(kept))
 
-    took = _time(run)
+    took = _time(once)
     return took, out["res"]
 
 
@@ -73,11 +75,16 @@ def main() -> None:
 
     results = {}
     for name, mod in backends:
-        filt, counts = bench_filter(mod, args.n, args.codes)
+        filters = {
+            "range": bench_filter(lambda: mod.filter_range(args.n, 0, args.codes, 4, True)),
+            "codes": bench_filter(lambda: mod.filter_codes(args.n, batch, 4, True)),
+        }
         prim = bench_primitives(mod, args.n, batch)
-        results[name] = (filt, prim)
-        print(f"{name:5s} filter {args.codes} codes at n={args.n}: {filt:8.3f}s "
-              f"(seen={counts[0]}, strong={counts[1]}, girth-4={counts[2]})")
+        results[name] = ({op: took for op, (took, _) in filters.items()}, prim)
+        for op, (took, counts) in filters.items():
+            per = took / counts[0] * 1e9
+            print(f"{name:5s} filter_{op} {counts[0]} codes at n={args.n}: {took:8.3f}s "
+                  f"({per:7.0f} ns/code; strong={counts[1]}, girth-4={counts[2]})")
         for op, took in prim.items():
             per = took / args.batch * 1e6
             print(f"      {op:8s} {args.batch} graphs: {took:8.3f}s  ({per:7.2f} us/graph)")
@@ -85,7 +92,8 @@ def main() -> None:
     if len(results) == 2:
         pure_f, pure_p = results["pure"]
         fast_f, fast_p = results["fast"]
-        print(f"speedup filter: {pure_f / fast_f:6.1f}x")
+        for op in pure_f:
+            print(f"speedup filter_{op}: {pure_f[op] / fast_f[op]:6.1f}x")
         for op in pure_p:
             print(f"speedup {op:8s}: {pure_p[op] / fast_p[op]:6.1f}x")
 

@@ -99,6 +99,28 @@ def oracle_girth(D: Digraph) -> Optional[int]:
     return None
 
 
+def oracle_girth_bfs(D: Digraph) -> Optional[int]:
+    """Girth as the minimum over arcs t->h of 1 + dist(h, t), by breadth-first
+    search on dict adjacency; for orders too large for the permutation scan."""
+    fwd: dict[int, list[int]] = {v: [] for v in range(D.n)}
+    for t, h in D.arcs:
+        fwd[t].append(h)
+    best = None
+    for t, h in D.arcs:
+        dist = {h: 0}
+        queue = [h]
+        for x in queue:
+            if x == t:
+                if best is None or dist[t] + 1 < best:
+                    best = dist[t] + 1
+                break
+            for y in fwd[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # cut oracles (subset enumeration against the literal definitions)
 

@@ -124,6 +124,12 @@ def test_arc_outside(l8):
     assert l8.arc_outside([0, 1, 4, 5, 6, 7]) == (2, 3)
 
 
+def test_arc_outside_rejects_out_of_range_vertices(four_cycle):
+    for bad in ([-1], [9], [0, 4]):
+        with pytest.raises(InvalidVertex):
+            four_cycle.arc_outside(bad)
+
+
 def test_delete_arcs_unknown(l8):
     with pytest.raises(UnknownArc):
         l8.delete_arcs([(1, 0)])

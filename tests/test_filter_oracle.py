@@ -1,0 +1,119 @@
+"""The pure enumeration filters against the oracles in conftest.
+
+``filter_range`` judges each block of 3**(n-1) codes from one decode of
+D - 0, and ``filter_codes`` decodes every code on its own; both must keep
+exactly the codes whose graph, decoded here trit by trit, the Kosaraju and
+cycle oracles call strong with the target girth.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from arcconn import Digraph, _purecore
+
+from .conftest import oracle_girth, oracle_girth_bfs, oracle_strong
+
+TARGETS = (0, 3, 4, 5)
+
+
+def oracle_digraph(n: int, code: int) -> Digraph:
+    """The graph of an enumeration code, read one trit per pair."""
+    arcs = []
+    for i, j in combinations(range(n), 2):
+        code, t = divmod(code, 3)
+        if t == 1:
+            arcs.append((i, j))
+        elif t == 2:
+            arcs.append((j, i))
+    return Digraph(n, arcs)
+
+
+@lru_cache(maxsize=None)
+def verdict(n: int, code: int) -> tuple[bool, int]:
+    """(strong as the filter counts it, girth or 0)."""
+    D = oracle_digraph(n, code)
+    # The filter asks every vertex for an out- and an in-arc, so the lone
+    # vertex is not strong there.
+    strong = n > 1 and oracle_strong(D)
+    g = oracle_girth(D) if n <= 7 else oracle_girth_bfs(D)
+    return strong, g or 0
+
+
+def expected(n, codes, girth_target, require_strong):
+    strong_count = 0
+    kept = []
+    for code in codes:
+        strong, g = verdict(n, code)
+        if require_strong and not strong:
+            continue
+        strong_count += 1
+        if girth_target and g != girth_target:
+            continue
+        kept.append(code)
+    return len(codes), strong_count, kept
+
+
+def check_window(n, lo, hi):
+    codes = list(range(lo, hi))
+    for girth_target in TARGETS:
+        for require_strong in (True, False):
+            want = expected(n, codes, girth_target, require_strong)
+            assert _purecore.filter_range(n, lo, hi, girth_target, require_strong) == want
+            assert _purecore.filter_codes(n, codes, girth_target, require_strong) == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_filters_match_oracles_on_every_code(n):
+    check_window(n, 0, 3 ** (n * (n - 1) // 2))
+
+
+@pytest.mark.parametrize("girth_target", TARGETS)
+def test_lone_vertex_is_not_strong(girth_target):
+    assert _purecore.filter_range(1, 0, 1, girth_target, True) == (1, 0, [])
+    assert _purecore.filter_codes(1, [0], girth_target, True) == (1, 0, [])
+
+
+@st.composite
+def unaligned_windows(draw):
+    """Windows at n = 5..7 that start and end inside a block of 3**(n-1)
+    codes, often straddling a block boundary."""
+    n = draw(st.integers(min_value=5, max_value=7))
+    block = 3 ** (n - 1)
+    blocks = 3 ** ((n - 1) * (n - 2) // 2)
+    boundary = block * draw(st.integers(min_value=1, max_value=blocks - 2))
+    lo = boundary - draw(st.integers(min_value=-block + 1, max_value=24).filter(lambda d: d != 0))
+    hi = lo + draw(st.integers(min_value=1, max_value=48))
+    if hi % block == 0:
+        hi += 1
+    return n, lo, hi
+
+
+@given(unaligned_windows())
+def test_filters_match_oracles_on_unaligned_windows(window):
+    check_window(*window)
+
+
+def test_filters_match_oracles_at_order_70():
+    # H = D - 0 is the cycle 1 -> 2 -> ... -> 69 -> 1; the window crosses
+    # the 3**6 boundary where vertex 0's trit towards vertex 7 turns over,
+    # so cycles through vertex 0 of several lengths come and go.
+    n = 70
+    position = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
+    base = sum(3 ** position[(v, v + 1)] for v in range(1, n - 1))
+    base += 2 * 3 ** position[(1, n - 1)]
+    check_window(n, base + 3**6 - 40, base + 3**6 + 25)
+    kept = _purecore.filter_range(n, base + 3**6 - 40, base + 3**6 + 25, 4, True)[2]
+    assert kept  # the window holds strong girth-4 graphs
+
+
+@given(st.integers(min_value=2, max_value=9).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=3 ** (n * (n - 1) // 2) - 1))
+))
+def test_decode_matches_trit_reading(nc):
+    n, code = nc
+    assert _purecore.decode_code(n, code) == list(oracle_digraph(n, code).succ)

@@ -2,7 +2,8 @@
 
 Both backends must agree bit for bit on closure, strongness, component
 masks, girth, and the filtered survivor streams, so either can stand in for
-the other.
+the other.  Only the parity tests need the compiled extension (the
+``fastcore`` fixture skips them without it); the facade tests always run.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from hypothesis import given, strategies as st
 from arcconn import _kernels, _purecore
 from arcconn.digraph import Digraph
 
-fastcore = pytest.importorskip("arcconn._fastcore")
+
+@pytest.fixture(scope="module")
+def fastcore():
+    return pytest.importorskip("arcconn._fastcore")
 
 
 def codes(n: int):
@@ -25,7 +29,7 @@ def codes(n: int):
 
 
 @given(st.integers(min_value=1, max_value=8).flatmap(lambda n: st.tuples(st.just(n), codes(n))))
-def test_primitives_agree(nc):
+def test_primitives_agree(fastcore, nc):
     n, code = nc
     pure_succ = _purecore.decode_code(n, code)
     fast_succ = fastcore.decode_code(n, code)
@@ -36,7 +40,7 @@ def test_primitives_agree(nc):
     assert _purecore.girth(pure_succ, n) == fastcore.girth(fast_succ, n)
 
 
-def test_filter_range_agrees_full_n4():
+def test_filter_range_agrees_full_n4(fastcore):
     pure = _purecore.filter_range(4, 0, 3 ** 6, girth_target=4, require_strong=True)
     fast = fastcore.filter_range(4, 0, 3 ** 6, girth_target=4, require_strong=True)
     assert pure == fast
@@ -45,7 +49,7 @@ def test_filter_range_agrees_full_n4():
 
 
 @given(st.integers(min_value=0, max_value=3 ** 10 - 2_000))
-def test_filter_range_agrees_on_slices_n5(lo):
+def test_filter_range_agrees_on_slices_n5(fastcore, lo):
     hi = lo + 2_000
     for girth_target in (0, 3, 4):
         for require_strong in (True, False):
@@ -55,7 +59,7 @@ def test_filter_range_agrees_on_slices_n5(lo):
 
 
 @given(st.lists(codes(6), max_size=50))
-def test_filter_codes_agrees(batch):
+def test_filter_codes_agrees(fastcore, batch):
     pure = _purecore.filter_codes(6, batch, girth_target=4, require_strong=True)
     fast = fastcore.filter_codes(6, batch, girth_target=4, require_strong=True)
     assert pure == fast
@@ -91,6 +95,7 @@ def test_large_order_routes_to_pure():
 def test_decode_matches_digraph_arcs(code):
     succ = _kernels.decode_code(5, code)
     D = Digraph.from_code(5, code)
+    assert D.code == code  # Digraph.code encodes pair by pair, apart from decode
     for t in range(5):
         for h in range(5):
             assert bool(succ[t] >> h & 1) == D.has_arc(t, h)
