@@ -50,10 +50,6 @@ def decode_code(n: int, code: int) -> list[int]:
     return _pick(n).decode_code(n, code)
 
 
-def reach_closure(succ: list[int], n: int) -> list[int]:
-    return _pick(n).reach_closure(succ, n)
-
-
 def is_strong(succ: list[int], n: int) -> bool:
     return _pick(n).is_strong(succ, n)
 

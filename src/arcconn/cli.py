@@ -23,18 +23,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .connectivity import (
-    DefinitionReading,
-    ORIGINAL_HOST,
-    RestrictedCutCertificate,
-    arc_connectivity,
-    lambda_prime_exact,
-    lambda_prime_existence_witness,
-    xi,
-)
-from .cycles import girth, girth_cycles
-from .digraph import Digraph
-from .errors import ArcConnError, CapExceeded, InvalidParams, ParseError
+from .connectivity import DefinitionReading, RestrictedCutCertificate
+from .errors import ArcConnError, InvalidParams
 from .families import (
     Family,
     FamilyParams,
@@ -44,8 +34,8 @@ from .families import (
     generate,
     match_family,
 )
-from .formats import emit_digraph6, emit_edge_list, load, save
-from .verify import SweepSpec, check_graph, run_sweep
+from .formats import emit_digraph6, emit_edge_list, load
+from .verify import RECORD_FIELDS, SweepSpec, check_graph, measure, run_sweep
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -159,24 +149,17 @@ def _cert_dict(cert: RestrictedCutCertificate) -> dict:
 
 def _cmd_params(args: argparse.Namespace) -> int:
     D = load(args.path)
-    reading = DefinitionReading.parse(args.reading)
-    g = girth(D)
-    strong = D.is_strong()
-    match = match_family(D)
-
-    lam = arc_connectivity(D) if strong and D.n >= 2 else None
-    cert = lambda_prime_exact(D, reading=reading) if strong and D.n >= 2 else None
-    xi_res = xi(D) if g is not None else None
-    witness = lambda_prime_existence_witness(D) if strong and D.n >= 2 else None
+    meas = measure(D, DefinitionReading.parse(args.reading))
+    match, cert, xi_res, witness = meas.match, meas.certificate, meas.xi, meas.witness
 
     if args.json:
         payload = {
             "n": D.n,
             "m": D.m,
-            "girth": g,
-            "is_strong": strong,
+            "girth": meas.girth,
+            "is_strong": meas.is_strong,
             "family": match.params.describe() if match else None,
-            "lambda": lam,
+            "lambda": meas.lambda_,
             "lambda_prime": _cert_dict(cert) if cert else None,
             "xi": {"value": xi_res.value, "cycle": list(xi_res.cycle), "side": xi_res.side}
             if xi_res
@@ -189,11 +172,11 @@ def _cmd_params(args: argparse.Namespace) -> int:
         return 0
 
     print(f"order {D.n}, arcs {D.m}")
-    print(f"girth {g if g is not None else 'none (acyclic)'}")
-    print(f"strong {'yes' if strong else 'no'}")
+    print(f"girth {meas.girth if meas.girth is not None else 'none (acyclic)'}")
+    print(f"strong {'yes' if meas.is_strong else 'no'}")
     print(f"family {match.describe() if match else 'none'}")
-    if lam is not None:
-        print(f"lambda {lam}")
+    if meas.lambda_ is not None:
+        print(f"lambda {meas.lambda_}")
     if cert is not None:
         if cert.found:
             print(
@@ -235,8 +218,6 @@ def _na(value) -> str:
 
 
 def _record_dict(rec) -> dict:
-    from .verify import RECORD_FIELDS
-
     return dict(zip(RECORD_FIELDS, rec.to_row()))
 
 

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 from . import _kernels
 from .cycles import Cycle, cycles_of_length, girth, girth_cycles, is_cycle
 from .digraph import Arc, Digraph
-from .errors import AcyclicDigraph, NotAFourCycle, NotAGirthCycle, NotStrong, UnknownArc
+from .errors import NotAFourCycle, NotAGirthCycle, NotStrong, UnknownArc
 
 
 class DefinitionReading(Enum):

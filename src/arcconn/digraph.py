@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import _kernels
 from .errors import (
     DuplicateArc,
+    InvalidDigraph,
     InvalidVertex,
     LoopArc,
     SymmetricPair,
@@ -195,6 +196,9 @@ class Digraph:
     @classmethod
     def from_code(cls, n: int, code: int) -> "Digraph":
         """Graph with the given trit enumeration code (see _purecore)."""
+        size = 3 ** (n * (n - 1) // 2)
+        if not 0 <= code < size:
+            raise InvalidDigraph(f"code {code} for n={n} is outside 0..{size - 1}")
         succ = _kernels.decode_code(n, code)
         arcs = [(v, u) for v in range(n) for u in _bits(succ[v])]
         return cls(n, arcs)

@@ -1,7 +1,9 @@
 """Exhaustive and sampled sweeps that machine-check the structure theorems.
 
-Per graph, ``check_graph`` produces a flat :class:`VerificationRecord` whose
-clause columns hold one of "pass", "fail", or "na":
+Per graph, ``measure`` computes every parameter where it is defined, and
+``check_graph`` judges the theorem clauses from that :class:`Measurement`
+into a flat :class:`VerificationRecord` whose clause columns hold one of
+"pass", "fail", or "na":
 
 * ``theorem1_ok``: the girth-cycle witness criterion for restricted-cut
   existence agrees with the outcome of the exact minimum search.
@@ -14,8 +16,10 @@ clause columns hold one of "pass", "fail", or "na":
 ``run_sweep`` drives the bitmask kernels over a code range (exhaustive) or a
 seeded sample, fans the survivors through ``check_graph``, and aggregates
 commutatively so chunk order, chunk size, and worker count never change the
-result.  With an output directory it checkpoints per chunk (JSONL, resumable)
-and writes records.csv, counterexamples.d6, summary.json, and, when the
+result.  Chunks carry ``VerificationRecord`` objects from the workers to the
+aggregate; records become rows of text only on disk.  With an output
+directory it checkpoints per chunk (JSONL, resumable) and writes
+records.csv, counterexamples.d6, summary.json, and, when the
 definitional-reading audit is on, audit.json.
 """
 
@@ -27,6 +31,7 @@ import multiprocessing
 import os
 import random
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -35,6 +40,8 @@ from .connectivity import (
     DefinitionReading,
     ORIGINAL_HOST,
     RESIDUAL_HOST,
+    RestrictedCutCertificate,
+    XiResult,
     arc_connectivity,
     is_restricted_arc_cut,
     lambda_prime_exact,
@@ -42,10 +49,10 @@ from .connectivity import (
     proof_cut_constructions,
     xi,
 )
-from .cycles import girth, girth_cycles
-from .digraph import Digraph
+from .cycles import Cycle, girth, girth_cycles
+from .digraph import Arc, Digraph
 from .errors import CapExceeded
-from .families import match_family
+from .families import FamilyMatch, match_family
 from .formats import emit_digraph6
 
 SWEEP_CAP_ENV = "ARCCONN_SWEEP_CAP"
@@ -194,40 +201,60 @@ def _opt_int(cell: str) -> Optional[int]:
     return None if cell == "" else int(cell)
 
 
+@dataclass(frozen=True)
+class Measurement:
+    """A graph's parameters; None where measure leaves one undefined or finds no witness."""
+
+    girth: Optional[int]
+    is_strong: bool
+    match: Optional[FamilyMatch]
+    lambda_: Optional[int]
+    certificate: Optional[RestrictedCutCertificate]
+    xi: Optional[XiResult]
+    witness: Optional[tuple[Cycle, Arc]]
+
+
+def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measurement:
+    """Every parameter of D where it is defined: lambda, lambda' and the
+    existence witness on strong graphs with n >= 2, xi when D has a cycle."""
+    g = girth(D)
+    strong = D.is_strong()
+    connected = strong and D.n >= 2
+    return Measurement(
+        girth=g,
+        is_strong=strong,
+        match=match_family(D),
+        lambda_=arc_connectivity(D) if connected else None,
+        certificate=lambda_prime_exact(D, reading=reading) if connected else None,
+        xi=xi(D) if g is not None else None,
+        witness=lambda_prime_existence_witness(D) if connected else None,
+    )
+
+
 def check_graph(
     D: Digraph,
     reading: DefinitionReading = ORIGINAL_HOST,
     check_proof: bool = False,
 ) -> VerificationRecord:
     """Measure one graph and judge every theorem clause that applies to it."""
-    g = girth(D)
-    strong = D.is_strong()
-    match = match_family(D)
-    family = match.family.value if match else None
-    params = match.params.describe() if match else None
-
-    lam = arc_connectivity(D) if strong and D.n >= 2 else None
-    xi_val = xi(D).value if g is not None else None
-
-    exists: Optional[bool] = None
-    lp: Optional[int] = None
-    theorem1 = "na"
-    if strong and D.n >= 2:
-        exists = lambda_prime_existence_witness(D) is not None
-        cert = lambda_prime_exact(D, reading=reading)
-        lp = cert.value if cert.found else None
-        theorem1 = "pass" if exists == cert.found else "fail"
+    meas = measure(D, reading)
+    family = meas.match.family.value if meas.match else None
+    cert = meas.certificate
+    exists = None if cert is None else meas.witness is not None
+    lp = cert.value if cert is not None and cert.found else None
+    xi_val = meas.xi.value if meas.xi is not None else None
+    theorem1 = "na" if cert is None else ("pass" if exists == cert.found else "fail")
 
     consistency = "na"
     if family is not None:
         consistency = "pass" if exists is False else "fail"
 
-    in_stratum = strong and g == 4 and D.n >= 6 and family is None
+    in_stratum = meas.is_strong and meas.girth == 4 and D.n >= 6 and family is None
     bounds = "na"
     proof = "na"
     if in_stratum:
-        if exists and lp is not None and lam is not None and xi_val is not None:
-            bounds = "pass" if lam <= lp <= xi_val else "fail"
+        if exists and lp is not None and meas.lambda_ is not None and xi_val is not None:
+            bounds = "pass" if meas.lambda_ <= lp <= xi_val else "fail"
         else:
             bounds = "fail"
         if check_proof:
@@ -237,11 +264,11 @@ def check_graph(
         graph_id=emit_digraph6(D),
         n=D.n,
         m=D.m,
-        girth=g,
-        is_strong=strong,
+        girth=meas.girth,
+        is_strong=meas.is_strong,
         family=family,
-        family_params=params,
-        lambda_=lam,
+        family_params=meas.match.params.describe() if meas.match else None,
+        lambda_=meas.lambda_,
         lambda_prime_exists=exists,
         lambda_prime=lp,
         xi=xi_val,
@@ -402,18 +429,18 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
         seen, strong, codes = _kernels.filter_codes(
             n, payload, girth_target=target, require_strong=spec.require_strong
         )
-    rows: list[list[str]] = []
+    records: list[VerificationRecord] = []
     audit = _new_audit() if spec.audit_readings else None
     for code in codes:
         D = Digraph.from_code(n, code)
         rec = check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts)
-        rows.append(rec.to_row())
+        records.append(rec)
         if audit is not None:
             other = check_graph(
                 D, reading=_other_reading(spec.reading), check_proof=spec.check_proof_cuts
             )
             _audit_pair(audit, rec, other)
-    chunk = {"n": n, "seen": seen, "strong": strong, "rows": rows}
+    chunk = {"n": n, "seen": seen, "strong": strong, "records": records}
     if audit is not None:
         chunk["audit"] = audit
     return key, chunk
@@ -484,8 +511,8 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
         )
         slot["seen"] += chunk["seen"]
         slot["strong"] += chunk["strong"]
-        slot["stratum"] += len(chunk["rows"])
-        records += [VerificationRecord.from_row(row) for row in chunk["rows"]]
+        slot["stratum"] += len(chunk["records"])
+        records += chunk["records"]
         if audit is not None and "audit" in chunk:
             _merge_audit(audit, chunk["audit"])
     records.sort(key=lambda r: r.graph_id)
@@ -541,7 +568,9 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
                 header_ok = True
                 continue
             if header_ok:
-                chunks[entry["key"]] = entry["chunk"]
+                chunk = entry["chunk"]
+                chunk["records"] = [VerificationRecord.from_row(row) for row in chunk.pop("rows")]
+                chunks[entry["key"]] = chunk
     if not header_ok:
         raise ValueError("checkpoint is missing its configuration header")
     return chunks
@@ -572,46 +601,35 @@ def run_sweep(
             with open(ck_path, "w", encoding="ascii") as fh:
                 fh.write(json.dumps({"spec": spec.fingerprint()}) + "\n")
 
-    pending = [task for task in tasks if task[0] not in chunks]
+    args = [(spec, task) for task in tasks if task[0] not in chunks]
     total = len(tasks)
-    ck_handle = open(ck_path, "a", encoding="ascii") if ck_path else None
-    fresh = 0
-    try:
-        def handle(key: str, chunk: dict) -> None:
+    with ExitStack() as stack:
+        ck_handle = stack.enter_context(open(ck_path, "a", encoding="ascii")) if ck_path else None
+        if spec.jobs > 1 and len(args) > 1:
+            # Leaving the stack terminates the pool, also on an early stop.
+            pool = stack.enter_context(multiprocessing.get_context("fork").Pool(spec.jobs))
+            results = pool.imap_unordered(_run_chunk, args)
+        else:
+            results = map(_run_chunk, args)
+        for fresh, (key, chunk) in enumerate(results, 1):
             chunks[key] = chunk
             if ck_handle is not None:
-                ck_handle.write(json.dumps({"key": key, "chunk": chunk}) + "\n")
+                saved = {name: chunk[name] for name in ("n", "seen", "strong")}
+                saved["rows"] = [rec.to_row() for rec in chunk["records"]]
+                if "audit" in chunk:
+                    saved["audit"] = chunk["audit"]
+                ck_handle.write(json.dumps({"key": key, "chunk": saved}) + "\n")
                 ck_handle.flush()
-            for row in chunk["rows"]:
-                rec = VerificationRecord.from_row(row)
+            for rec in chunk["records"]:
                 if not rec.passed:
                     bad = [c for c, v in rec.clauses().items() if v == "fail"]
                     emit(f"counterexample {rec.graph_id} fails {', '.join(bad)}")
             emit(
                 f"chunk {len(chunks)}/{total} key={key} "
-                f"stratum={len(chunk['rows'])} of {chunk['seen']} codes"
+                f"stratum={len(chunk['records'])} of {chunk['seen']} codes"
             )
-
-        if spec.jobs > 1 and len(pending) > 1:
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(spec.jobs) as pool:
-                args = [(spec, task) for task in pending]
-                for key, chunk in pool.imap_unordered(_run_chunk, args):
-                    handle(key, chunk)
-                    fresh += 1
-                    if _stop_after_chunks is not None and fresh >= _stop_after_chunks:
-                        pool.terminate()
-                        break
-        else:
-            for task in pending:
-                key, chunk = _run_chunk((spec, task))
-                handle(key, chunk)
-                fresh += 1
-                if _stop_after_chunks is not None and fresh >= _stop_after_chunks:
-                    break
-    finally:
-        if ck_handle is not None:
-            ck_handle.close()
+            if _stop_after_chunks is not None and fresh >= _stop_after_chunks:
+                break
 
     completed = len(chunks) == total
     result = _aggregate(spec, chunks, completed)

@@ -14,10 +14,16 @@ from typing import Iterable, Optional
 import pytest
 from hypothesis import settings
 
-from arcconn import Digraph
+from arcconn import Digraph, _kernels
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+def pytest_report_header(config):
+    reason = _kernels.backend_reason()
+    return f"arcconn backend: {_kernels.backend_name()}" + (f" ({reason})" if reason else "")
+
 
 Arc = tuple[int, int]
 

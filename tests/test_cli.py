@@ -67,6 +67,39 @@ def test_check_json(l8_file, capsys):
     assert payload["theorem1_ok"] == "pass"
 
 
+def _h1_member(tmp_path):
+    path = tmp_path / "h1.edges"
+    assert main(["family", "gen", "H1", "--params", "1,1,1,1", "--out", str(path)]) == 0
+    return path.read_text()
+
+
+@pytest.mark.parametrize("make_text", [
+    lambda tmp_path: emit_edge_list(Digraph(8, L8_ARCS)),
+    lambda tmp_path: "4 4\n0 1\n1 2\n2 3\n3 0\n",
+    lambda tmp_path: "3 2\n0 1\n1 2\n",
+    _h1_member,
+], ids=["l8", "four-cycle", "path", "h1"])
+def test_params_and_check_report_the_same_measurement(tmp_path, capsys, make_text):
+    path = tmp_path / "graph.edges"
+    path.write_text(make_text(tmp_path))
+    capsys.readouterr()
+    assert main(["params", str(path), "--json"]) == 0
+    params = json.loads(capsys.readouterr().out)
+    assert main(["check", str(path), "--json"]) == 0
+    cells = json.loads(capsys.readouterr().out)
+    names = ("girth", "is_strong", "lambda", "lambda_prime", "xi", "lambda_prime_exists")
+    check = {name: json.loads(cells[name]) if cells[name] else None for name in names}
+    cert = params["lambda_prime"]
+    assert check == {
+        "girth": params["girth"],
+        "is_strong": params["is_strong"],
+        "lambda": params["lambda"],
+        "lambda_prime": cert["value"] if cert else None,
+        "xi": params["xi"]["value"] if params["xi"] else None,
+        "lambda_prime_exists": params["existence_witness"] is not None if cert else None,
+    }
+
+
 def test_sweep_cli_writes_artifacts(tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     code = main(["sweep", "--n", "4..5", "--out", out_dir, "--quiet", "--audit-readings"])

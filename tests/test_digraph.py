@@ -171,6 +171,17 @@ def test_code_round_trip(D):
     assert Digraph.from_code(D.n, D.code) == D
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_from_code_edge_codes_and_range(n):
+    size = 3 ** (n * (n - 1) // 2)
+    assert Digraph.from_code(n, 0) == Digraph(n)
+    last = Digraph.from_code(n, size - 1)
+    assert last.code == size - 1 and last.m == n * (n - 1) // 2
+    for code in (-1, size):
+        with pytest.raises(InvalidDigraph, match=f"n={n} is outside 0..{size - 1}"):
+            Digraph.from_code(n, code)
+
+
 def test_relabel_requires_permutation():
     D = Digraph(3, [(0, 1)])
     with pytest.raises(InvalidVertex):

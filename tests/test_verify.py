@@ -137,8 +137,9 @@ def test_sweep_summary_independent_of_chunking_and_jobs():
             assert other[key] == base[key]
 
 
-def test_sweep_resume_matches_uninterrupted(tmp_path):
-    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=9_000)
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_resume_matches_uninterrupted(tmp_path, jobs):
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=9_000, jobs=jobs)
     solid = run_sweep(spec, out_dir=str(tmp_path / "solid"))
 
     out = str(tmp_path / "resumed")
@@ -150,6 +151,30 @@ def test_sweep_resume_matches_uninterrupted(tmp_path):
     with open(os.path.join(out, "records.csv")) as fh:
         with open(solid.paths["records"]) as fh2:
             assert fh.read() == fh2.read()
+
+
+def test_sweep_parses_rows_only_when_resuming(tmp_path, monkeypatch):
+    """Records travel as objects; only a checkpoint read back parses rows."""
+    calls = []
+    real = VerificationRecord.from_row.__func__
+
+    def counting(cls, row):
+        calls.append(row)
+        return real(cls, row)
+
+    monkeypatch.setattr(VerificationRecord, "from_row", classmethod(counting))
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=9_000)
+    fresh = run_sweep(spec, out_dir=str(tmp_path / "fresh"))
+    assert fresh.completed and fresh.stratum > 0 and calls == []
+
+    out = tmp_path / "resumed"
+    run_sweep(spec, out_dir=str(out), _stop_after_chunks=3)
+    with open(out / "checkpoint.jsonl") as fh:
+        saved = [row for line in fh for row in json.loads(line).get("chunk", {}).get("rows", [])]
+    assert calls == [] and saved
+    resumed = run_sweep(spec, out_dir=str(out), resume=True)
+    assert calls == saved
+    assert resumed.records == fresh.records
 
 
 def test_sweep_resume_rejects_other_spec(tmp_path):
