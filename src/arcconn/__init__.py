@@ -6,9 +6,6 @@ arc-connectivity lambda', and the degree-sum bound xi of oriented graphs
 exception families of strong girth-4 graphs that admit no restricted
 arc-cut, and machine-verifies the structure theorems tying these together
 by exhaustive or seeded-random enumeration.
-
-Hot loops run on a compiled extension when it is available; set
-ARCCONN_PURE=1 to force the pure-Python kernels.
 """
 
 from __future__ import annotations

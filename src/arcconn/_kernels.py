@@ -1,70 +1,411 @@
-"""Kernel backend selection.
+"""Pure-Python bitmask kernels.
 
-Imports the compiled ``_fastcore`` extension when it is available and falls
-back to the pure-Python ``_purecore`` twin otherwise.  Set ARCCONN_PURE=1 to
-force the fallback (useful for parity debugging and benchmarks).  Both
-backends expose the same functions with identical semantics.
+Digraphs on n vertices are handled as adjacency bitmasks: ``succ[v]`` has bit
+``u`` set iff the arc v->u is present.  These are the hot primitives behind
+strongness/SCC/girth queries and the exhaustive enumeration filter.
 
-The compiled kernels pack masks into a single machine word, so graphs with
-more than 64 vertices are routed to the pure backend regardless.
+Enumeration encoding: unordered vertex pairs are listed lexicographically
+((0,1), (0,2), ..., (n-2,n-1)); pair k holds a trit (0 = no arc, 1 = i->j,
+2 = j->i) and a graph's code is sum(trit_k * 3**k).  This encoding can never
+produce a loop or a digon.
+
+Decoding reads the trits of each row i (the pairs (i, j), j > i) in groups of
+at most six and ORs one entry of a 3**6-entry table per group, shifted into
+place, into one integer that packs succ[v] and pred[v] side by side for each
+v.  The table depends on n only through the row width, and its entries have
+O(n) bits.
+
+Vertex-0 split (``filter_range``).  The lowest n-1 trits are vertex 0's pairs,
+so ``code = low + 3**(n-1) * code(H)`` where H = D - 0 relabelled v -> v-1.
+Each aligned block of 3**(n-1) consecutive codes therefore shares one H, and
+``low`` only picks vertex 0's out-set O and in-set I (disjoint, since each
+pair holds one trit).  H is decoded once per block, and each code is judged
+from H alone:
+
+* D is strong iff the vertices that H reaches from O and the vertices that
+  reach I in H each cover V(H): a shortest path out of or into vertex 0
+  never returns to it.  The lone vertex (n = 1) is not strong.
+* girth(D) = min(girth(H), 2 + dist_H(O, I)): a cycle avoiding vertex 0 lies
+  in H, and a shortest one through it is 0 -> a ~> b -> 0 with a in O and
+  b in I.  This holds for every girth target.
+
+Unions over O and I are memoised per block as codes meet them.  Vertex 0's
+sets come from a fixed table for vertices 1..6 and, for the rest, from one
+decode per run of 3**6 codes.  So no table grows as 2**(n-1) or 3**(n-1): a
+window costs one decode and closure of H per block it touches, plus bounded
+work per code.
 """
 
 from __future__ import annotations
 
-import os
+from bisect import bisect_left
+from functools import lru_cache
+from operator import itemgetter
 
-from . import _purecore
+from .errors import InvalidDigraph
 
-_reason = ""
-if os.environ.get("ARCCONN_PURE"):
-    _impl = _purecore
-    _reason = "ARCCONN_PURE set"
-else:
-    try:
-        from . import _fastcore as _impl  # type: ignore[no-redef]
-    except ImportError as exc:
-        _impl = _purecore
-        _reason = f"ImportError: {exc}"
+BACKEND = "pure"
 
-_FAST_MAX_N = 64
-
-pair_table = _purecore.pair_table
+_GROUP = 6  # trits per decode-table lookup
+_choice_value = itemgetter(0)
 
 
 def backend_name() -> str:
-    return _impl.BACKEND
+    return BACKEND
 
 
-def backend_reason() -> str:
-    """Why the pure backend was selected, or "" when the compiled one runs."""
-    return _reason
+def check_codes(n: int, first: int, last: int) -> None:
+    """Raise InvalidDigraph unless codes first and last encode graphs on n vertices."""
+    size = 3 ** (n * (n - 1) // 2)
+    for code in (first, last):
+        if not 0 <= code < size:
+            raise InvalidDigraph(f"code {code} for n={n} is outside 0..{size - 1}")
 
 
-def _pick(n: int):
-    if n > _FAST_MAX_N:
-        return _purecore
-    return _impl
+def pair_table(n: int) -> list[tuple[int, int]]:
+    """Lexicographic list of unordered vertex pairs of 0..n-1."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@lru_cache(maxsize=8)
+def _layout(n: int):
+    """Decode layout for order n: (table, steps, low, add, top).
+
+    In the packed word, succ[v] sits at bit 2n*v and pred[v] at bit 2n*v + n.
+    ``table[g]`` is the (row, column) contribution of a trit group with value
+    g, and ``steps`` lists (3**k, row shift, column shift) for each group of
+    k trits in code order.  ``low``, ``add`` and ``top`` test that none of
+    the 2n fields is zero: ``((q & low) + add | q) & top == top``.
+    """
+    table = []
+    for value in range(3**_GROUP):
+        row = col = 0
+        for k in range(_GROUP):
+            value, t = divmod(value, 3)
+            if t == 1:  # i -> j: bit j of succ[i], bit i of pred[j]
+                row |= 1 << k
+                col |= 1 << (2 * n * k + n)
+            elif t == 2:  # j -> i: bit j of pred[i], bit i of succ[j]
+                row |= 1 << (n + k)
+                col |= 1 << (2 * n * k)
+        table.append((row, col))
+    steps = [
+        (3 ** min(_GROUP, n - j), 2 * n * i + j, 2 * n * j + i)
+        for i in range(n)
+        for j in range(i + 1, n, _GROUP)
+    ]
+    unit = sum(1 << (v * n) for v in range(2 * n))
+    top = unit << (n - 1) if n else 0
+    return table, steps, ~top, top - unit, top
+
+
+def _pack(n: int, code: int) -> int:
+    table, steps = _layout(n)[:2]
+    q = 0
+    for p, row_shift, col_shift in steps:
+        code, g = divmod(code, p)
+        row, col = table[g]
+        q |= row << row_shift | col << col_shift
+    return q
+
+
+def _rows(q: int, n: int, shift: int) -> list[int]:
+    """The n rows of a packed word from bit shift: 0 for succ, n for pred."""
+    full = (1 << n) - 1
+    return [q >> (shift + 2 * n * v) & full for v in range(n)]
 
 
 def decode_code(n: int, code: int) -> list[int]:
-    return _pick(n).decode_code(n, code)
+    """Successor masks of the graph with the given enumeration code."""
+    return _rows(_pack(n, code), n, 0)
+
+
+def reach_closure(succ: list[int], n: int) -> list[int]:
+    """Reflexive-transitive closure masks: bit u of closure[v] iff v reaches u."""
+    clos = [(1 << v) | succ[v] for v in range(n)]
+    for k in range(n):
+        ck = clos[k]
+        bit = 1 << k
+        for i in range(n):
+            if clos[i] & bit:
+                clos[i] |= ck
+    return clos
 
 
 def is_strong(succ: list[int], n: int) -> bool:
-    return _pick(n).is_strong(succ, n)
+    if n == 0:
+        return False
+    full = (1 << n) - 1
+    for m in reach_closure(succ, n):
+        if m != full:
+            return False
+    return True
 
 
 def scc_masks(succ: list[int], n: int) -> list[int]:
-    return _pick(n).scc_masks(succ, n)
+    """SCC masks in topological order (sources first), ties by smallest vertex.
+
+    Vertices u, v share a component iff each reaches the other.  If component
+    A reaches component B then A's closure strictly contains B's, so sorting
+    by descending closure popcount is a valid topological order.
+    """
+    clos = reach_closure(succ, n)
+    comps = []
+    seen = 0
+    for v in range(n):
+        if seen >> v & 1:
+            continue
+        m = clos[v]
+        comp = 0
+        rest = m
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if clos[b.bit_length() - 1] & (1 << v):
+                comp |= b
+        comps.append((-clos[v].bit_count(), v, comp))
+        seen |= comp
+    comps.sort()
+    return [c for _, _, c in comps]
 
 
 def girth(succ: list[int], n: int) -> int:
-    return _pick(n).girth(succ, n)
+    """Length of a shortest directed cycle; 0 if acyclic."""
+    pred = [0] * n
+    for v in range(n):
+        m = succ[v]
+        while m:
+            b = m & -m
+            m ^= b
+            pred[b.bit_length() - 1] |= 1 << v
+    return _girth(succ, pred, n)
 
 
-def filter_range(n, lo, hi, girth_target=0, require_strong=True):
-    return _pick(n).filter_range(n, lo, hi, girth_target, require_strong)
+def _girth(succ: list[int], pred: list[int], n: int) -> int:
+    best = 0
+    for v in range(n):
+        back = pred[v]
+        if not back or not succ[v]:
+            continue
+        frontier = succ[v]
+        visited = frontier
+        length = 1
+        while frontier:
+            if frontier & back:
+                if best == 0 or length + 1 < best:
+                    best = length + 1
+                break
+            if best and length + 1 >= best:
+                break
+            nxt = 0
+            m = frontier
+            while m:
+                b = m & -m
+                m ^= b
+                nxt |= succ[b.bit_length() - 1]
+            frontier = nxt & ~visited
+            visited |= nxt
+            length += 1
+    return best
 
 
-def filter_codes(n, codes, girth_target=0, require_strong=True):
-    return _pick(n).filter_codes(n, codes, girth_target, require_strong)
+def _union(rows: list[int], s: int) -> int:
+    """OR of rows[v] over the members v of bit set s."""
+    u = 0
+    while s:
+        b = s & -s
+        s ^= b
+        u |= rows[b.bit_length() - 1]
+    return u
+
+
+def _spans(rows: list[int], full: int) -> bool:
+    """Whether vertex 0 reaches every vertex of full along rows."""
+    seen = frontier = 1 & full  # full == 0 (no vertices) passes vacuously
+    while frontier:
+        frontier = _union(rows, frontier) & ~seen
+        seen |= frontier
+    return seen == full
+
+
+class _Memo(dict):
+    """Values of fn, computed for each key the first time it is asked for."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+@lru_cache(maxsize=None)
+def _low_choices(m: int, must_out: int, must_in: int) -> list[tuple[int, int, int]]:
+    """(value, O, I) for each value of vertex 0's trits towards vertices 1..m
+    whose O contains must_out and whose I contains must_in, ascending.
+
+    Keys are disjoint masks over vertices 1..m <= 6, so all entries over all
+    keys number at most 5**m.
+    """
+    if must_out or must_in:
+        return [
+            choice
+            for choice in _low_choices(m, 0, 0)
+            if not (must_out & ~choice[1] or must_in & ~choice[2])
+        ]
+    return [(value, *_trit_sets(value, 1)) for value in range(3**m)]
+
+
+def _trit_sets(value: int, v: int) -> tuple[int, int]:
+    """Vertex 0's out- and in-set from its trits towards vertices v, v+1, ..."""
+    out = into = 0
+    while value:
+        value, t = divmod(value, 3)
+        if t == 1:
+            out |= 1 << v
+        elif t == 2:
+            into |= 1 << v
+        v += 1
+    return out, into
+
+
+def _judge_block(n, base, first, last, girth_target, require_strong, survivors):
+    """Judge codes base+first .. base+last-1, which share D - 0 (module doc).
+
+    Appends the survivors in ascending order and returns the strong count.
+    """
+    q = _pack(n, base)  # vertex 0 is isolated: this is H
+    succ = _rows(q, n, 0)
+    pred = _rows(q, n, n)
+    rest = (1 << n) - 2  # V(H)
+    # A strong D gives vertex 0 every vertex of H with no in-arc as an
+    # out-neighbour and every one with no out-arc as an in-neighbour.
+    must_out = must_in = 0
+    if require_strong:
+        for v in range(1, n):
+            if not pred[v]:
+                must_out |= 1 << v
+            if not succ[v]:
+                must_in |= 1 << v
+        if must_out & must_in:
+            return 0
+        reach = reach_closure(succ, n)
+        coreach = reach_closure(pred, n)
+        spans_out = _Memo(lambda o: _union(reach, o) == rest)
+        spans_in = _Memo(lambda i: _union(coreach, i) == rest)
+    keep = True  # whether a strong code of this block can have the target girth
+    if girth_target:
+        g_h = _girth(succ, pred, n)
+        # girth(D) <= girth(H), and an oriented graph has no cycle shorter than 3
+        if girth_target < 3 or 0 < g_h < girth_target:
+            if not require_strong:
+                return last - first
+            keep = False
+        # dist_H(O, I) >= k + 1 iff the k-ball around O misses I
+        exact = g_h != girth_target
+        step = _Memo(lambda s: s | _union(succ, s))
+
+        def balls(o):
+            near = o
+            for _ in range(girth_target - 3):
+                near = step[near]
+            return near, step[near]
+
+        balls_of = _Memo(balls)
+
+    strong = 0
+    m = min(n - 1, _GROUP)
+    span = 3**m
+    low = (2 << m) - 2  # vertices 1..m
+    choices = _low_choices(m, must_out & low, must_in & low)
+    for high in range(first // span, (last - 1) // span + 1):
+        o_high, i_high = _trit_sets(high, m + 1)
+        if (must_out & ~o_high | must_in & ~i_high) & ~low:
+            continue
+        offset = base + high * span
+        part = choices[
+            bisect_left(choices, first - high * span, key=_choice_value) :
+            bisect_left(choices, last - high * span, key=_choice_value)
+        ]
+        if high:
+            part = [(value, o | o_high, i | i_high) for value, o, i in part]
+        for value, o, i in part:
+            if require_strong:
+                if not (spans_out[o] and spans_in[i]):
+                    continue
+                strong += 1
+            if girth_target:
+                if not keep:
+                    continue
+                near, far = balls_of[o]
+                if near & i or (exact and not far & i):
+                    continue
+            survivors.append(offset + value)
+    return strong if require_strong else last - first
+
+
+def filter_range(
+    n: int,
+    lo: int,
+    hi: int,
+    girth_target: int = 0,
+    require_strong: bool = True,
+) -> tuple[int, int, list[int]]:
+    """Scan enumeration codes [lo, hi) and keep those passing the filters.
+
+    Returns (seen, strong_count, survivor_codes), survivors ascending.
+    strong_count is only meaningful when require_strong is set.  Raises
+    InvalidDigraph when the range reaches outside [0, 3**(n(n-1)/2)) or
+    ends before it starts.
+    """
+    if lo < hi:
+        check_codes(n, lo, hi - 1)
+    elif lo > hi:
+        raise InvalidDigraph(f"code range {lo}..{hi} for n={n} ends before it starts")
+    if n < 2:
+        return filter_codes(n, range(lo, hi), girth_target, require_strong)
+    size = 3 ** (n - 1)
+    strong_count = 0
+    survivors: list[int] = []
+    code = lo
+    while code < hi:
+        base = code - code % size
+        strong_count += _judge_block(
+            n, base, code - base, min(size, hi - base), girth_target, require_strong, survivors
+        )
+        code = base + size
+    return hi - lo, strong_count, survivors
+
+
+def filter_codes(
+    n: int,
+    codes: list[int],
+    girth_target: int = 0,
+    require_strong: bool = True,
+) -> tuple[int, int, list[int]]:
+    """Like filter_range but over an explicit code list (sampled sweeps).
+
+    Strongness is a degree check on the packed word, then a forward and a
+    backward search from vertex 0.  Raises InvalidDigraph when some code lies
+    outside [0, 3**(n(n-1)/2)).
+    """
+    if codes:
+        check_codes(n, min(codes), max(codes))
+    low, add, top = _layout(n)[2:]
+    full = (1 << n) - 1
+    strong_count = 0
+    survivors = []
+    for code in codes:
+        q = _pack(n, code)
+        if require_strong and ((q & low) + add | q) & top != top:
+            continue
+        succ = _rows(q, n, 0)
+        pred = _rows(q, n, n)
+        if require_strong and not (_spans(succ, full) and _spans(pred, full)):
+            continue
+        strong_count += 1
+        if girth_target and _girth(succ, pred, n) != girth_target:
+            continue
+        survivors.append(code)
+    return len(codes), strong_count, survivors

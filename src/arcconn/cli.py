@@ -267,8 +267,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"  counterexamples: {len(result.counterexamples)}")
     for path_name, path in sorted(result.paths.items()):
         print(f"  wrote {path_name}: {path}")
-    reason = f": {result.backend_reason}" if result.backend_reason else ""
-    print(f"  runtime {result.runtime:.1f}s ({result.backend} backend{reason})")
+    print(f"  runtime {result.runtime:.1f}s ({result.backend} backend)")
     return 0 if result.ok else 1
 
 

@@ -2,8 +2,8 @@
 
 A Digraph is an immutable digraph on vertices 0..n-1 with no loops and no
 digons (if u->v is present, v->u is not).  Adjacency is kept both as a sorted
-arc tuple and as successor/predecessor bitmasks; the masks feed the kernel
-backend for reachability, SCC, and girth work.
+arc tuple and as successor/predecessor bitmasks; the masks feed the bitmask
+kernels for reachability, SCC, and girth work.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import _kernels
 from .errors import (
     DuplicateArc,
-    InvalidDigraph,
     InvalidVertex,
     LoopArc,
     SymmetricPair,
@@ -195,10 +194,8 @@ class Digraph:
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "Digraph":
-        """Graph with the given trit enumeration code (see _purecore)."""
-        size = 3 ** (n * (n - 1) // 2)
-        if not 0 <= code < size:
-            raise InvalidDigraph(f"code {code} for n={n} is outside 0..{size - 1}")
+        """Graph with the given trit enumeration code (see _kernels)."""
+        _kernels.check_codes(n, code, code)
         succ = _kernels.decode_code(n, code)
         arcs = [(v, u) for v in range(n) for u in _bits(succ[v])]
         return cls(n, arcs)

@@ -32,7 +32,7 @@ import os
 import random
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
 from . import _kernels
@@ -235,9 +235,20 @@ def check_graph(
     D: Digraph,
     reading: DefinitionReading = ORIGINAL_HOST,
     check_proof: bool = False,
+    meas: Optional[Measurement] = None,
 ) -> VerificationRecord:
-    """Measure one graph and judge every theorem clause that applies to it."""
-    meas = measure(D, reading)
+    """Measure one graph and judge every theorem clause that applies to it.
+
+    meas, when given, must be ``measure(D, reading)``; it is not taken again.
+    """
+    if meas is None:
+        meas = measure(D, reading)
+    return _judge(D, meas, reading, check_proof)
+
+
+def _judge(
+    D: Digraph, meas: Measurement, reading: DefinitionReading, check_proof: bool
+) -> VerificationRecord:
     family = meas.match.family.value if meas.match else None
     cert = meas.certificate
     exists = None if cert is None else meas.witness is not None
@@ -433,13 +444,17 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
     audit = _new_audit() if spec.audit_readings else None
     for code in codes:
         D = Digraph.from_code(n, code)
-        rec = check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts)
+        if audit is None:
+            records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts))
+            continue
+        # Only lambda' and the proof clause depend on the reading.
+        meas = measure(D, spec.reading)
+        rec = check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas)
         records.append(rec)
-        if audit is not None:
-            other = check_graph(
-                D, reading=_other_reading(spec.reading), check_proof=spec.check_proof_cuts
-            )
-            _audit_pair(audit, rec, other)
+        other = _other_reading(spec.reading)
+        if meas.certificate is not None:
+            meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
+        _audit_pair(audit, rec, _judge(D, meas, other, spec.check_proof_cuts))
     chunk = {"n": n, "seen": seen, "strong": strong, "records": records}
     if audit is not None:
         chunk["audit"] = audit
@@ -466,7 +481,6 @@ class SweepResult:
     accounting_ok: Optional[bool] = None
     runtime: float = 0.0
     backend: str = ""
-    backend_reason: str = ""
     paths: dict[str, str] = field(default_factory=dict)
 
     @property
@@ -491,17 +505,11 @@ class SweepResult:
             "ok": self.ok,
             "runtime_seconds": round(self.runtime, 3),
             "backend": self.backend,
-            "backend_reason": self.backend_reason,
         }
 
 
 def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> SweepResult:
-    result = SweepResult(
-        spec=spec,
-        completed=completed,
-        backend=_kernels.backend_name(),
-        backend_reason=_kernels.backend_reason(),
-    )
+    result = SweepResult(spec=spec, completed=completed, backend=_kernels.backend_name())
     records: list[VerificationRecord] = []
     audit = _new_audit() if spec.audit_readings else None
     for chunk in chunks.values():

@@ -21,8 +21,7 @@ settings.load_profile("suite")
 
 
 def pytest_report_header(config):
-    reason = _kernels.backend_reason()
-    return f"arcconn backend: {_kernels.backend_name()}" + (f" ({reason})" if reason else "")
+    return f"arcconn backend: {_kernels.backend_name()}"
 
 
 Arc = tuple[int, int]

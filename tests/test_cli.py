@@ -111,27 +111,19 @@ def test_sweep_cli_writes_artifacts(tmp_path, capsys):
         assert os.path.exists(os.path.join(out_dir, name))
 
 
-def test_sweep_reports_forced_pure_backend_reason(tmp_path):
+def test_sweep_reports_pure_backend(tmp_path):
     out_dir = tmp_path / "out"
-    env = dict(os.environ, ARCCONN_PURE="1")
     run = subprocess.run(
         [sys.executable, "-m", "arcconn", "sweep", "--n", "4", "--out", str(out_dir), "--quiet"],
         capture_output=True,
         text=True,
-        env=env,
         check=True,
         timeout=120,
     )
-    assert "(pure backend: ARCCONN_PURE set)" in run.stdout
+    assert "(pure backend)" in run.stdout
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["backend"] == "pure"
-    assert summary["backend_reason"] == "ARCCONN_PURE set"
-
-
-def test_backend_reason_is_empty_only_for_the_fast_backend():
-    from arcconn import _kernels
-
-    assert (_kernels.backend_reason() == "") == (_kernels.backend_name() == "fast")
+    assert "backend_reason" not in summary
 
 
 def test_sweep_cli_cap_is_usage_error(capsys):

@@ -14,7 +14,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from arcconn import Digraph, _purecore
+from arcconn import Digraph, _kernels
 
 from .conftest import oracle_girth, oracle_girth_bfs, oracle_strong
 
@@ -63,8 +63,8 @@ def check_window(n, lo, hi):
     for girth_target in TARGETS:
         for require_strong in (True, False):
             want = expected(n, codes, girth_target, require_strong)
-            assert _purecore.filter_range(n, lo, hi, girth_target, require_strong) == want
-            assert _purecore.filter_codes(n, codes, girth_target, require_strong) == want
+            assert _kernels.filter_range(n, lo, hi, girth_target, require_strong) == want
+            assert _kernels.filter_codes(n, codes, girth_target, require_strong) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -74,8 +74,8 @@ def test_filters_match_oracles_on_every_code(n):
 
 @pytest.mark.parametrize("girth_target", TARGETS)
 def test_lone_vertex_is_not_strong(girth_target):
-    assert _purecore.filter_range(1, 0, 1, girth_target, True) == (1, 0, [])
-    assert _purecore.filter_codes(1, [0], girth_target, True) == (1, 0, [])
+    assert _kernels.filter_range(1, 0, 1, girth_target, True) == (1, 0, [])
+    assert _kernels.filter_codes(1, [0], girth_target, True) == (1, 0, [])
 
 
 @st.composite
@@ -107,7 +107,7 @@ def test_filters_match_oracles_at_order_70():
     base = sum(3 ** position[(v, v + 1)] for v in range(1, n - 1))
     base += 2 * 3 ** position[(1, n - 1)]
     check_window(n, base + 3**6 - 40, base + 3**6 + 25)
-    kept = _purecore.filter_range(n, base + 3**6 - 40, base + 3**6 + 25, 4, True)[2]
+    kept = _kernels.filter_range(n, base + 3**6 - 40, base + 3**6 + 25, 4, True)[2]
     assert kept  # the window holds strong girth-4 graphs
 
 
@@ -116,4 +116,4 @@ def test_filters_match_oracles_at_order_70():
 ))
 def test_decode_matches_trit_reading(nc):
     n, code = nc
-    assert _purecore.decode_code(n, code) == list(oracle_digraph(n, code).succ)
+    assert _kernels.decode_code(n, code) == list(oracle_digraph(n, code).succ)

@@ -177,6 +177,33 @@ def test_sweep_parses_rows_only_when_resuming(tmp_path, monkeypatch):
     assert resumed.records == fresh.records
 
 
+def test_reading_audit_measures_each_graph_once(monkeypatch):
+    """With the audit on, only lambda' is taken again for the other reading."""
+    import arcconn.verify as verify
+
+    calls = {}
+    for name in ("girth", "match_family", "arc_connectivity", "xi",
+                 "lambda_prime_existence_witness", "lambda_prime_exact"):
+        real = getattr(verify, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counting)
+    res = run_sweep(SweepSpec(n_lo=5, n_hi=5, audit_readings=True, check_proof_cuts=True))
+    graphs = res.stratum
+    assert graphs == res.audit["graphs"] == 300
+    assert calls == {
+        "girth": graphs,
+        "match_family": graphs,
+        "arc_connectivity": graphs,
+        "xi": graphs,
+        "lambda_prime_existence_witness": graphs,
+        "lambda_prime_exact": 2 * graphs,
+    }
+
+
 def test_sweep_resume_rejects_other_spec(tmp_path):
     out = str(tmp_path / "out")
     run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=out)
