@@ -2,8 +2,9 @@
 
 Times the strong/girth filter over a contiguous code range (filter_range) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path),
-each in ns/code, and the three per-graph primitives (closure, strong
-components, girth) on the same batch.
+each in ns/code, the three per-graph primitives (closure, strong
+components, girth) on the same batch, and verify.measure on the girth-4
+survivors of the filter_range run, in us per graph.
 
 Usage:
     python benchmarks/bench_kernels.py [--n 6] [--codes 200000] [--batch 2000]
@@ -15,7 +16,7 @@ import argparse
 import random
 import time
 
-from arcconn import _kernels
+from arcconn import Digraph, _kernels, verify
 
 
 def _time(fn, repeat: int = 3) -> float:
@@ -27,12 +28,11 @@ def _time(fn, repeat: int = 3) -> float:
     return best
 
 
-def bench_filter(run) -> tuple[float, tuple[int, int, int]]:
+def bench_filter(run) -> tuple[float, tuple[int, int, list[int]]]:
     out = {}
 
     def once():
-        seen, strong, kept = run()
-        out["res"] = (seen, strong, len(kept))
+        out["res"] = run()
 
     took = _time(once)
     return took, out["res"]
@@ -45,6 +45,19 @@ def bench_primitives(n: int, batch: list[int]) -> dict[str, float]:
     times["scc"] = _time(lambda: [_kernels.scc_masks(succ, n) for succ in decoded])
     times["girth"] = _time(lambda: [_kernels.girth(succ, n) for succ in decoded])
     return times
+
+
+def bench_measure(n: int, codes: list[int], repeat: int = 3) -> float:
+    """Best time of verify.measure over the graphs, each decoded afresh per
+    round (a Digraph memoises its strongness) and outside the clock."""
+    best = float("inf")
+    for _ in range(repeat):
+        graphs = [Digraph.from_code(n, code) for code in codes]
+        t0 = time.perf_counter()
+        for D in graphs:
+            verify.measure(D)
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def main() -> None:
@@ -65,13 +78,18 @@ def main() -> None:
         "range": bench_filter(lambda: _kernels.filter_range(args.n, 0, args.codes, 4, True)),
         "codes": bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4, True)),
     }
-    for op, (took, counts) in filters.items():
-        per = took / counts[0] * 1e9
-        print(f"filter_{op} {counts[0]} codes at n={args.n}: {took:8.3f}s "
-              f"({per:7.0f} ns/code; strong={counts[1]}, girth-4={counts[2]})")
+    for op, (took, (seen, strong, kept)) in filters.items():
+        per = took / seen * 1e9
+        print(f"filter_{op} {seen} codes at n={args.n}: {took:8.3f}s "
+              f"({per:7.0f} ns/code; strong={strong}, girth-4={len(kept)})")
     for op, took in bench_primitives(args.n, batch).items():
         per = took / args.batch * 1e6
         print(f"{op:8s} {args.batch} graphs: {took:8.3f}s  ({per:7.2f} us/graph)")
+    kept = filters["range"][1][2]
+    if kept:
+        took = bench_measure(args.n, kept)
+        per = took / len(kept) * 1e6
+        print(f"measure  {len(kept)} graphs: {took:8.3f}s  ({per:7.2f} us/graph)")
 
 
 if __name__ == "__main__":

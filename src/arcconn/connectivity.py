@@ -12,6 +12,14 @@ arc subsets by increasing size, while lambda_prime_exact minimizes, over the
 vertex sets X that could host the surviving component, the max-flow value
 between the split halves of X contracted to a single vertex.  They must agree
 and the test suite holds them to that.
+
+Both lambda and lambda_prime_exact stop at their lower bound 1.  A strong
+digraph needs at least one arc removed to lose strongness, so a vertex of
+degree 1 settles lambda before any flow.  A restricted cut is never empty,
+so once lambda_prime_exact has a cut of size 1 no later candidate can do
+better; and since the kept cut only changes on a strictly smaller flow, the
+certificate (cut, component, outside arc) is the one the full search over
+all candidates would return.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
 from .cycles import Cycle, cycles_of_length, girth, girth_cycles, is_cycle
@@ -95,9 +103,13 @@ def xi_of_cycle(D: Digraph, C: Cycle) -> int:
     return min(out_sum, in_sum) - g
 
 
-def xi(D: Digraph) -> XiResult:
-    """Minimum of xi_of_cycle over all girth cycles, smallest cycle on ties."""
-    cycles = girth_cycles(D)  # raises AcyclicDigraph when D has no cycle
+def xi(D: Digraph, cycles: Optional[Sequence[Cycle]] = None) -> XiResult:
+    """Minimum of xi_of_cycle over all girth cycles, smallest cycle on ties.
+
+    cycles, when given, must be girth_cycles(D); it is not listed again.
+    """
+    if cycles is None:
+        cycles = girth_cycles(D)  # raises AcyclicDigraph when D has no cycle
     g = len(cycles[0])
     best: Optional[XiResult] = None
     for C in cycles:
@@ -172,9 +184,12 @@ def arc_connectivity(D: Digraph) -> int:
         raise NotStrong("arc connectivity needs a strong digraph on >= 2 vertices")
     n = D.n
     best = min(min(D.succ[v].bit_count(), D.pred[v].bit_count()) for v in range(n))
+    if best == 1:
+        return 1  # a strong digraph has lambda >= 1
+    base = [[D.succ[i] >> j & 1 for j in range(n)] for i in range(n)]
     for v in range(1, n):
         for s, t in ((0, v), (v, 0)):
-            cap = [[1 if D.succ[i] >> j & 1 else 0 for j in range(n)] for i in range(n)]
+            cap = [row[:] for row in base]
             flow = _maxflow(cap, s, t, limit=best)
             if flow < best:
                 best = flow
@@ -370,30 +385,40 @@ def _extract_cut(D: Digraph, mask: int, residual: list[list[int]], protected: Op
     return cut
 
 
-def _candidate_masks(D: Digraph) -> list[int]:
+def _candidate_masks(D: Digraph, cycles: Optional[Sequence[Cycle]] = None) -> Iterator[int]:
     """Component-host candidates: girth-cycle vertex sets first, then all
-    vertex sets by increasing size."""
+    vertex sets with 2..n-2 vertices in (size, value) order.
+
+    cycles, when given, must be D's girth cycles.  The masks are generated
+    lazily, so a search that stops early never builds all 2^n of them.
+    """
     n = D.n
-    seeds: list[int] = []
-    g = girth(D)
-    if g is not None:
-        for C in cycles_of_length(D, g):
-            m = 0
-            for v in C:
-                m |= 1 << v
-            if m.bit_count() <= n - 2 and m not in seeds:
-                seeds.append(m)
-    rest = [
-        m
-        for m in range(1, 1 << n)
-        if 2 <= m.bit_count() <= n - 2 and m not in seeds
-    ]
-    rest.sort(key=lambda m: (m.bit_count(), m))
-    return seeds + rest
+    if cycles is None:
+        g = girth(D)
+        cycles = cycles_of_length(D, g) if g is not None else []
+    seeds: dict[int, None] = {}  # insertion-ordered set
+    for C in cycles:
+        m = 0
+        for v in C:
+            m |= 1 << v
+        if m.bit_count() <= n - 2:
+            seeds[m] = None
+    yield from seeds
+    for k in range(2, n - 1):
+        m = (1 << k) - 1
+        while not m >> n:
+            if m not in seeds:
+                yield m
+            # Gosper's hack: the next larger mask with the same popcount.
+            low = m & -m
+            ripple = m + low
+            m = (((ripple ^ m) >> 2) // low) | ripple
 
 
 def lambda_prime_exact(
-    D: Digraph, reading: DefinitionReading = ORIGINAL_HOST
+    D: Digraph,
+    reading: DefinitionReading = ORIGINAL_HOST,
+    cycles: Optional[Sequence[Cycle]] = None,
 ) -> RestrictedCutCertificate:
     """Exact lambda' by contraction max-flow over candidate component sets.
 
@@ -401,7 +426,9 @@ def lambda_prime_exact(
     the cheapest arc set whose removal leaves X as its own strong component
     is the min cut between the contracted halves of X.  Under ResidualHost
     the witness arc must additionally survive the cut, so the flow runs once
-    per choice of protected outside arc.
+    per choice of protected outside arc.  The search stops at a cut of size
+    1, the lower bound.  cycles, when given, must be D's girth cycles; they
+    seed the candidate order.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
@@ -410,7 +437,9 @@ def lambda_prime_exact(
     best: Optional[int] = None
     best_witness: Optional[tuple[tuple[Arc, ...], tuple[int, ...], Arc]] = None
     any_qualifying = False
-    for mask in _candidate_masks(D):
+    for mask in _candidate_masks(D, cycles):
+        if best == 1:
+            break
         if not _subset_strong(succ, pred, mask):
             continue
         outside_arcs = [
@@ -440,6 +469,8 @@ def lambda_prime_exact(
             assert witness is not None, "flow cut must certify as restricted"
             best = flow
             best_witness = (tuple(sorted(cut)), witness[0], witness[1])
+            if best == 1:
+                break
     if best_witness is None:
         if any_qualifying:
             # Qualifying sets exist, so some finite cut (e.g. the out-cut of
@@ -456,13 +487,20 @@ def lambda_prime_exact(
     )
 
 
-def lambda_prime_existence_witness(D: Digraph) -> Optional[tuple[Cycle, Arc]]:
-    """First girth cycle with an arc wholly outside it, plus that arc."""
+def lambda_prime_existence_witness(
+    D: Digraph, cycles: Optional[Sequence[Cycle]] = None
+) -> Optional[tuple[Cycle, Arc]]:
+    """First girth cycle with an arc wholly outside it, plus that arc.
+
+    cycles, when given, must be D's girth cycles (empty when D is acyclic).
+    """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda'-connectedness is defined on strong digraphs")
-    if girth(D) is None:
-        return None
-    for C in girth_cycles(D):
+    if cycles is None:
+        if girth(D) is None:
+            return None
+        cycles = girth_cycles(D)
+    for C in cycles:
         arc = D.arc_outside(C)
         if arc is not None:
             return C, arc
@@ -482,43 +520,40 @@ def _rotations(C: Cycle) -> list[tuple[int, int, int, int]]:
     return [tuple(C[(i + j) % 4] for j in range(4)) for i in range(4)]  # type: ignore[misc]
 
 
-def _directed_candidates(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
+def _directed_candidates(
+    succ: Sequence[int], pred: Sequence[int], C: Cycle, fours: Sequence[Cycle]
+) -> list[tuple[Arc, ...]]:
+    """The candidates of proof_cut_constructions in one orientation.
+
+    succ/pred are the bitmasks of the digraph, fours its sorted 4-cycles.
+    """
     cand: list[tuple[Arc, ...]] = []
     carcs = {(C[i], C[(i + 1) % 4]) for i in range(4)}
     cmask = 0
     for v in C:
         cmask |= 1 << v
-    for C2 in cycles_of_length(D, 4):
+    for C2 in fours:
         shared = sum((C2[i], C2[(i + 1) % 4]) in carcs for i in range(4))
         if shared >= 2:
-            cand.append(tuple(D.out_cut(C2)))
+            x2 = 0
+            for v in C2:
+                x2 |= 1 << v
+            cand.append(tuple((t, h) for t in _bits(x2) for h in _bits(succ[t] & ~x2)))
     for u, v, w, z in _rotations(C):
-        a1s = [
-            a
-            for a in range(D.n)
-            if not cmask >> a & 1 and D.has_arc(u, a) and D.has_arc(a, v)
-        ]
-        xs = [
-            x
-            for x in range(D.n)
-            if not cmask >> x & 1 and D.has_arc(w, x) and D.has_arc(x, u)
-        ]
+        a1s = _bits(succ[u] & pred[v] & ~cmask)
+        xs = _bits(succ[w] & pred[u] & ~cmask)
         for a1 in a1s:
             for x in xs:
                 if x != a1:
                     cand.append(tuple(sorted([(u, a1), (v, w), (w, x)])))
-        for a in range(D.n):
-            if (
-                not cmask >> a & 1
-                and D.has_arc(w, a)
-                and D.has_arc(a, z)
-                and D.has_arc(a, u)
-            ):
-                cand.append(tuple(sorted([(z, u), (a, u)])))
+        for a in _bits(succ[w] & pred[z] & pred[u] & ~cmask):
+            cand.append(tuple(sorted([(z, u), (a, u)])))
     return cand
 
 
-def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
+def proof_cut_constructions(
+    D: Digraph, C: Cycle, fours: Optional[Sequence[Cycle]] = None
+) -> list[tuple[Arc, ...]]:
     """Candidate cuts the girth-4 upper-bound argument builds around C.
 
     Emits the out-cut of every 4-cycle sharing at least two arcs with C
@@ -526,14 +561,19 @@ def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
     two-arc pattern {z->u, a->u}, for every rotation of C where the needed
     arcs exist.  The argument fixes the orientation of C's degree sum without
     loss of generality, so the mirror images of all candidates (computed on
-    the reversed digraph and flipped back) are emitted as well.
+    the reversed digraph and flipped back) are emitted as well.  fours, when
+    given, must be cycles_of_length(D, 4); it is not listed again.
     """
     if not (is_cycle(D, C) and len(C) == 4):
         raise NotAFourCycle(f"{tuple(C)} is not a 4-cycle of the digraph")
-    cand = _directed_candidates(D, C)
-    rev = D.reverse()
+    if fours is None:
+        fours = cycles_of_length(D, 4)
+    cand = _directed_candidates(D.succ, D.pred, C, fours)
+    # The reversed digraph swaps succ and pred; its 4-cycles are D's, read
+    # backwards from the same smallest vertex.
+    rev_fours = sorted((c[0], c[3], c[2], c[1]) for c in fours)
     rev_c = (C[0], C[3], C[2], C[1])
-    for S in _directed_candidates(rev, rev_c):
+    for S in _directed_candidates(D.pred, D.succ, rev_c, rev_fours):
         cand.append(tuple(sorted((h, t) for t, h in S)))
     seen: set[tuple[Arc, ...]] = set()
     out = []

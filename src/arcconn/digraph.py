@@ -44,7 +44,7 @@ class Digraph:
         pred: per-vertex predecessor bitmasks.
     """
 
-    __slots__ = ("n", "arcs", "succ", "pred", "_arcset")
+    __slots__ = ("n", "arcs", "succ", "pred", "_arcset", "_strong")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()) -> None:
         if n < 0:
@@ -77,6 +77,7 @@ class Digraph:
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(pred))
         object.__setattr__(self, "_arcset", frozenset(seen))
+        object.__setattr__(self, "_strong", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Digraph is immutable")
@@ -123,7 +124,10 @@ class Digraph:
     # -- connectivity structure ----------------------------------------
 
     def is_strong(self) -> bool:
-        return _kernels.is_strong(list(self.succ), self.n)
+        """Memoised: the arcs never change, and every measurement asks."""
+        if self._strong is None:
+            object.__setattr__(self, "_strong", _kernels.is_strong(list(self.succ), self.n))
+        return self._strong
 
     def component_masks(self) -> list[int]:
         """SCC bitmasks in topological order (sources first)."""

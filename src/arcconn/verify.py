@@ -203,7 +203,11 @@ def _opt_int(cell: str) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A graph's parameters; None where measure leaves one undefined or finds no witness."""
+    """A graph's parameters; None where measure leaves one undefined or finds no witness.
+
+    cycles holds the girth cycles (empty when the graph is acyclic), listed
+    once and shared by every parameter that reads them.
+    """
 
     girth: Optional[int]
     is_strong: bool
@@ -212,12 +216,14 @@ class Measurement:
     certificate: Optional[RestrictedCutCertificate]
     xi: Optional[XiResult]
     witness: Optional[tuple[Cycle, Arc]]
+    cycles: tuple[Cycle, ...]
 
 
 def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measurement:
     """Every parameter of D where it is defined: lambda, lambda' and the
     existence witness on strong graphs with n >= 2, xi when D has a cycle."""
     g = girth(D)
+    cycles = tuple(girth_cycles(D)) if g is not None else ()
     strong = D.is_strong()
     connected = strong and D.n >= 2
     return Measurement(
@@ -225,9 +231,10 @@ def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measureme
         is_strong=strong,
         match=match_family(D),
         lambda_=arc_connectivity(D) if connected else None,
-        certificate=lambda_prime_exact(D, reading=reading) if connected else None,
-        xi=xi(D) if g is not None else None,
-        witness=lambda_prime_existence_witness(D) if connected else None,
+        certificate=lambda_prime_exact(D, reading=reading, cycles=cycles) if connected else None,
+        xi=xi(D, cycles) if g is not None else None,
+        witness=lambda_prime_existence_witness(D, cycles) if connected else None,
+        cycles=cycles,
     )
 
 
@@ -269,7 +276,7 @@ def _judge(
         else:
             bounds = "fail"
         if check_proof:
-            proof = "pass" if _proof_clause(D, reading, xi_val) else "fail"
+            proof = "pass" if _proof_clause(D, reading, xi_val, meas.cycles) else "fail"
 
     return VerificationRecord(
         graph_id=emit_digraph6(D),
@@ -291,11 +298,14 @@ def _judge(
     )
 
 
-def _proof_clause(D: Digraph, reading: DefinitionReading, xi_val: Optional[int]) -> bool:
+def _proof_clause(
+    D: Digraph, reading: DefinitionReading, xi_val: Optional[int], fours: tuple[Cycle, ...]
+) -> bool:
+    """fours: D's girth cycles, which are its 4-cycles in the stratum."""
     if xi_val is None:
         return False
-    for C in girth_cycles(D):
-        for S in proof_cut_constructions(D, C):
+    for C in fours:
+        for S in proof_cut_constructions(D, C, fours):
             if len(S) > xi_val:
                 continue
             if is_restricted_arc_cut(D, S, reading=reading) is not None:
@@ -453,7 +463,8 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
         records.append(rec)
         other = _other_reading(spec.reading)
         if meas.certificate is not None:
-            meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
+            cert = lambda_prime_exact(D, reading=other, cycles=meas.cycles)
+            meas = replace(meas, certificate=cert)
         _audit_pair(audit, rec, _judge(D, meas, other, spec.check_proof_cuts))
     chunk = {"n": n, "seen": seen, "strong": strong, "records": records}
     if audit is not None:

@@ -154,8 +154,13 @@ def test_oracle_equivalence_exact_vs_bruteforce(capsys):
 
 def test_lambda_against_bruteforce_all_strong_up_to_n5(capsys):
     """arc_connectivity equals the minimum disconnecting arc subset on every
-    strong oriented graph with n <= 5."""
+    strong oriented graph with n <= 5.
+
+    Graphs of minimum degree 1 return before any flow runs, so the flow path
+    is checked on the rest: the 24 regular tournaments on 5 vertices.
+    """
     checked = 0
+    by_flow = 0
     agree = True
     for n in (2, 3, 4, 5):
         size = 3 ** (n * (n - 1) // 2)
@@ -163,12 +168,17 @@ def test_lambda_against_bruteforce_all_strong_up_to_n5(capsys):
         assert strong_count == len(codes)
         for code in codes:
             D = Digraph.from_code(n, code)
-            agree &= arc_connectivity(D) == brute_lambda(D)
+            lam = arc_connectivity(D)
+            agree &= lam == brute_lambda(D)
             checked += 1
-    ok = agree and checked == 2 + 66 + 7_998
+            if min(min(s.bit_count(), p.bit_count()) for s, p in zip(D.succ, D.pred)) >= 2:
+                by_flow += 1
+                agree &= n == 5 and D.m == 10 and lam == 2
+    ok = agree and checked == 2 + 66 + 7_998 and by_flow == 24
     _report(
         capsys, ok, "lambda correctness vs brute force",
-        f"{checked} strong oriented graphs with n <= 5 (2 + 66 + 7998), exact match",
+        f"{checked} strong oriented graphs with n <= 5 (2 + 66 + 7998), exact match; "
+        f"{by_flow} of them (the regular 5-tournaments) through the flows",
     )
     assert ok
 

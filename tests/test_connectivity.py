@@ -267,3 +267,61 @@ def test_proof_cuts_are_arcs_of_d(D):
         for S in proof_cut_constructions(D, C):
             for arc in S:
                 assert D.has_arc(*arc)
+
+
+# ---------------------------------------------------------------------------
+# shared girth cycles and the lazy candidate order
+
+
+def test_lambda_prime_stops_at_one_on_a_long_chain():
+    """Ten 4-cycles in a chain, each sharing one vertex with the next (n=31):
+    the first girth-cycle seed already gives a cut of size 1, the lower
+    bound, so none of the 2^31 other vertex sets is looked at."""
+    import time
+
+    D = Digraph(31, [(3 * i + j, 3 * i + (j + 1) % 4) for i in range(10) for j in range(4)])
+    t0 = time.perf_counter()
+    cert = lambda_prime_exact(D)
+    assert time.perf_counter() - t0 < 0.5
+    assert cert.found and cert.value == 1
+    assert cert.component == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_candidate_order_is_size_then_value(n):
+    from arcconn.connectivity import _candidate_masks
+
+    expected = sorted(
+        (m for m in range(1 << n) if 2 <= m.bit_count() <= n - 2),
+        key=lambda m: (m.bit_count(), m),
+    )
+    assert list(_candidate_masks(Digraph(n))) == expected
+
+
+def test_candidate_order_puts_girth_cycle_seeds_first(l8):
+    from arcconn.connectivity import _candidate_masks
+
+    masks = list(_candidate_masks(l8))
+    assert masks[:2] == [0b1111, 0b11110000]
+    assert sorted(masks) == [m for m in range(1 << 8) if 2 <= m.bit_count() <= 6]
+
+
+def test_shared_cycle_arguments_match_the_defaults():
+    """Every optional girth-cycle argument answers as the default call does,
+    on a seeded sample of n=6 stratum graphs; lambda' under both readings."""
+    import random
+
+    from arcconn import girth_cycles
+    from .conftest import stratum_codes
+
+    codes = random.Random(6).sample(stratum_codes(6), 60)
+    for code in codes:
+        D = Digraph.from_code(6, code)
+        cycles = girth_cycles(D)
+        for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
+            shared = lambda_prime_exact(D, reading, cycles=cycles)
+            assert shared == lambda_prime_exact(D, reading)
+        assert xi(D, cycles) == xi(D)
+        assert lambda_prime_existence_witness(D, cycles) == lambda_prime_existence_witness(D)
+        for C in cycles:
+            assert proof_cut_constructions(D, C, cycles) == proof_cut_constructions(D, C)

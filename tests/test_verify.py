@@ -204,6 +204,40 @@ def test_reading_audit_measures_each_graph_once(monkeypatch):
     }
 
 
+def test_measure_lists_girth_cycles_once(monkeypatch):
+    """measure takes the girth and the girth cycles once per graph and hands
+    them down: no parameter below it lists cycles again, and strongness is
+    computed once per graph."""
+    import arcconn._kernels as kernels
+    import arcconn.connectivity as connectivity
+    import arcconn.verify as verify
+
+    calls = {}
+    for owner, name in ((verify, "girth"), (verify, "girth_cycles"),
+                        (connectivity, "girth"), (connectivity, "girth_cycles"),
+                        (connectivity, "cycles_of_length"), (kernels, "is_strong")):
+        real = getattr(owner, name)
+        key = f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
+
+        def counting(*args, _real=real, _key=key, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    res = run_sweep(SweepSpec(n_lo=5, n_hi=5, check_proof_cuts=True))
+    assert res.stratum == 300
+    # n=6 runs the proof clause, which n=5 (below its stratum) does not.
+    res6 = run_sweep(SweepSpec(n_lo=6, n_hi=6, mode="random", samples=20_000,
+                               seed=5, check_proof_cuts=True))
+    assert res6.clause_tallies["proof_ok"]["pass"] > 0
+    graphs = res.stratum + res6.stratum
+    assert calls == {
+        "verify.girth": graphs,
+        "verify.girth_cycles": graphs,
+        "_kernels.is_strong": graphs,
+    }
+
+
 def test_sweep_resume_rejects_other_spec(tmp_path):
     out = str(tmp_path / "out")
     run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=out)
