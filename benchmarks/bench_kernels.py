@@ -49,7 +49,8 @@ def bench_primitives(n: int, batch: list[int]) -> dict[str, float]:
 
 def bench_measure(n: int, codes: list[int], repeat: int = 3) -> float:
     """Best time of verify.measure over the graphs, each decoded afresh per
-    round (a Digraph memoises its strongness) and outside the clock."""
+    round (a Digraph memoises its strongness, girth and girth cycles) and
+    outside the clock."""
     best = float("inf")
     for _ in range(repeat):
         graphs = [Digraph.from_code(n, code) for code in codes]

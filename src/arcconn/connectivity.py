@@ -20,6 +20,9 @@ so once lambda_prime_exact has a cut of size 1 no later candidate can do
 better; and since the kept cut only changes on a strictly smaller flow, the
 certificate (cut, component, outside arc) is the one the full search over
 all candidates would return.
+
+xi, the existence witness, the candidate order and the proof cuts all read
+the girth cycles, which the Digraph memoises (see cycles).
 """
 
 from __future__ import annotations
@@ -103,13 +106,9 @@ def xi_of_cycle(D: Digraph, C: Cycle) -> int:
     return min(out_sum, in_sum) - g
 
 
-def xi(D: Digraph, cycles: Optional[Sequence[Cycle]] = None) -> XiResult:
-    """Minimum of xi_of_cycle over all girth cycles, smallest cycle on ties.
-
-    cycles, when given, must be girth_cycles(D); it is not listed again.
-    """
-    if cycles is None:
-        cycles = girth_cycles(D)  # raises AcyclicDigraph when D has no cycle
+def xi(D: Digraph) -> XiResult:
+    """Minimum of xi_of_cycle over all girth cycles, smallest cycle on ties."""
+    cycles = girth_cycles(D)  # raises AcyclicDigraph when D has no cycle
     g = len(cycles[0])
     best: Optional[XiResult] = None
     for C in cycles:
@@ -385,17 +384,15 @@ def _extract_cut(D: Digraph, mask: int, residual: list[list[int]], protected: Op
     return cut
 
 
-def _candidate_masks(D: Digraph, cycles: Optional[Sequence[Cycle]] = None) -> Iterator[int]:
+def _candidate_masks(D: Digraph) -> Iterator[int]:
     """Component-host candidates: girth-cycle vertex sets first, then all
     vertex sets with 2..n-2 vertices in (size, value) order.
 
-    cycles, when given, must be D's girth cycles.  The masks are generated
-    lazily, so a search that stops early never builds all 2^n of them.
+    The masks are generated lazily, so a search that stops early never
+    builds all 2^n of them.
     """
     n = D.n
-    if cycles is None:
-        g = girth(D)
-        cycles = cycles_of_length(D, g) if g is not None else []
+    cycles = girth_cycles(D) if girth(D) is not None else []
     seeds: dict[int, None] = {}  # insertion-ordered set
     for C in cycles:
         m = 0
@@ -416,9 +413,7 @@ def _candidate_masks(D: Digraph, cycles: Optional[Sequence[Cycle]] = None) -> It
 
 
 def lambda_prime_exact(
-    D: Digraph,
-    reading: DefinitionReading = ORIGINAL_HOST,
-    cycles: Optional[Sequence[Cycle]] = None,
+    D: Digraph, reading: DefinitionReading = ORIGINAL_HOST
 ) -> RestrictedCutCertificate:
     """Exact lambda' by contraction max-flow over candidate component sets.
 
@@ -427,8 +422,7 @@ def lambda_prime_exact(
     is the min cut between the contracted halves of X.  Under ResidualHost
     the witness arc must additionally survive the cut, so the flow runs once
     per choice of protected outside arc.  The search stops at a cut of size
-    1, the lower bound.  cycles, when given, must be D's girth cycles; they
-    seed the candidate order.
+    1, the lower bound.  D's girth cycles seed the candidate order.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
@@ -437,7 +431,7 @@ def lambda_prime_exact(
     best: Optional[int] = None
     best_witness: Optional[tuple[tuple[Arc, ...], tuple[int, ...], Arc]] = None
     any_qualifying = False
-    for mask in _candidate_masks(D, cycles):
+    for mask in _candidate_masks(D):
         if best == 1:
             break
         if not _subset_strong(succ, pred, mask):
@@ -487,20 +481,14 @@ def lambda_prime_exact(
     )
 
 
-def lambda_prime_existence_witness(
-    D: Digraph, cycles: Optional[Sequence[Cycle]] = None
-) -> Optional[tuple[Cycle, Arc]]:
+def lambda_prime_existence_witness(D: Digraph) -> Optional[tuple[Cycle, Arc]]:
     """First girth cycle with an arc wholly outside it, plus that arc.
 
-    cycles, when given, must be D's girth cycles (empty when D is acyclic).
+    A strong digraph on at least 2 vertices always has a cycle.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda'-connectedness is defined on strong digraphs")
-    if cycles is None:
-        if girth(D) is None:
-            return None
-        cycles = girth_cycles(D)
-    for C in cycles:
+    for C in girth_cycles(D):
         arc = D.arc_outside(C)
         if arc is not None:
             return C, arc
@@ -551,9 +539,7 @@ def _directed_candidates(
     return cand
 
 
-def proof_cut_constructions(
-    D: Digraph, C: Cycle, fours: Optional[Sequence[Cycle]] = None
-) -> list[tuple[Arc, ...]]:
+def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
     """Candidate cuts the girth-4 upper-bound argument builds around C.
 
     Emits the out-cut of every 4-cycle sharing at least two arcs with C
@@ -561,13 +547,12 @@ def proof_cut_constructions(
     two-arc pattern {z->u, a->u}, for every rotation of C where the needed
     arcs exist.  The argument fixes the orientation of C's degree sum without
     loss of generality, so the mirror images of all candidates (computed on
-    the reversed digraph and flipped back) are emitted as well.  fours, when
-    given, must be cycles_of_length(D, 4); it is not listed again.
+    the reversed digraph and flipped back) are emitted as well.
     """
     if not (is_cycle(D, C) and len(C) == 4):
         raise NotAFourCycle(f"{tuple(C)} is not a 4-cycle of the digraph")
-    if fours is None:
-        fours = cycles_of_length(D, 4)
+    # On girth 4, the paper's case, the 4-cycles are the memoised girth cycles.
+    fours = girth_cycles(D) if girth(D) == 4 else cycles_of_length(D, 4)
     cand = _directed_candidates(D.succ, D.pred, C, fours)
     # The reversed digraph swaps succ and pred; its 4-cycles are D's, read
     # backwards from the same smallest vertex.

@@ -18,9 +18,10 @@ Cycle = tuple[int, ...]
 
 
 def girth(D: Digraph) -> Optional[int]:
-    """Length of a shortest directed cycle, or None if D is acyclic."""
-    g = _kernels.girth(list(D.succ), D.n)
-    return g if g else None
+    """Length of a shortest directed cycle, or None if D is acyclic; memoised on D."""
+    if D._girth is None:
+        object.__setattr__(D, "_girth", _kernels.girth(list(D.succ), D.n))
+    return D._girth or None
 
 
 def cycles_of_length(D: Digraph, g: int) -> list[Cycle]:
@@ -56,11 +57,14 @@ def _extend(succ, root, v, depth, g, onpath, path, out):
 
 
 def girth_cycles(D: Digraph) -> list[Cycle]:
-    """All cycles of length girth(D); raises AcyclicDigraph when none exist."""
-    g = girth(D)
-    if g is None:
-        raise AcyclicDigraph("digraph has no directed cycle")
-    return cycles_of_length(D, g)
+    """All cycles of length girth(D), memoised on D but returned as a fresh
+    list each call; raises AcyclicDigraph when none exist."""
+    if D._girth_cycles is None:
+        g = girth(D)
+        if g is None:
+            raise AcyclicDigraph("digraph has no directed cycle")
+        object.__setattr__(D, "_girth_cycles", tuple(cycles_of_length(D, g)))
+    return list(D._girth_cycles)
 
 
 def is_cycle(D: Digraph, C: Cycle) -> bool:

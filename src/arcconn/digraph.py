@@ -42,9 +42,12 @@ class Digraph:
         arcs: sorted tuple of (tail, head) pairs.
         succ: per-vertex successor bitmasks (bit u of succ[v] iff v->u).
         pred: per-vertex predecessor bitmasks.
+
+    is_strong(), cycles.girth and cycles.girth_cycles memoise their answers
+    in _strong, _girth (0 when acyclic) and _girth_cycles.
     """
 
-    __slots__ = ("n", "arcs", "succ", "pred", "_arcset", "_strong")
+    __slots__ = ("n", "arcs", "succ", "pred", "_arcset", "_strong", "_girth", "_girth_cycles")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()) -> None:
         if n < 0:
@@ -77,7 +80,8 @@ class Digraph:
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(pred))
         object.__setattr__(self, "_arcset", frozenset(seen))
-        object.__setattr__(self, "_strong", None)
+        for memo in ("_strong", "_girth", "_girth_cycles"):
+            object.__setattr__(self, memo, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Digraph is immutable")

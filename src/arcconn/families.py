@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional, Union
 
-from .cycles import cycles_of_length, girth
+from .cycles import girth, girth_cycles
 from .digraph import Arc, Digraph, _bits
 from .errors import InvalidDigraph, InvalidParams
 
@@ -207,10 +207,13 @@ def _incidence_table(D: Digraph) -> list[frozenset[Arc]]:
 def _match_h1(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch]:
     """H1 on a graph with 2n-4 arcs.
 
-    Once every vertex off the 4-cycle is a fan vertex, the cycle and fan arcs
-    are 2n-4 distinct arcs of D, so they are all of its arcs.
+    Every H1 member has girth 4, so only the girth cycles of a girth-4 graph
+    are tried.  Once every vertex off the 4-cycle is a fan vertex, the cycle
+    and fan arcs are 2n-4 distinct arcs of D, so they are all of its arcs.
     """
-    for C in cycles_of_length(D, 4):
+    if girth(D) != 4:
+        return None
+    for C in girth_cycles(D):
         for r in range(4):
             u, v, w, z = (C[(r + j) % 4] for j in range(4))
             sides = ((u, v), (v, w), (w, z), (z, u))

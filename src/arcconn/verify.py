@@ -3,7 +3,8 @@
 Per graph, ``measure`` computes every parameter where it is defined, and
 ``check_graph`` judges the theorem clauses from that :class:`Measurement`
 into a flat :class:`VerificationRecord` whose clause columns hold one of
-"pass", "fail", or "na":
+"pass", "fail", or "na" (the Digraph memoises the girth cycles several of
+them read):
 
 * ``theorem1_ok``: the girth-cycle witness criterion for restricted-cut
   existence agrees with the outcome of the exact minimum search.
@@ -101,18 +102,23 @@ def exhaustive_cap() -> int:
         raise CapExceeded(f"{SWEEP_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def enumerate_oriented(n: int, cap: Optional[int] = None) -> Iterator[Digraph]:
-    """Yield every oriented graph on n labelled vertices in code order.
-
-    Refuses orders above the exhaustive cap (default 6, override with the
-    ARCCONN_SWEEP_CAP environment variable or the cap argument).
-    """
+def _check_cap(n: int, cap: Optional[int]) -> None:
+    """Refuse exhaustive work at order n above cap (default: exhaustive_cap())."""
     limit = exhaustive_cap() if cap is None else cap
     if n > limit:
         raise CapExceeded(
             f"exhaustive enumeration at n={n} exceeds the cap of {limit}; "
             f"raise {SWEEP_CAP_ENV} or pass a larger cap to opt in"
         )
+
+
+def enumerate_oriented(n: int, cap: Optional[int] = None) -> Iterator[Digraph]:
+    """Yield every oriented graph on n labelled vertices in code order.
+
+    Refuses orders above the exhaustive cap (default 6, override with the
+    ARCCONN_SWEEP_CAP environment variable or the cap argument).
+    """
+    _check_cap(n, cap)
     for code in range(universe_size(n)):
         yield Digraph.from_code(n, code)
 
@@ -203,11 +209,7 @@ def _opt_int(cell: str) -> Optional[int]:
 
 @dataclass(frozen=True)
 class Measurement:
-    """A graph's parameters; None where measure leaves one undefined or finds no witness.
-
-    cycles holds the girth cycles (empty when the graph is acyclic), listed
-    once and shared by every parameter that reads them.
-    """
+    """A graph's parameters; None where measure leaves one undefined or finds no witness."""
 
     girth: Optional[int]
     is_strong: bool
@@ -216,14 +218,12 @@ class Measurement:
     certificate: Optional[RestrictedCutCertificate]
     xi: Optional[XiResult]
     witness: Optional[tuple[Cycle, Arc]]
-    cycles: tuple[Cycle, ...]
 
 
 def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measurement:
     """Every parameter of D where it is defined: lambda, lambda' and the
     existence witness on strong graphs with n >= 2, xi when D has a cycle."""
     g = girth(D)
-    cycles = tuple(girth_cycles(D)) if g is not None else ()
     strong = D.is_strong()
     connected = strong and D.n >= 2
     return Measurement(
@@ -231,10 +231,9 @@ def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measureme
         is_strong=strong,
         match=match_family(D),
         lambda_=arc_connectivity(D) if connected else None,
-        certificate=lambda_prime_exact(D, reading=reading, cycles=cycles) if connected else None,
-        xi=xi(D, cycles) if g is not None else None,
-        witness=lambda_prime_existence_witness(D, cycles) if connected else None,
-        cycles=cycles,
+        certificate=lambda_prime_exact(D, reading=reading) if connected else None,
+        xi=xi(D) if g is not None else None,
+        witness=lambda_prime_existence_witness(D) if connected else None,
     )
 
 
@@ -276,7 +275,7 @@ def _judge(
         else:
             bounds = "fail"
         if check_proof:
-            proof = "pass" if _proof_clause(D, reading, xi_val, meas.cycles) else "fail"
+            proof = "pass" if _proof_clause(D, reading, xi_val) else "fail"
 
     return VerificationRecord(
         graph_id=emit_digraph6(D),
@@ -298,14 +297,13 @@ def _judge(
     )
 
 
-def _proof_clause(
-    D: Digraph, reading: DefinitionReading, xi_val: Optional[int], fours: tuple[Cycle, ...]
-) -> bool:
-    """fours: D's girth cycles, which are its 4-cycles in the stratum."""
+def _proof_clause(D: Digraph, reading: DefinitionReading, xi_val: Optional[int]) -> bool:
+    """Some proof candidate around a girth cycle (a 4-cycle in the stratum)
+    is a restricted cut of size at most xi."""
     if xi_val is None:
         return False
-    for C in fours:
-        for S in proof_cut_constructions(D, C, fours):
+    for C in girth_cycles(D):
+        for S in proof_cut_constructions(D, C):
             if len(S) > xi_val:
                 continue
             if is_restricted_arc_cut(D, S, reading=reading) is not None:
@@ -343,12 +341,7 @@ class SweepSpec:
         if self.chunk_size < 1 or self.jobs < 1:
             raise ValueError("chunk_size and jobs must be positive")
         if self.mode == "exhaustive":
-            limit = exhaustive_cap() if self.cap is None else self.cap
-            if self.n_hi > limit:
-                raise CapExceeded(
-                    f"exhaustive sweep up to n={self.n_hi} exceeds the cap of "
-                    f"{limit}; raise {SWEEP_CAP_ENV} or pass cap to opt in"
-                )
+            _check_cap(self.n_hi, self.cap)
 
     def fingerprint(self) -> dict[str, object]:
         """Spec fields that determine chunk identities and record content."""
@@ -463,7 +456,7 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
         records.append(rec)
         other = _other_reading(spec.reading)
         if meas.certificate is not None:
-            cert = lambda_prime_exact(D, reading=other, cycles=meas.cycles)
+            cert = lambda_prime_exact(D, reading=other)
             meas = replace(meas, certificate=cert)
         _audit_pair(audit, rec, _judge(D, meas, other, spec.check_proof_cuts))
     chunk = {"n": n, "seen": seen, "strong": strong, "records": records}
@@ -604,6 +597,8 @@ def run_sweep(
 ) -> SweepResult:
     """Run the sweep described by spec, optionally checkpointing to out_dir."""
     spec.validate()
+    if resume and out_dir is None:
+        raise ValueError("resume needs an output directory holding the checkpoint")
     emit = progress or (lambda _msg: None)
     t0 = time.perf_counter()
     tasks = _plan_chunks(spec)

@@ -131,6 +131,11 @@ def test_sweep_cli_cap_is_usage_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_sweep_cli_resume_without_out_is_usage_error(capsys):
+    assert main(["sweep", "--n", "4", "--resume", "--quiet"]) == 2
+    assert "resume" in capsys.readouterr().err
+
+
 def test_family_gen_to_stdout_and_match(tmp_path, capsys):
     assert main(["family", "gen", "H1", "--params", "p=1,q=1,r=1,s=1"]) == 0
     text = capsys.readouterr().out

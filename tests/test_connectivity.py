@@ -270,7 +270,7 @@ def test_proof_cuts_are_arcs_of_d(D):
 
 
 # ---------------------------------------------------------------------------
-# shared girth cycles and the lazy candidate order
+# the lazy candidate order
 
 
 def test_lambda_prime_stops_at_one_on_a_long_chain():
@@ -304,24 +304,3 @@ def test_candidate_order_puts_girth_cycle_seeds_first(l8):
     masks = list(_candidate_masks(l8))
     assert masks[:2] == [0b1111, 0b11110000]
     assert sorted(masks) == [m for m in range(1 << 8) if 2 <= m.bit_count() <= 6]
-
-
-def test_shared_cycle_arguments_match_the_defaults():
-    """Every optional girth-cycle argument answers as the default call does,
-    on a seeded sample of n=6 stratum graphs; lambda' under both readings."""
-    import random
-
-    from arcconn import girth_cycles
-    from .conftest import stratum_codes
-
-    codes = random.Random(6).sample(stratum_codes(6), 60)
-    for code in codes:
-        D = Digraph.from_code(6, code)
-        cycles = girth_cycles(D)
-        for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
-            shared = lambda_prime_exact(D, reading, cycles=cycles)
-            assert shared == lambda_prime_exact(D, reading)
-        assert xi(D, cycles) == xi(D)
-        assert lambda_prime_existence_witness(D, cycles) == lambda_prime_existence_witness(D)
-        for C in cycles:
-            assert proof_cut_constructions(D, C, cycles) == proof_cut_constructions(D, C)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from arcconn import AcyclicDigraph, Digraph, cycles_of_length, girth, girth_cycles, is_cycle
 
@@ -20,6 +20,16 @@ def test_girth_known_instances(l8, four_cycle):
 def test_girth_cycles_l8(l8):
     cycles = girth_cycles(l8)
     assert cycles == [(0, 1, 2, 3), (4, 5, 6, 7)]
+
+
+def test_girth_cycles_memo_is_not_shared_with_callers(l8):
+    first = girth_cycles(l8)
+    second = girth_cycles(l8)
+    assert first == second
+    first.append((9, 9, 9, 9))
+    first[0] = (7, 7, 7, 7)
+    assert second == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert girth_cycles(l8) == second
 
 
 def test_girth_cycles_requires_a_cycle():
@@ -54,6 +64,22 @@ def test_girth_cycles_are_cycles_of_girth_length(D):
     for C in cycles:
         assert is_cycle(D, C)
         assert len(C) == g
+
+
+@given(digraphs(min_n=2, max_n=6), st.randoms(use_true_random=False))
+def test_derived_digraphs_have_their_own_girth_cycles(D, rng):
+    """A derived digraph answers for its own arcs, never from the memo of
+    the digraph it came from, whose girth and girth cycles are taken first."""
+    if girth(D) is not None:
+        girth_cycles(D)
+    perm = list(range(D.n))
+    rng.shuffle(perm)
+    dropped = [a for a in D.arcs if rng.random() < 0.3]
+    for E in (D.reverse(), D.relabel(perm), D.delete_arcs(dropped)):
+        g = girth(E)
+        assert g == oracle_girth(E)
+        if g is not None:
+            assert set(girth_cycles(E)) == oracle_cycles_of_length(E, g)
 
 
 def test_is_cycle_rejects_nonsense(four_cycle):

@@ -60,6 +60,9 @@ def test_immutable():
     D = Digraph(2, [(0, 1)])
     with pytest.raises(AttributeError):
         D.n = 5
+    for memo in ("_strong", "_girth", "_girth_cycles"):
+        with pytest.raises(AttributeError):
+            setattr(D, memo, None)
 
 
 def test_degree_queries_validate_vertex(four_cycle):

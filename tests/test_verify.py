@@ -204,38 +204,54 @@ def test_reading_audit_measures_each_graph_once(monkeypatch):
     }
 
 
-def test_measure_lists_girth_cycles_once(monkeypatch):
-    """measure takes the girth and the girth cycles once per graph and hands
-    them down: no parameter below it lists cycles again, and strongness is
-    computed once per graph."""
+def test_measure_lists_girth_cycles_once(monkeypatch, l8):
+    """The girth kernel, the cycle enumeration and the strongness kernel run
+    once per graph: on the sweep path (H1 recognition and the proof clause
+    included) and on the direct calls the params command makes."""
+    import arcconn
     import arcconn._kernels as kernels
     import arcconn.connectivity as connectivity
-    import arcconn.verify as verify
+    import arcconn.cycles as cycles
+    import arcconn.families as families
 
     calls = {}
-    for owner, name in ((verify, "girth"), (verify, "girth_cycles"),
-                        (connectivity, "girth"), (connectivity, "girth_cycles"),
-                        (connectivity, "cycles_of_length"), (kernels, "is_strong")):
-        real = getattr(owner, name)
-        key = f"{owner.__name__.rsplit('.', 1)[1]}.{name}"
 
-        def counting(*args, _real=real, _key=key, **kwargs):
-            calls[_key] = calls.get(_key, 0) + 1
-            return _real(*args, **kwargs)
+    def count(key, real):
+        def counting(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counting)
+        return counting
+
+    monkeypatch.setattr(kernels, "girth", count("girth", kernels.girth))
+    monkeypatch.setattr(kernels, "is_strong", count("is_strong", kernels.is_strong))
+    # Every module that binds the enumeration, so no route to it goes uncounted.
+    real_enum = cycles.cycles_of_length
+    counting_enum = count("enumerations", real_enum)
+    for owner in (cycles, connectivity, families, arcconn):
+        if getattr(owner, "cycles_of_length", None) is real_enum:
+            monkeypatch.setattr(owner, "cycles_of_length", counting_enum)
+
     res = run_sweep(SweepSpec(n_lo=5, n_hi=5, check_proof_cuts=True))
     assert res.stratum == 300
+    assert res.family_counts.get("H1", 0) > 0
     # n=6 runs the proof clause, which n=5 (below its stratum) does not.
     res6 = run_sweep(SweepSpec(n_lo=6, n_hi=6, mode="random", samples=20_000,
                                seed=5, check_proof_cuts=True))
     assert res6.clause_tallies["proof_ok"]["pass"] > 0
     graphs = res.stratum + res6.stratum
-    assert calls == {
-        "verify.girth": graphs,
-        "verify.girth_cycles": graphs,
-        "_kernels.is_strong": graphs,
-    }
+    assert calls == {"girth": graphs, "enumerations": graphs, "is_strong": graphs}
+
+    h1 = generate(FamilyParams(Family.H1, (1, 1, 0, 0)))
+    # generate has taken h1's girth and strongness, so measure a fresh copy.
+    for D in (l8, Digraph(h1.n, h1.arcs)):
+        calls.clear()
+        arcconn.match_family(D)
+        arcconn.arc_connectivity(D)
+        arcconn.lambda_prime_exact(D)
+        arcconn.xi(D)
+        arcconn.lambda_prime_existence_witness(D)
+        assert calls == {"girth": 1, "enumerations": 1, "is_strong": 1}
 
 
 def test_sweep_resume_rejects_other_spec(tmp_path):
@@ -243,6 +259,11 @@ def test_sweep_resume_rejects_other_spec(tmp_path):
     run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=out)
     with pytest.raises(ValueError, match="different sweep configuration"):
         run_sweep(SweepSpec(n_lo=4, n_hi=4, girth=None), out_dir=out, resume=True)
+
+
+def test_sweep_resume_needs_out_dir():
+    with pytest.raises(ValueError, match="resume"):
+        run_sweep(SweepSpec(n_lo=4, n_hi=4), resume=True)
 
 
 def test_sweep_random_mode_records_match_direct_checks():
