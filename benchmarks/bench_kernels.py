@@ -2,9 +2,10 @@
 
 Times the strong/girth filter over a contiguous code range (filter_range) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path),
-each in ns/code, the three per-graph primitives (closure, strong
-components, girth) on the same batch, and verify.measure on the girth-4
-survivors of the filter_range run, in us per graph.
+each in ns/code, the four per-graph primitives (closure, strongness by two
+reach searches, strong components, girth) on the same batch, and
+verify.measure on the girth-4 survivors of the filter_range run, in us per
+graph.
 
 Usage:
     python benchmarks/bench_kernels.py [--n 6] [--codes 200000] [--batch 2000]
@@ -40,8 +41,11 @@ def bench_filter(run) -> tuple[float, tuple[int, int, list[int]]]:
 
 def bench_primitives(n: int, batch: list[int]) -> dict[str, float]:
     decoded = [_kernels.decode_code(n, code) for code in batch]
+    # pred masks are built outside the clock, as a Digraph holds them already.
+    paired = [(succ, Digraph.from_code(n, code).pred) for succ, code in zip(decoded, batch)]
     times = {}
     times["closure"] = _time(lambda: [_kernels.reach_closure(succ, n) for succ in decoded])
+    times["strong"] = _time(lambda: [_kernels.is_strong(succ, pred, n) for succ, pred in paired])
     times["scc"] = _time(lambda: [_kernels.scc_masks(succ, n) for succ in decoded])
     times["girth"] = _time(lambda: [_kernels.girth(succ, n) for succ in decoded])
     return times

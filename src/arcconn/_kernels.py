@@ -4,6 +4,14 @@ Digraphs on n vertices are handled as adjacency bitmasks: ``succ[v]`` has bit
 ``u`` set iff the arc v->u is present.  These are the hot primitives behind
 strongness/SCC/girth queries and the exhaustive enumeration filter.
 
+Reachability has two forms.  ``reach`` is the one single-source search: the
+vertices of a mask that one vertex reaches, forwards along succ or backwards
+along pred.  Strongness of a digraph (``is_strong``), of a sampled code
+(``filter_codes``) and of an induced subgraph (lambda' candidates in
+``connectivity``) is two such searches from one vertex.  ``reach_closure`` is
+the all-sources Warshall closure, for the callers that need every vertex's
+closure (``scc_masks`` and the vertex-0 split below).
+
 Enumeration encoding: unordered vertex pairs are listed lexicographically
 ((0,1), (0,2), ..., (n-2,n-1)); pair k holds a trit (0 = no arc, 1 = i->j,
 2 = j->i) and a graph's code is sum(trit_k * 3**k).  This encoding can never
@@ -41,6 +49,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
+from typing import Sequence
 
 from .errors import InvalidDigraph
 
@@ -120,7 +129,7 @@ def decode_code(n: int, code: int) -> list[int]:
     return _rows(_pack(n, code), n, 0)
 
 
-def reach_closure(succ: list[int], n: int) -> list[int]:
+def reach_closure(succ: Sequence[int], n: int) -> list[int]:
     """Reflexive-transitive closure masks: bit u of closure[v] iff v reaches u."""
     clos = [(1 << v) | succ[v] for v in range(n)]
     for k in range(n):
@@ -132,17 +141,34 @@ def reach_closure(succ: list[int], n: int) -> list[int]:
     return clos
 
 
-def is_strong(succ: list[int], n: int) -> bool:
-    if n == 0:
-        return False
+def reach(rows: Sequence[int], start: int, within: int) -> int:
+    """Vertices of the mask within that vertex start reaches along rows.
+
+    rows[v] is v's successor mask (pred masks search backwards), and the
+    search never leaves within; start counts only when it lies in within.
+    """
+    seen = frontier = 1 << start & within
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= rows[b.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def is_strong(succ: Sequence[int], pred: Sequence[int], n: int) -> bool:
+    """Whether vertex 0 reaches every vertex and every vertex reaches it.
+
+    The digraph with no vertices is not strong.
+    """
     full = (1 << n) - 1
-    for m in reach_closure(succ, n):
-        if m != full:
-            return False
-    return True
+    return n > 0 and reach(succ, 0, full) == full and reach(pred, 0, full) == full
 
 
-def scc_masks(succ: list[int], n: int) -> list[int]:
+def scc_masks(succ: Sequence[int], n: int) -> list[int]:
     """SCC masks in topological order (sources first), ties by smallest vertex.
 
     Vertices u, v share a component iff each reaches the other.  If component
@@ -169,7 +195,7 @@ def scc_masks(succ: list[int], n: int) -> list[int]:
     return [c for _, _, c in comps]
 
 
-def girth(succ: list[int], n: int) -> int:
+def girth(succ: Sequence[int], n: int) -> int:
     """Length of a shortest directed cycle; 0 if acyclic."""
     pred = [0] * n
     for v in range(n):
@@ -217,15 +243,6 @@ def _union(rows: list[int], s: int) -> int:
         s ^= b
         u |= rows[b.bit_length() - 1]
     return u
-
-
-def _spans(rows: list[int], full: int) -> bool:
-    """Whether vertex 0 reaches every vertex of full along rows."""
-    seen = frontier = 1 & full  # full == 0 (no vertices) passes vacuously
-    while frontier:
-        frontier = _union(rows, frontier) & ~seen
-        seen |= frontier
-    return seen == full
 
 
 class _Memo(dict):
@@ -387,7 +404,7 @@ def filter_codes(
     """Like filter_range but over an explicit code list (sampled sweeps).
 
     Strongness is a degree check on the packed word, then a forward and a
-    backward search from vertex 0.  Raises InvalidDigraph when some code lies
+    backward reach from vertex 0.  Raises InvalidDigraph when some code lies
     outside [0, 3**(n(n-1)/2)).
     """
     if codes:
@@ -402,7 +419,7 @@ def filter_codes(
             continue
         succ = _rows(q, n, 0)
         pred = _rows(q, n, n)
-        if require_strong and not (_spans(succ, full) and _spans(pred, full)):
+        if require_strong and (reach(succ, 0, full) != full or reach(pred, 0, full) != full):
             continue
         strong_count += 1
         if girth_target and _girth(succ, pred, n) != girth_target:

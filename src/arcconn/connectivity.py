@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
 from .cycles import Cycle, cycles_of_length, girth, girth_cycles, is_cycle
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, _bits
 from .errors import NotAFourCycle, NotAGirthCycle, NotStrong, UnknownArc
 
 
@@ -126,7 +126,12 @@ def xi(D: Digraph) -> XiResult:
 # unit-capacity max-flow
 
 
-def _augment(cap: list[list[int]], s: int, t: int) -> Optional[list[int]]:
+def _augment(cap: list[list[int]], s: int, t: int) -> list[int]:
+    """Breadth-first search tree from s along positive capacities.
+
+    parent[v] is v's parent in the tree and -1 when the search has not
+    reached v; the search stops as soon as it reaches t.
+    """
     k = len(cap)
     parent = [-1] * k
     parent[s] = s
@@ -140,20 +145,24 @@ def _augment(cap: list[list[int]], s: int, t: int) -> Optional[list[int]]:
                 if u == t:
                     return parent
                 queue.append(u)
-    return None
+    return parent
 
 
-def _maxflow(cap: list[list[int]], s: int, t: int, limit: Optional[int] = None) -> int:
+def _maxflow(
+    cap: list[list[int]], s: int, t: int, limit: Optional[int] = None
+) -> tuple[int, list[int]]:
     """Edmonds-Karp on a dense capacity matrix (mutated into the residual).
 
-    With a limit, augmentation stops once flow >= limit; the returned value is
-    then only a lower bound, which suffices for pruning.  A value below the
-    limit is exact.
+    Returns the flow value and the last search tree.  With a limit,
+    augmentation stops once flow >= limit; the value is then only a lower
+    bound, which suffices for pruning.  A value below the limit is exact, and
+    the tree then marks the source side of a minimum cut.
     """
     flow = 0
+    parent: list[int] = []
     while limit is None or flow < limit:
         parent = _augment(cap, s, t)
-        if parent is None:
+        if parent[t] < 0:
             break
         bottleneck: Optional[int] = None
         v = t
@@ -170,7 +179,7 @@ def _maxflow(cap: list[list[int]], s: int, t: int, limit: Optional[int] = None) 
             cap[v][p] += bottleneck
             v = p
         flow += bottleneck
-    return flow
+    return flow, parent
 
 
 def arc_connectivity(D: Digraph) -> int:
@@ -189,7 +198,7 @@ def arc_connectivity(D: Digraph) -> int:
     for v in range(1, n):
         for s, t in ((0, v), (v, 0)):
             cap = [row[:] for row in base]
-            flow = _maxflow(cap, s, t, limit=best)
+            flow, _ = _maxflow(cap, s, t, limit=best)
             if flow < best:
                 best = flow
     return best
@@ -197,15 +206,6 @@ def arc_connectivity(D: Digraph) -> int:
 
 # ---------------------------------------------------------------------------
 # restricted arc-cuts
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out.append(b.bit_length() - 1)
-    return out
 
 
 def _witness_scan(
@@ -299,89 +299,34 @@ def lambda_prime_bruteforce(
     )
 
 
-def _subset_strong(succ: Sequence[int], pred: Sequence[int], mask: int) -> bool:
-    """Is the subdigraph induced by the mask strongly connected?"""
-    start = mask & -mask
-    reach = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= succ[v]
-        frontier = nxt & mask & ~reach
-        reach |= frontier
-    if reach != mask:
-        return False
-    reach = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= pred[v]
-        frontier = nxt & mask & ~reach
-        reach |= frontier
-    return reach == mask
-
-
-def _contracted_capacities(
-    D: Digraph, mask: int, protected: Optional[Arc] = None
-) -> tuple[list[list[int]], int]:
-    """Capacity matrix after contracting the vertex set into x_out/x_in.
+def _contracted_capacities(D: Digraph, mask: int) -> tuple[list[list[int]], list[tuple[Arc, int, int]]]:
+    """Unit capacity matrix after contracting the vertex set into x_out/x_in.
 
     Node 0 emits everything leaving the set, node 1 absorbs everything
     entering it; outside vertices follow in sorted order.  A path 0 -> 1 is
     exactly a closed walk leaving and re-entering the set through outside
     vertices, so the min cut is the cheapest arc set destroying all of them.
-    The protected arc, if given, gets infinite capacity so no finite cut
-    removes it.  Returns (matrix, infinity marker).
+    Returns (matrix, ends): ends lists (arc, a, b) for every arc of D not
+    inside the set, in arc order, with a -> b its edge in the matrix.
     """
-    outside = [v for v in range(D.n) if not mask >> v & 1]
-    index = {v: i + 2 for i, v in enumerate(outside)}
-    k = len(outside) + 2
-    inf = D.m + 1
+    node = [0] * D.n
+    k = 2
+    for v in range(D.n):
+        if not mask >> v & 1:
+            node[v] = k
+            k += 1
     cap = [[0] * k for _ in range(k)]
+    ends = []
     for t, h in D.arcs:
-        t_in = bool(mask >> t & 1)
-        h_in = bool(mask >> h & 1)
+        t_in = mask >> t & 1
+        h_in = mask >> h & 1
         if t_in and h_in:
             continue
-        if t_in:
-            a, b = 0, index[h]
-        elif h_in:
-            a, b = index[t], 1
-        else:
-            a, b = index[t], index[h]
-        cap[a][b] += inf if (t, h) == protected else 1
-    return cap, inf
-
-
-def _extract_cut(D: Digraph, mask: int, residual: list[list[int]], protected: Optional[Arc]) -> list[Arc]:
-    """Min-cut arcs from a completed flow's residual matrix."""
-    outside = [v for v in range(D.n) if not mask >> v & 1]
-    index = {v: i + 2 for i, v in enumerate(outside)}
-    k = len(outside) + 2
-    side = [False] * k
-    side[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in range(k):
-            if not side[u] and residual[v][u] > 0:
-                side[u] = True
-                queue.append(u)
-    cut = []
-    for t, h in D.arcs:
-        if (t, h) == protected:
-            continue
-        t_in = bool(mask >> t & 1)
-        h_in = bool(mask >> h & 1)
-        if t_in and h_in:
-            continue
-        a = 0 if t_in else index[t]
-        b = 1 if h_in else index[h]
-        if side[a] and not side[b]:
-            cut.append((t, h))
-    return cut
+        a = 0 if t_in else node[t]
+        b = 1 if h_in else node[h]
+        cap[a][b] += 1
+        ends.append(((t, h), a, b))
+    return cap, ends
 
 
 def _candidate_masks(D: Digraph) -> Iterator[int]:
@@ -419,45 +364,54 @@ def lambda_prime_exact(
 
     For each X inducing a strong subdigraph with an arc wholly outside it,
     the cheapest arc set whose removal leaves X as its own strong component
-    is the min cut between the contracted halves of X.  Under ResidualHost
-    the witness arc must additionally survive the cut, so the flow runs once
-    per choice of protected outside arc.  The search stops at a cut of size
-    1, the lower bound.  D's girth cycles seed the candidate order.
+    is the min cut between the contracted halves of X.  X is strong when
+    its lowest vertex reaches all of X forwards and backwards (two
+    _kernels.reach calls).  Each X gets one contracted capacity matrix;
+    the cut is read off the source side of the flow's last search tree.
+    Under ResidualHost the witness arc must additionally survive the cut,
+    so the flow runs once per choice of protected outside arc, each on a
+    copy of that matrix with the arc's entry made infinite.  The search
+    stops at a cut of size 1, the lower bound.  D's girth cycles seed the
+    candidate order.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
-    succ = list(D.succ)
-    pred = list(D.pred)
+    succ, pred = D.succ, D.pred
+    full = (1 << D.n) - 1
+    inf = D.m + 1  # above every finite cut
     best: Optional[int] = None
     best_witness: Optional[tuple[tuple[Arc, ...], tuple[int, ...], Arc]] = None
     any_qualifying = False
     for mask in _candidate_masks(D):
         if best == 1:
             break
-        if not _subset_strong(succ, pred, mask):
+        start = (mask & -mask).bit_length() - 1
+        if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:
             continue
-        outside_arcs = [
-            a for a in D.arcs if not mask >> a[0] & 1 and not mask >> a[1] & 1
-        ]
-        if not outside_arcs:
-            continue
+        rest = full & ~mask
+        if not any(succ[v] & rest for v in _bits(rest)):
+            continue  # no arc wholly outside X
         any_qualifying = True
-        protect: list[Optional[Arc]]
-        if reading is ORIGINAL_HOST:
-            protect = [None]
-        else:
+        cap, ends = _contracted_capacities(D, mask)
+        protect: list[Optional[tuple[int, int]]] = [None]
+        if reading is RESIDUAL_HOST:
             # The unprotected flow lower-bounds every protected flow, so a
             # pruned unprotected run rules out the whole candidate set.
-            probe, _ = _contracted_capacities(D, mask)
-            if best is not None and _maxflow(probe, 0, 1, limit=best) >= best:
+            probe = [row[:] for row in cap]
+            if best is not None and _maxflow(probe, 0, 1, limit=best)[0] >= best:
                 continue
-            protect = list(outside_arcs)
-        for prot in protect:
-            cap, _ = _contracted_capacities(D, mask, prot)
-            flow = _maxflow(cap, 0, 1, limit=best)
+            protect = [(a, b) for _, a, b in ends if a > 1 and b > 1]
+        for entry in protect:
+            net = cap
+            if entry is not None:
+                # Infinite capacity: no finite cut removes the protected arc.
+                net = [row[:] for row in cap]
+                net[entry[0]][entry[1]] = inf
+            flow, tree = _maxflow(net, 0, 1, limit=best)
             if best is not None and flow >= best:
                 continue
-            cut = _extract_cut(D, mask, cap, prot)
+            # The min cut: the arcs from the tree's source side to the rest.
+            cut = [arc for arc, a, b in ends if tree[a] >= 0 and tree[b] < 0]
             assert len(cut) == flow, "min cut must match the flow value"
             witness = is_restricted_arc_cut(D, cut, reading)
             assert witness is not None, "flow cut must certify as restricted"
@@ -529,7 +483,7 @@ def _directed_candidates(
             cand.append(tuple((t, h) for t in _bits(x2) for h in _bits(succ[t] & ~x2)))
     for u, v, w, z in _rotations(C):
         a1s = _bits(succ[u] & pred[v] & ~cmask)
-        xs = _bits(succ[w] & pred[u] & ~cmask)
+        xs = list(_bits(succ[w] & pred[u] & ~cmask))
         for a1 in a1s:
             for x in xs:
                 if x != a1:

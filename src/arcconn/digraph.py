@@ -47,7 +47,7 @@ class Digraph:
     in _strong, _girth (0 when acyclic) and _girth_cycles.
     """
 
-    __slots__ = ("n", "arcs", "succ", "pred", "_arcset", "_strong", "_girth", "_girth_cycles")
+    __slots__ = ("n", "arcs", "succ", "pred", "_strong", "_girth", "_girth_cycles")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()) -> None:
         if n < 0:
@@ -79,7 +79,6 @@ class Digraph:
         object.__setattr__(self, "arcs", tuple(sorted(seen)))
         object.__setattr__(self, "succ", tuple(succ))
         object.__setattr__(self, "pred", tuple(pred))
-        object.__setattr__(self, "_arcset", frozenset(seen))
         for memo in ("_strong", "_girth", "_girth_cycles"):
             object.__setattr__(self, memo, None)
 
@@ -130,12 +129,12 @@ class Digraph:
     def is_strong(self) -> bool:
         """Memoised: the arcs never change, and every measurement asks."""
         if self._strong is None:
-            object.__setattr__(self, "_strong", _kernels.is_strong(list(self.succ), self.n))
+            object.__setattr__(self, "_strong", _kernels.is_strong(self.succ, self.pred, self.n))
         return self._strong
 
     def component_masks(self) -> list[int]:
         """SCC bitmasks in topological order (sources first)."""
-        return _kernels.scc_masks(list(self.succ), self.n)
+        return _kernels.scc_masks(self.succ, self.n)
 
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
         """SCCs as sorted vertex tuples, topologically ordered."""
@@ -169,7 +168,7 @@ class Digraph:
         removed = set()
         for raw in S:
             arc = (int(raw[0]), int(raw[1]))
-            if arc not in self._arcset:
+            if not self.has_arc(*arc):
                 raise UnknownArc("arc not in the digraph", arc=arc)
             removed.add(arc)
         return Digraph(self.n, [a for a in self.arcs if a not in removed])

@@ -559,11 +559,24 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
     return result
 
 
+def _is_chunk_entry(entry: object) -> bool:
+    """Whether a checkpoint line has the shape run_sweep writes for a chunk."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
+        return False
+    chunk = entry.get("chunk")
+    return (
+        isinstance(chunk, dict)
+        and all(name in chunk for name in ("n", "seen", "strong"))
+        and isinstance(chunk.get("rows"), list)
+        and all(isinstance(row, list) for row in chunk["rows"])
+    )
+
+
 def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
     chunks: dict[str, dict] = {}
     header_ok = False
     with open(path, "r", encoding="ascii") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
@@ -571,7 +584,7 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
                 entry = json.loads(raw)
             except json.JSONDecodeError:
                 continue  # torn tail line from an interrupted run
-            if "spec" in entry:
+            if isinstance(entry, dict) and "spec" in entry:
                 if entry["spec"] != spec.fingerprint():
                     raise ValueError(
                         "checkpoint was written by a different sweep configuration; "
@@ -580,6 +593,11 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
                 header_ok = True
                 continue
             if header_ok:
+                if not _is_chunk_entry(entry):
+                    raise ValueError(
+                        f"checkpoint line {lineno} is not a chunk entry "
+                        "(an object with 'key' and 'chunk': n, seen, strong, rows)"
+                    )
                 chunk = entry["chunk"]
                 chunk["records"] = [VerificationRecord.from_row(row) for row in chunk.pop("rows")]
                 chunks[entry["key"]] = chunk

@@ -136,6 +136,16 @@ def test_sweep_cli_resume_without_out_is_usage_error(capsys):
     assert "resume" in capsys.readouterr().err
 
 
+def test_sweep_cli_resume_on_malformed_checkpoint_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--n", "4", "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "checkpoint.jsonl"), "a") as fh:
+        fh.write("{}\n")
+    capsys.readouterr()
+    assert main(["sweep", "--n", "4", "--out", out, "--resume", "--quiet"]) == 2
+    assert "checkpoint line" in capsys.readouterr().err
+
+
 def test_family_gen_to_stdout_and_match(tmp_path, capsys):
     assert main(["family", "gen", "H1", "--params", "p=1,q=1,r=1,s=1"]) == 0
     text = capsys.readouterr().out

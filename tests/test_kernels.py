@@ -1,4 +1,5 @@
-"""The bitmask kernel module: backend label, range checks, large orders, decode.
+"""The bitmask kernel module: backend label, range checks, large orders,
+decode, and the reach search behind every strongness test.
 
 ``filter_range`` and ``filter_codes`` are checked against independent
 oracles in ``test_filter_oracle.py``.
@@ -13,6 +14,8 @@ import arcconn
 from arcconn import _kernels
 from arcconn.digraph import Digraph
 from arcconn.errors import InvalidDigraph
+
+from .conftest import digraphs, oracle_strong
 
 
 def codes(n: int):
@@ -57,3 +60,41 @@ def test_decode_matches_digraph_arcs(code):
     for t in range(5):
         for h in range(5):
             assert bool(succ[t] >> h & 1) == D.has_arc(t, h)
+
+
+def _reach_covers(D: Digraph, mask: int) -> bool:
+    """Strongness of D[X] by two reach calls from X's lowest vertex."""
+    start = (mask & -mask).bit_length() - 1
+    return _kernels.reach(D.succ, start, mask) == mask == _kernels.reach(D.pred, start, mask)
+
+
+def _agrees_with_oracle(D: Digraph) -> None:
+    for mask in range(1, 1 << D.n):
+        X = [v for v in range(D.n) if mask >> v & 1]
+        assert _reach_covers(D, mask) == oracle_strong(D.induced(X)[0]), (D, X)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_reach_decides_subset_strongness_exhaustively(n):
+    for code in range(3 ** (n * (n - 1) // 2)):
+        _agrees_with_oracle(Digraph.from_code(n, code))
+
+
+@given(digraphs(min_n=5, max_n=7))
+def test_reach_decides_subset_strongness(D):
+    _agrees_with_oracle(D)
+    full = (1 << D.n) - 1
+    assert _kernels.is_strong(D.succ, D.pred, D.n) == _reach_covers(D, full) == oracle_strong(D)
+
+
+def test_reach_stays_within_the_mask():
+    succ = (0b010, 0b100, 0b001)  # the 3-cycle 0 -> 1 -> 2 -> 0
+    assert _kernels.reach(succ, 0, 0b111) == 0b111
+    assert _kernels.reach(succ, 0, 0b101) == 0b001  # 0 -> 1 is cut off
+    assert _kernels.reach(succ, 1, 0b101) == 0  # start outside the mask
+
+
+def test_strongness_of_the_smallest_digraphs():
+    assert Digraph(0).is_strong() is False
+    assert Digraph(1).is_strong() is True
+    assert _kernels.is_strong((), (), 0) is False

@@ -266,6 +266,26 @@ def test_sweep_resume_needs_out_dir():
         run_sweep(SweepSpec(n_lo=4, n_hi=4), resume=True)
 
 
+@pytest.mark.parametrize("bad", ["{}", "[1, 2]", "7", '{"key": "x", "chunk": {"n": 4}}'])
+def test_sweep_resume_rejects_malformed_chunk_line(tmp_path, bad):
+    out = tmp_path / "out"
+    run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=str(out))
+    ck = out / "checkpoint.jsonl"
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join(lines + [bad]) + "\n")
+    with pytest.raises(ValueError, match=f"checkpoint line {len(lines) + 1} "):
+        run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=str(out), resume=True)
+
+
+def test_sweep_resume_skips_torn_last_line(tmp_path):
+    out = tmp_path / "out"
+    spec = SweepSpec(n_lo=4, n_hi=4)
+    fresh = run_sweep(spec, out_dir=str(out))
+    ck = out / "checkpoint.jsonl"
+    ck.write_text(ck.read_text() + '{"key": "4:0", "chu')
+    assert run_sweep(spec, out_dir=str(out), resume=True).records == fresh.records
+
+
 def test_sweep_random_mode_records_match_direct_checks():
     spec = SweepSpec(n_lo=6, n_hi=6, mode="random", samples=3_000, seed=11)
     res = run_sweep(spec)
