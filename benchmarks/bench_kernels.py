@@ -47,7 +47,7 @@ def bench_primitives(n: int, batch: list[int]) -> dict[str, float]:
     times["closure"] = _time(lambda: [_kernels.reach_closure(succ, n) for succ in decoded])
     times["strong"] = _time(lambda: [_kernels.is_strong(succ, pred, n) for succ, pred in paired])
     times["scc"] = _time(lambda: [_kernels.scc_masks(succ, n) for succ in decoded])
-    times["girth"] = _time(lambda: [_kernels.girth(succ, n) for succ in decoded])
+    times["girth"] = _time(lambda: [_kernels.girth(succ, pred, n) for succ, pred in paired])
     return times
 
 

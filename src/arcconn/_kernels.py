@@ -195,19 +195,11 @@ def scc_masks(succ: Sequence[int], n: int) -> list[int]:
     return [c for _, _, c in comps]
 
 
-def girth(succ: Sequence[int], n: int) -> int:
-    """Length of a shortest directed cycle; 0 if acyclic."""
-    pred = [0] * n
-    for v in range(n):
-        m = succ[v]
-        while m:
-            b = m & -m
-            m ^= b
-            pred[b.bit_length() - 1] |= 1 << v
-    return _girth(succ, pred, n)
+def girth(succ: Sequence[int], pred: Sequence[int], n: int) -> int:
+    """Length of a shortest directed cycle; 0 if acyclic.
 
-
-def _girth(succ: list[int], pred: list[int], n: int) -> int:
+    pred must hold the same digraph's predecessor masks.
+    """
     best = 0
     for v in range(n):
         back = pred[v]
@@ -313,7 +305,7 @@ def _judge_block(n, base, first, last, girth_target, require_strong, survivors):
         spans_in = _Memo(lambda i: _union(coreach, i) == rest)
     keep = True  # whether a strong code of this block can have the target girth
     if girth_target:
-        g_h = _girth(succ, pred, n)
+        g_h = girth(succ, pred, n)
         # girth(D) <= girth(H), and an oriented graph has no cycle shorter than 3
         if girth_target < 3 or 0 < g_h < girth_target:
             if not require_strong:
@@ -422,7 +414,7 @@ def filter_codes(
         if require_strong and (reach(succ, 0, full) != full or reach(pred, 0, full) != full):
             continue
         strong_count += 1
-        if girth_target and _girth(succ, pred, n) != girth_target:
+        if girth_target and girth(succ, pred, n) != girth_target:
             continue
         survivors.append(code)
     return len(codes), strong_count, survivors

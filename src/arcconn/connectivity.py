@@ -13,13 +13,21 @@ vertex sets X that could host the surviving component, the max-flow value
 between the split halves of X contracted to a single vertex.  They must agree
 and the test suite holds them to that.
 
-Both lambda and lambda_prime_exact stop at their lower bound 1.  A strong
-digraph needs at least one arc removed to lose strongness, so a vertex of
-degree 1 settles lambda before any flow.  A restricted cut is never empty,
-so once lambda_prime_exact has a cut of size 1 no later candidate can do
-better; and since the kept cut only changes on a strictly smaller flow, the
+Both lambda and lambda_prime_exact stop at a lower bound.  A strong digraph
+needs at least one arc removed to lose strongness, so a vertex of degree 1
+settles lambda before any flow.  A restricted cut is never empty, so
+lambda' >= 1.  From order 8 up, lambda_prime_exact first finds the sets that
+one arc cuts off: for each arc a whose removal breaks strongness, the
+non-trivial strong components of D - a with an arc outside them.  These are
+exactly the candidate sets whose contraction flow is 1.  If there are any,
+lambda' = 1 and only the first of them in candidate order is walked; if
+there are none, lambda' >= 2 and the walk stops at a cut of size 2.  The
 certificate (cut, component, outside arc) is the one the full search over
-all candidates would return.
+all candidates would return: a flow that ends below its limit runs exactly
+as an unlimited one, and the kept cut only changes on a strictly smaller
+flow, so the full search keeps the first candidate, in candidate order,
+whose flow is the minimum (and under ResidualHost its first protected arc
+with that flow).
 
 xi, the existence witness, the candidate order and the proof cuts all read
 the girth cycles, which the Digraph memoises (see cycles).
@@ -329,6 +337,21 @@ def _contracted_capacities(D: Digraph, mask: int) -> tuple[list[list[int]], list
     return cap, ends
 
 
+def _seed_masks(D: Digraph) -> dict[int, None]:
+    """The vertex sets of D's girth cycles with at most n - 2 vertices, in
+    girth-cycle order, as an insertion-ordered set of masks."""
+    n = D.n
+    cycles = girth_cycles(D) if girth(D) is not None else []
+    seeds: dict[int, None] = {}
+    for C in cycles:
+        m = 0
+        for v in C:
+            m |= 1 << v
+        if m.bit_count() <= n - 2:
+            seeds[m] = None
+    return seeds
+
+
 def _candidate_masks(D: Digraph) -> Iterator[int]:
     """Component-host candidates: girth-cycle vertex sets first, then all
     vertex sets with 2..n-2 vertices in (size, value) order.
@@ -337,14 +360,7 @@ def _candidate_masks(D: Digraph) -> Iterator[int]:
     builds all 2^n of them.
     """
     n = D.n
-    cycles = girth_cycles(D) if girth(D) is not None else []
-    seeds: dict[int, None] = {}  # insertion-ordered set
-    for C in cycles:
-        m = 0
-        for v in C:
-            m |= 1 << v
-        if m.bit_count() <= n - 2:
-            seeds[m] = None
+    seeds = _seed_masks(D)
     yield from seeds
     for k in range(2, n - 1):
         m = (1 << k) - 1
@@ -355,6 +371,37 @@ def _candidate_masks(D: Digraph) -> Iterator[int]:
             low = m & -m
             ripple = m + low
             m = (((ripple ^ m) >> 2) // low) | ripple
+
+
+# From this order up, lambda_prime_exact looks for cuts of size 1 arc by arc
+# before it walks any vertex set; below it the walk is cheaper (measured with
+# benchmarks/bench_lambda_prime.py).
+_HOST_PREPASS_MIN_ORDER = 8
+
+
+def _unit_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
+    """The candidate sets whose contraction flow is 1, as vertex masks.
+
+    A vertex set X has flow 1 exactly when, for some arc a, X is a strong
+    component of D - a, and it is a candidate when some arc lies wholly
+    outside it: in D under OriginalHost, in D - a under ResidualHost.  D - a
+    is not strong exactly when the tail of a no longer reaches its head,
+    which one reach call decides.
+    """
+    n = D.n
+    full = (1 << n) - 1
+    succ = list(D.succ)
+    host_rows = succ if reading is RESIDUAL_HOST else D.succ
+    hosts: set[int] = set()
+    for t, h in D.arcs:
+        succ[t] &= ~(1 << h)
+        if not _kernels.reach(succ, t, full) >> h & 1:
+            for comp in _kernels.scc_masks(succ, n):
+                rest = full & ~comp
+                if comp.bit_count() > 1 and any(host_rows[v] & rest for v in _bits(rest)):
+                    hosts.add(comp)
+        succ[t] |= 1 << h
+    return hosts
 
 
 def lambda_prime_exact(
@@ -370,9 +417,15 @@ def lambda_prime_exact(
     the cut is read off the source side of the flow's last search tree.
     Under ResidualHost the witness arc must additionally survive the cut,
     so the flow runs once per choice of protected outside arc, each on a
-    copy of that matrix with the arc's entry made infinite.  The search
-    stops at a cut of size 1, the lower bound.  D's girth cycles seed the
-    candidate order.
+    copy of that matrix with the arc's entry made infinite.  D's girth
+    cycles seed the candidate order.
+
+    From order _HOST_PREPASS_MIN_ORDER up, _unit_cut_hosts first lists the
+    candidate sets whose flow is 1.  If any exist only the first of them in
+    candidate order is walked; otherwise lambda' >= 2 and the walk stops at
+    the first cut of size 2.  Below that order the walk stops at a cut of
+    size 1.  Either way the certificate is the one the full walk over all
+    candidates returns (see the module docstring).
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
@@ -382,8 +435,20 @@ def lambda_prime_exact(
     best: Optional[int] = None
     best_witness: Optional[tuple[tuple[Arc, ...], tuple[int, ...], Arc]] = None
     any_qualifying = False
-    for mask in _candidate_masks(D):
-        if best == 1:
+    floor = 1  # the search stops at a cut of this size: no cut is smaller
+    masks: Iterable[int] = _candidate_masks(D)
+    if D.n >= _HOST_PREPASS_MIN_ORDER:
+        hosts = _unit_cut_hosts(D, reading)
+        if hosts:
+            # lambda' = 1, and the walk would keep the first host in
+            # candidate order: walk that one alone, keeping only a flow of 1.
+            seeds = [m for m in _seed_masks(D) if m in hosts]
+            first = seeds[0] if seeds else min(hosts, key=lambda m: (m.bit_count(), m))
+            masks, best = [first], 2
+        else:
+            floor = 2
+    for mask in masks:
+        if best == floor:
             break
         start = (mask & -mask).bit_length() - 1
         if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:
@@ -417,7 +482,7 @@ def lambda_prime_exact(
             assert witness is not None, "flow cut must certify as restricted"
             best = flow
             best_witness = (tuple(sorted(cut)), witness[0], witness[1])
-            if best == 1:
+            if best == floor:
                 break
     if best_witness is None:
         if any_qualifying:

@@ -20,7 +20,7 @@ Cycle = tuple[int, ...]
 def girth(D: Digraph) -> Optional[int]:
     """Length of a shortest directed cycle, or None if D is acyclic; memoised on D."""
     if D._girth is None:
-        object.__setattr__(D, "_girth", _kernels.girth(D.succ, D.n))
+        object.__setattr__(D, "_girth", _kernels.girth(D.succ, D.pred, D.n))
     return D._girth or None
 
 

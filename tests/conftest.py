@@ -205,6 +205,20 @@ def strong_digraphs(draw, min_n: int = 3, max_n: int = 6) -> Digraph:
     return Digraph(n, sorted(arcs))
 
 
+@st.composite
+def sparse_strong_digraphs(draw, min_n: int = 3, max_n: int = 6) -> Digraph:
+    """A Hamiltonian cycle plus at most n further arcs: sparse enough that
+    single arcs often cut off a strong part, which dense draws rarely do."""
+    n = draw(st.integers(min_value=max(3, min_n), max_value=max_n))
+    perm = draw(st.permutations(list(range(n))))
+    arcs = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for t, h in draw(st.lists(pairs, max_size=n)):
+        if t != h and (h, t) not in arcs:
+            arcs.add((t, h))
+    return Digraph(n, sorted(arcs))
+
+
 from functools import lru_cache
 
 from arcconn import _kernels

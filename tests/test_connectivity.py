@@ -31,6 +31,8 @@ from .conftest import (
     brute_lambda_prime,
     digraphs,
     oracle_restricted_witness,
+    oracle_sccs,
+    sparse_strong_digraphs,
     strong_digraphs,
 )
 
@@ -287,6 +289,23 @@ def test_lambda_prime_stops_at_one_on_a_long_chain():
     assert cert.component == (0, 1, 2, 3)
 
 
+def test_lambda_prime_finds_a_unit_cut_without_walking_vertex_sets():
+    """A 2-arc-strong circulant on 18 vertices (arcs i->i+1, i->i+2) with a
+    path 0 -> 18 -> 19 -> 9 hung on it (n=20): only the arcs of the path cut
+    anything off, and what they cut off is the block.  No girth cycle is a
+    host, and the walk would reach the block after about 2^20 sets; the
+    one-arc pre-pass finds it directly."""
+    import time
+
+    block = [(i, (i + d) % 18) for i in range(18) for d in (1, 2)]
+    D = Digraph(20, sorted(block + [(0, 18), (18, 19), (19, 9)]))
+    t0 = time.perf_counter()
+    cert = lambda_prime_exact(D)
+    assert time.perf_counter() - t0 < 0.5
+    assert cert.found and cert.value == 1
+    assert cert.component == tuple(range(18))
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_candidate_order_is_size_then_value(n):
     from arcconn.connectivity import _candidate_masks
@@ -304,3 +323,70 @@ def test_candidate_order_puts_girth_cycle_seeds_first(l8):
     masks = list(_candidate_masks(l8))
     assert masks[:2] == [0b1111, 0b11110000]
     assert sorted(masks) == [m for m in range(1 << 8) if 2 <= m.bit_count() <= 6]
+
+
+# ---------------------------------------------------------------------------
+# the one-arc pre-pass: candidate sets whose contraction flow is 1
+
+
+def oracle_unit_cut_hosts(D: Digraph, residual_host: bool) -> set[int]:
+    """For each arc a, the non-trivial strong components of D - a with an
+    arc outside them, in D or (residual_host) in D - a; as vertex masks."""
+    hosts = set()
+    for a in D.arcs:
+        rest = [b for b in D.arcs if b != a]
+        host = rest if residual_host else D.arcs
+        for comp in oracle_sccs(D.n, rest):
+            if len(comp) > 1 and any(t not in comp and h not in comp for t, h in host):
+                hosts.add(sum(1 << v for v in comp))
+    return hosts
+
+
+def test_unit_cut_hosts_match_the_definition_exhaustively():
+    from arcconn import _kernels
+    from arcconn.connectivity import _unit_cut_hosts
+
+    for n in range(2, 6):
+        _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), 0, True)
+        for code in codes:
+            D = Digraph.from_code(n, code)
+            for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
+                assert _unit_cut_hosts(D, reading) == oracle_unit_cut_hosts(D, residual)
+
+
+@given(st.one_of(strong_digraphs(min_n=6, max_n=9), sparse_strong_digraphs(min_n=6, max_n=9)))
+def test_unit_cut_hosts_match_the_definition(D):
+    from arcconn.connectivity import _unit_cut_hosts
+
+    for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
+        assert _unit_cut_hosts(D, reading) == oracle_unit_cut_hosts(D, residual)
+
+
+@given(st.one_of(strong_digraphs(min_n=8, max_n=9), sparse_strong_digraphs(min_n=8, max_n=9)))
+def test_exact_is_minimum_from_order_eight(D):
+    """From order 8 up lambda' = 1 comes from the pre-pass and lambda' >= 2
+    from a walk that stops at 2; the brute-force oracle confirms both."""
+    for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
+        cert = lambda_prime_exact(D, reading=reading)
+        if not cert.found:
+            continue
+        assert is_restricted_arc_cut(D, cert.cut, reading=reading) is not None
+        brute = lambda_prime_bruteforce(D, k_max=cert.value, reading=reading)
+        assert brute.found and brute.value == cert.value
+        below = lambda_prime_bruteforce(D, k_max=cert.value - 1, reading=reading)
+        assert not below.found
+
+
+@given(st.one_of(strong_digraphs(min_n=8, max_n=9), sparse_strong_digraphs(min_n=8, max_n=9)))
+def test_host_prepass_keeps_the_walks_certificate(D):
+    """With and without the pre-pass, lambda_prime_exact returns the same
+    certificate: the first candidate of minimum flow in candidate order."""
+    from unittest import mock
+
+    from arcconn import connectivity
+
+    for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
+        fast = lambda_prime_exact(D, reading=reading)
+        with mock.patch.object(connectivity, "_HOST_PREPASS_MIN_ORDER", D.n + 1):
+            walked = lambda_prime_exact(D, reading=reading)
+        assert fast == walked

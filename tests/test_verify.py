@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -218,7 +219,10 @@ def test_measure_lists_girth_cycles_once(monkeypatch, l8):
 
     def count(key, real):
         def counting(*args, **kwargs):
-            calls[key] = calls.get(key, 0) + 1
+            # The filters judge codes with the same girth kernel; only runs
+            # on a graph, which come from outside the kernel module, count.
+            if sys._getframe(1).f_globals is not vars(kernels):
+                calls[key] = calls.get(key, 0) + 1
             return real(*args, **kwargs)
 
         return counting
