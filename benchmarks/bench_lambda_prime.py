@@ -5,18 +5,18 @@ sampling, prints the mix of their lambda' values, and times
 lambda_prime_exact (original reading) in us per graph twice: walking the
 candidate vertex sets alone ("walk") and after the pre-pass that lists the
 sets one arc cuts off ("pre-pass").  The library runs the pre-pass from
-connectivity._HOST_PREPASS_MIN_ORDER up; the order where the pre-pass column
-drops below the walk column is where that constant belongs.  Each graph's
-girth cycles and strongness are computed before the clock starts, as a
-Digraph memoises them and every caller of lambda' has them already.
+connectivity._HOST_PREPASS_MIN_ORDER up; near the crossover these columns
+are a first guide, and the constant is settled on the end-to-end perfbench
+workloads.  Each graph's girth cycles and strongness are computed before
+the clock starts, as a Digraph memoises them and every caller of lambda'
+has them already.
 
 Usage:
-    python benchmarks/bench_lambda_prime.py [--lo 6] [--hi 16] [--graphs 20]
+    python benchmarks/bench_lambda_prime.py
 """
 
 from __future__ import annotations
 
-import argparse
 import random
 import time
 from collections import Counter
@@ -24,11 +24,16 @@ from unittest import mock
 
 from arcconn import Digraph, connectivity, girth, girth_cycles, lambda_prime_exact
 
+ORDERS = range(6, 17)
+GRAPHS = 20  # per order
+DENSITY = 0.4  # probability of drawing each vertex pair
+SEED = 2024
 
-def draw_graph(rng: random.Random, n: int, density: float) -> Digraph:
+
+def draw_graph(rng: random.Random, n: int) -> Digraph:
     """A strong oriented graph of girth exactly 4.
 
-    Adds each vertex pair with probability density, in a random direction,
+    Adds each vertex pair with probability DENSITY, in a random direction,
     unless the arc would close a directed triangle; rejects draws that are
     not strong or have no directed 4-cycle.
     """
@@ -38,7 +43,7 @@ def draw_graph(rng: random.Random, n: int, density: float) -> Digraph:
         pred = [0] * n
         rng.shuffle(pairs)
         for i, j in pairs:
-            if rng.random() >= density:
+            if rng.random() >= DENSITY:
                 continue
             u, v = (i, j) if rng.random() < 0.5 else (j, i)
             if succ[v] & pred[u]:
@@ -61,19 +66,10 @@ def time_per_graph(graphs: list[Digraph], prepass_from: int) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--lo", type=int, default=6, help="smallest order (default 6)")
-    parser.add_argument("--hi", type=int, default=16, help="largest order (default 16)")
-    parser.add_argument("--graphs", type=int, default=20, help="graphs per order (default 20)")
-    parser.add_argument("--density", type=float, default=0.4,
-                        help="probability of drawing each vertex pair (default 0.4)")
-    parser.add_argument("--seed", type=int, default=2024)
-    args = parser.parse_args()
-
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     print(f"pre-pass from order {connectivity._HOST_PREPASS_MIN_ORDER} in the library")
-    for n in range(args.lo, args.hi + 1):
-        graphs = [draw_graph(rng, n, args.density) for _ in range(args.graphs)]
+    for n in ORDERS:
+        graphs = [draw_graph(rng, n) for _ in range(GRAPHS)]
         for D in graphs:
             girth_cycles(D)  # memoised on D, as for every caller
         mix = Counter(lambda_prime_exact(D).value for D in graphs)

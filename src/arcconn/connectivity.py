@@ -16,7 +16,7 @@ and the test suite holds them to that.
 Both lambda and lambda_prime_exact stop at a lower bound.  A strong digraph
 needs at least one arc removed to lose strongness, so a vertex of degree 1
 settles lambda before any flow.  A restricted cut is never empty, so
-lambda' >= 1.  From order 8 up, lambda_prime_exact first finds the sets that
+lambda' >= 1.  From order 7 up, lambda_prime_exact first finds the sets that
 one arc cuts off: for each arc a whose removal breaks strongness, the
 non-trivial strong components of D - a with an arc outside them.  These are
 exactly the candidate sets whose contraction flow is 1.  If there are any,
@@ -374,9 +374,11 @@ def _candidate_masks(D: Digraph) -> Iterator[int]:
 
 
 # From this order up, lambda_prime_exact looks for cuts of size 1 arc by arc
-# before it walks any vertex set; below it the walk is cheaper (measured with
-# benchmarks/bench_lambda_prime.py).
-_HOST_PREPASS_MIN_ORDER = 8
+# before it walks any vertex set.  Measured end to end with perfbench
+# (alternating runs against the walk alone): at n=6 the pre-pass costs more
+# than it saves (census-n6 wall_s +18%, p50 latency +25%), at n=7 it already
+# saves (sample-n7 p50 -6%, p95 -9%).
+_HOST_PREPASS_MIN_ORDER = 7
 
 
 def _unit_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:

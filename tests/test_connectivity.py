@@ -362,22 +362,22 @@ def test_unit_cut_hosts_match_the_definition(D):
         assert _unit_cut_hosts(D, reading) == oracle_unit_cut_hosts(D, residual)
 
 
-@given(st.one_of(strong_digraphs(min_n=8, max_n=9), sparse_strong_digraphs(min_n=8, max_n=9)))
-def test_exact_is_minimum_from_order_eight(D):
-    """From order 8 up lambda' = 1 comes from the pre-pass and lambda' >= 2
+@given(st.one_of(strong_digraphs(min_n=7, max_n=9), sparse_strong_digraphs(min_n=7, max_n=9)))
+def test_exact_is_minimum_after_the_host_prepass(D):
+    """From order 7 up lambda' = 1 comes from the pre-pass and lambda' >= 2
     from a walk that stops at 2; the brute-force oracle confirms both."""
     for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
         cert = lambda_prime_exact(D, reading=reading)
         if not cert.found:
             continue
         assert is_restricted_arc_cut(D, cert.cut, reading=reading) is not None
+        # The oracle tries arc sets by increasing size, so a cut of the
+        # same size also shows that no smaller one exists.
         brute = lambda_prime_bruteforce(D, k_max=cert.value, reading=reading)
         assert brute.found and brute.value == cert.value
-        below = lambda_prime_bruteforce(D, k_max=cert.value - 1, reading=reading)
-        assert not below.found
 
 
-@given(st.one_of(strong_digraphs(min_n=8, max_n=9), sparse_strong_digraphs(min_n=8, max_n=9)))
+@given(st.one_of(strong_digraphs(min_n=7, max_n=9), sparse_strong_digraphs(min_n=7, max_n=9)))
 def test_host_prepass_keeps_the_walks_certificate(D):
     """With and without the pre-pass, lambda_prime_exact returns the same
     certificate: the first candidate of minimum flow in candidate order."""
