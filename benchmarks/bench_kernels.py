@@ -3,9 +3,11 @@
 Times the strong/girth filter over a contiguous code range (filter_range) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path),
 each in ns/code, the four per-graph primitives (closure, strongness by two
-reach searches, strong components, girth) on the same batch, and
+reach searches, strong components, girth) on the same batch,
 verify.measure on the girth-4 survivors of the filter_range run, in us per
-graph.
+graph, and the seeded random-mode sweep of 50,000 codes at n=7 (the
+perfbench sample-n7 input class) in wall seconds.  The last line is one JSON
+row with the fields of a BENCH_kernels.json entry.
 
 Usage:
     python benchmarks/bench_kernels.py [--n 6] [--codes 200000] [--batch 2000]
@@ -14,10 +16,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import random
 import time
 
 from arcconn import Digraph, _kernels, verify
+
+SAMPLE_SEED = 1000  # run_sweep seed of the n=7 sample sweep
 
 
 def _time(fn, repeat: int = 3) -> float:
@@ -65,6 +71,13 @@ def bench_measure(n: int, codes: list[int], repeat: int = 3) -> float:
     return best
 
 
+def bench_sample_sweep(repeat: int = 3) -> float:
+    """Best wall seconds of run_sweep in random mode at n=7, girth 4, 50,000
+    codes with seed SAMPLE_SEED, one job, no output directory."""
+    spec = verify.SweepSpec(n_lo=7, n_hi=7, mode="random", samples=50_000, seed=SAMPLE_SEED, jobs=1)
+    return _time(lambda: verify.run_sweep(spec), repeat)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=6, help="vertex count (default 6)")
@@ -83,8 +96,9 @@ def main() -> None:
         "range": bench_filter(lambda: _kernels.filter_range(args.n, 0, args.codes, 4, True)),
         "codes": bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4, True)),
     }
+    ns_per_code = {}
     for op, (took, (seen, strong, kept)) in filters.items():
-        per = took / seen * 1e9
+        ns_per_code[op] = per = took / seen * 1e9
         print(f"filter_{op} {seen} codes at n={args.n}: {took:8.3f}s "
               f"({per:7.0f} ns/code; strong={strong}, girth-4={len(kept)})")
     for op, took in bench_primitives(args.n, batch).items():
@@ -95,6 +109,19 @@ def main() -> None:
         took = bench_measure(args.n, kept)
         per = took / len(kept) * 1e6
         print(f"measure  {len(kept)} graphs: {took:8.3f}s  ({per:7.2f} us/graph)")
+    sweep = bench_sample_sweep()
+    print(f"sample sweep n=7, 50000 codes, seed {SAMPLE_SEED}: {sweep:8.3f}s")
+    print(json.dumps({
+        "backend": _kernels.backend_name(),
+        "n": args.n,
+        "jobs": 1,
+        "python": platform.python_version(),
+        "codes": args.codes,
+        "batch": args.batch,
+        "filter_range_ns_per_code": round(ns_per_code["range"], 1),
+        "filter_codes_ns_per_code": round(ns_per_code["codes"], 1),
+        "sample_n7_sweep_s": round(sweep, 4),
+    }))
 
 
 if __name__ == "__main__":

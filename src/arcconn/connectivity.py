@@ -21,8 +21,10 @@ one arc cuts off: for each arc a whose removal breaks strongness, the
 non-trivial strong components of D - a with an arc outside them.  These are
 exactly the candidate sets whose contraction flow is 1.  If there are any,
 lambda' = 1 and only the first of them in candidate order is walked; if
-there are none, lambda' >= 2 and the walk stops at a cut of size 2.  The
-certificate (cut, component, outside arc) is the one the full search over
+there are none, lambda' >= 2 and the walk stops at a cut of size 2.  Above
+order 20 the walk goes no further than the girth-cycle vertex sets: when
+none of them gives a cut of size 2, lambda_prime_exact raises CapExceeded.
+The certificate (cut, component, outside arc) is the one the full search over
 all candidates would return: a flow that ends below its limit runs exactly
 as an unlimited one, and the kept cut only changes on a strictly smaller
 flow, so the full search keeps the first candidate, in candidate order,
@@ -44,7 +46,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import _kernels
 from .cycles import Cycle, cycles_of_length, girth, girth_cycles, is_cycle
 from .digraph import Arc, Digraph, _bits
-from .errors import NotAFourCycle, NotAGirthCycle, NotStrong, UnknownArc
+from .errors import CapExceeded, NotAFourCycle, NotAGirthCycle, NotStrong, UnknownArc
 
 
 class DefinitionReading(Enum):
@@ -380,6 +382,14 @@ def _candidate_masks(D: Digraph) -> Iterator[int]:
 # saves (sample-n7 p50 -6%, p95 -9%).
 _HOST_PREPASS_MIN_ORDER = 7
 
+# Above this order lambda_prime_exact walks no vertex set past the girth-cycle
+# seeds: when the pre-pass finds no host and no seed gives a cut of size 2,
+# it raises CapExceeded.  The walk doubles with each vertex; at n = 20 it
+# took 4.2-8.5 s on three seeded lambda' = 2 graphs of girth 4 and 2.5 s on
+# an H1 member, which it walks to the end (pure Python 3.11.7, shared 2-core
+# x86-64).
+_WALK_MAX_ORDER = 20
+
 
 def _unit_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
     """The candidate sets whose contraction flow is 1, as vertex masks.
@@ -427,7 +437,10 @@ def lambda_prime_exact(
     candidate order is walked; otherwise lambda' >= 2 and the walk stops at
     the first cut of size 2.  Below that order the walk stops at a cut of
     size 1.  Either way the certificate is the one the full walk over all
-    candidates returns (see the module docstring).
+    candidates returns (see the module docstring).  Above order
+    _WALK_MAX_ORDER, when the pre-pass finds no host and no girth-cycle
+    seed gives a cut of size 2, it raises CapExceeded rather than walk the
+    2^n vertex sets.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
@@ -439,6 +452,7 @@ def lambda_prime_exact(
     any_qualifying = False
     floor = 1  # the search stops at a cut of this size: no cut is smaller
     masks: Iterable[int] = _candidate_masks(D)
+    seeds_only: Optional[dict[int, None]] = None  # if set, walk no other mask
     if D.n >= _HOST_PREPASS_MIN_ORDER:
         hosts = _unit_cut_hosts(D, reading)
         if hosts:
@@ -449,9 +463,17 @@ def lambda_prime_exact(
             masks, best = [first], 2
         else:
             floor = 2
+            if D.n > _WALK_MAX_ORDER:
+                seeds_only = _seed_masks(D)
     for mask in masks:
         if best == floor:
             break
+        if seeds_only is not None and mask not in seeds_only:
+            raise CapExceeded(
+                f"lambda' at n={D.n} has no cut of size 1 and no girth cycle gives "
+                f"one of size 2; walking the 2^{D.n} vertex sets is refused above "
+                f"order {_WALK_MAX_ORDER}"
+            )
         start = (mask & -mask).bit_length() - 1
         if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:
             continue

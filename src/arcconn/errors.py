@@ -64,7 +64,8 @@ class InvalidParams(ArcConnError):
 
 
 class CapExceeded(ArcConnError):
-    """Requested enumeration exceeds the configured vertex cap."""
+    """Requested work exceeds an order limit: an exhaustive enumeration above
+    the sweep cap, or a lambda' vertex-set walk above its limit."""
 
 
 class ParseError(ArcConnError):

@@ -53,6 +53,20 @@ def test_params_nonexistent_lambda_prime(tmp_path, capsys):
     assert "lambda' nonexistent" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["params", "check"])
+def test_lambda_prime_walk_limit_exits_two(tmp_path, capsys, command):
+    from arcconn import Family, FamilyParams, generate
+    from arcconn.connectivity import _WALK_MAX_ORDER
+
+    n = _WALK_MAX_ORDER + 1
+    D = generate(FamilyParams(Family.H1, (n - 4, 0, 0, 0)))  # no restricted cut
+    path = tmp_path / "h1.edges"
+    path.write_text(emit_edge_list(D))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"lambda' at n={n}" in err and f"above order {_WALK_MAX_ORDER}" in err
+
+
 def test_check_exit_zero_and_clause_lines(l8_file, capsys):
     assert main(["check", l8_file, "--proof-cuts"]) == 0
     out = capsys.readouterr().out

@@ -306,6 +306,50 @@ def test_lambda_prime_finds_a_unit_cut_without_walking_vertex_sets():
     assert cert.component == tuple(range(18))
 
 
+def h1_member(n: int) -> Digraph:
+    """An H1 member on n >= 4 vertices: a 4-cycle with n - 4 fans on one
+    arc.  It has no restricted cut at all, so only the walk over every
+    vertex set can show that lambda' does not exist."""
+    from arcconn import Family, FamilyParams, generate
+
+    return generate(FamilyParams(Family.H1, (n - 4, 0, 0, 0)))
+
+
+def walk_limit_graphs(n: int) -> list[Digraph]:
+    """An H1 member and the circulant with arcs i -> i+1, i -> i+2 on n
+    vertices (lambda' = 3 at n = 21: a full walk finds it in about 5 s)."""
+    circulant = Digraph(n, sorted((i, (i + d) % n) for i in range(n) for d in (1, 2)))
+    return [h1_member(n), circulant]
+
+
+@pytest.mark.parametrize("reading", [ORIGINAL_HOST, RESIDUAL_HOST])
+def test_lambda_prime_refuses_the_walk_above_the_order_limit(reading):
+    """Just above the limit, graphs with no cut of size 1 whose girth cycles
+    give no cut of size 2 fail at once instead of walking 2^n vertex sets."""
+    import time
+
+    from arcconn import CapExceeded
+    from arcconn.connectivity import _WALK_MAX_ORDER
+
+    n = _WALK_MAX_ORDER + 1
+    for D in walk_limit_graphs(n):
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"n={n} .* above order {_WALK_MAX_ORDER}"):
+            lambda_prime_exact(D, reading=reading)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_walk_limit_applies_only_above_its_order(monkeypatch):
+    from arcconn import CapExceeded, connectivity
+
+    D = h1_member(9)
+    monkeypatch.setattr(connectivity, "_WALK_MAX_ORDER", 9)
+    assert lambda_prime_exact(D).outcome is CutOutcome.NONEXISTENT
+    monkeypatch.setattr(connectivity, "_WALK_MAX_ORDER", 8)
+    with pytest.raises(CapExceeded):
+        lambda_prime_exact(D)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_candidate_order_is_size_then_value(n):
     from arcconn.connectivity import _candidate_masks

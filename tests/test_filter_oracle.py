@@ -8,6 +8,7 @@ cycle oracles call strong with the target girth.
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 from itertools import combinations
 
@@ -78,6 +79,19 @@ def test_lone_vertex_is_not_strong(girth_target):
     assert _kernels.filter_codes(1, [0], girth_target, True) == (1, 0, [])
 
 
+def test_filter_codes_matches_oracles_on_a_seeded_n7_batch():
+    # The filter's word tables cover n = 7 in three lookups of 7 trits; the
+    # batch holds both ends of the code range and is not sorted.
+    n = 7
+    size = 3 ** (n * (n - 1) // 2)
+    rng = random.Random(7)
+    codes = [0, size - 1] + [rng.randrange(size) for _ in range(2000)]
+    for girth_target in TARGETS:
+        for require_strong in (True, False):
+            want = expected(n, codes, girth_target, require_strong)
+            assert _kernels.filter_codes(n, codes, girth_target, require_strong) == want
+
+
 @st.composite
 def unaligned_windows(draw):
     """Windows at n = 5..7 that start and end inside a block of 3**(n-1)
@@ -111,9 +125,17 @@ def test_filters_match_oracles_at_order_70():
     assert kept  # the window holds strong girth-4 graphs
 
 
-@given(st.integers(min_value=2, max_value=9).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=3 ** (n * (n - 1) // 2) - 1))
-))
-def test_decode_matches_trit_reading(nc):
-    n, code = nc
-    assert _kernels.decode_code(n, code) == list(oracle_digraph(n, code).succ)
+def test_decode_matches_trit_reading():
+    """Word tables up to the largest order within their budget, rows above:
+    both halves of the packed word (succ and pred) against the trit reading,
+    on the first and last code of each order and on seeded random codes."""
+    top = max(n for n in range(2, 40) if _kernels._word_table_bytes(n) <= _kernels._WORD_TABLE_BUDGET)
+    assert _kernels._layout(top)[0] and not _kernels._layout(top + 1)[0]  # the word tables
+    rng = random.Random(11)
+    for n in range(2, top + 3):
+        size = 3 ** (n * (n - 1) // 2)
+        for code in [0, size - 1] + [rng.randrange(size) for _ in range(20)]:
+            D = oracle_digraph(n, code)
+            q = _kernels._pack(_kernels._layout(n), code)
+            assert _kernels._rows(q, n, 0) == _kernels.decode_code(n, code) == list(D.succ), (n, code)
+            assert _kernels._rows(q, n, n) == list(D.pred), (n, code)
