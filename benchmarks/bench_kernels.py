@@ -9,8 +9,15 @@ graph, and the seeded random-mode sweep of 50,000 codes at n=7 (the
 perfbench sample-n7 input class) in wall seconds.  The last line is one JSON
 row with the fields of a BENCH_kernels.json entry.
 
+Every figure is the best of three repetitions, printed twice: in raw
+seconds and in reference seconds.  perfbench's calibration probe
+(perfbench.calibrate.Meter) runs between repetitions and scales each one
+to a machine where the probe takes its reference time, so rows taken under
+different host loads can be compared; the JSON keys ending in "_ref" hold
+those figures.
+
 Usage:
-    python benchmarks/bench_kernels.py [--n 6] [--codes 200000] [--batch 2000]
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--n 6] [--codes 200000] [--batch 2000]
 """
 
 from __future__ import annotations
@@ -19,23 +26,34 @@ import argparse
 import json
 import platform
 import random
-import time
+import sys
+from pathlib import Path
 
 from arcconn import Digraph, _kernels, verify
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.calibrate import Meter  # noqa: E402
+
 SAMPLE_SEED = 1000  # run_sweep seed of the n=7 sample sweep
 
+Times = tuple[float, float]  # best (raw seconds, reference seconds)
 
-def _time(fn, repeat: int = 3) -> float:
-    best = float("inf")
+
+def _time(fn, repeat: int = 3, setup=None) -> Times:
+    """Best raw and best reference seconds of fn over repeat Meter segments;
+    setup runs before each one, off the clock, and its value is fn's argument."""
+    meter = Meter()
+    raw = ref = float("inf")
     for _ in range(repeat):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
+        args = () if setup is None else (setup(),)
+        meter.start()
+        fn(*args)
+        took, scaled = meter.lap()
+        raw, ref = min(raw, took), min(ref, scaled)
+    return raw, ref
 
 
-def bench_filter(run) -> tuple[float, tuple[int, int, list[int]]]:
+def bench_filter(run) -> tuple[Times, tuple[int, int, list[int]]]:
     out = {}
 
     def once():
@@ -45,10 +63,9 @@ def bench_filter(run) -> tuple[float, tuple[int, int, list[int]]]:
     return took, out["res"]
 
 
-def bench_primitives(n: int, batch: list[int]) -> dict[str, float]:
-    decoded = [_kernels.decode_code(n, code) for code in batch]
-    # pred masks are built outside the clock, as a Digraph holds them already.
-    paired = [(succ, Digraph.from_code(n, code).pred) for succ, code in zip(decoded, batch)]
+def bench_primitives(n: int, batch: list[int]) -> dict[str, Times]:
+    paired = [_kernels.decode_code(n, code) for code in batch]
+    decoded = [succ for succ, _ in paired]
     times = {}
     times["closure"] = _time(lambda: [_kernels.reach_closure(succ, n) for succ in decoded])
     times["strong"] = _time(lambda: [_kernels.is_strong(succ, pred, n) for succ, pred in paired])
@@ -57,21 +74,22 @@ def bench_primitives(n: int, batch: list[int]) -> dict[str, float]:
     return times
 
 
-def bench_measure(n: int, codes: list[int], repeat: int = 3) -> float:
+def bench_measure(n: int, codes: list[int], repeat: int = 3) -> Times:
     """Best time of verify.measure over the graphs, each decoded afresh per
     round (a Digraph memoises its strongness, girth and girth cycles) and
     outside the clock."""
-    best = float("inf")
-    for _ in range(repeat):
-        graphs = [Digraph.from_code(n, code) for code in codes]
-        t0 = time.perf_counter()
+
+    def fresh():
+        return [Digraph.from_code(n, code) for code in codes]
+
+    def run(graphs):
         for D in graphs:
             verify.measure(D)
-        best = min(best, time.perf_counter() - t0)
-    return best
+
+    return _time(run, repeat, setup=fresh)
 
 
-def bench_sample_sweep(repeat: int = 3) -> float:
+def bench_sample_sweep(repeat: int = 3) -> Times:
     """Best wall seconds of run_sweep in random mode at n=7, girth 4, 50,000
     codes with seed SAMPLE_SEED, one job, no output directory."""
     spec = verify.SweepSpec(n_lo=7, n_hi=7, mode="random", samples=50_000, seed=SAMPLE_SEED, jobs=1)
@@ -97,20 +115,21 @@ def main() -> None:
         "codes": bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4, True)),
     }
     ns_per_code = {}
-    for op, (took, (seen, strong, kept)) in filters.items():
-        ns_per_code[op] = per = took / seen * 1e9
-        print(f"filter_{op} {seen} codes at n={args.n}: {took:8.3f}s "
-              f"({per:7.0f} ns/code; strong={strong}, girth-4={len(kept)})")
-    for op, took in bench_primitives(args.n, batch).items():
-        per = took / args.batch * 1e6
-        print(f"{op:8s} {args.batch} graphs: {took:8.3f}s  ({per:7.2f} us/graph)")
+    for op, ((raw, ref), (seen, strong, kept)) in filters.items():
+        ns_per_code[op] = (raw / seen * 1e9, ref / seen * 1e9)
+        print(f"filter_{op} {seen} codes at n={args.n}: {raw:8.3f}s raw {ref:8.3f}s ref "
+              f"({ns_per_code[op][0]:7.0f} raw {ns_per_code[op][1]:7.0f} ref ns/code; "
+              f"strong={strong}, girth-4={len(kept)})")
+    for op, (raw, ref) in bench_primitives(args.n, batch).items():
+        print(f"{op:8s} {args.batch} graphs: {raw:8.3f}s raw {ref:8.3f}s ref "
+              f"({raw / args.batch * 1e6:7.2f} raw {ref / args.batch * 1e6:7.2f} ref us/graph)")
     kept = filters["range"][1][2]
     if kept:
-        took = bench_measure(args.n, kept)
-        per = took / len(kept) * 1e6
-        print(f"measure  {len(kept)} graphs: {took:8.3f}s  ({per:7.2f} us/graph)")
-    sweep = bench_sample_sweep()
-    print(f"sample sweep n=7, 50000 codes, seed {SAMPLE_SEED}: {sweep:8.3f}s")
+        raw, ref = bench_measure(args.n, kept)
+        print(f"measure  {len(kept)} graphs: {raw:8.3f}s raw {ref:8.3f}s ref "
+              f"({raw / len(kept) * 1e6:7.2f} raw {ref / len(kept) * 1e6:7.2f} ref us/graph)")
+    sweep, sweep_ref = bench_sample_sweep()
+    print(f"sample sweep n=7, 50000 codes, seed {SAMPLE_SEED}: {sweep:8.3f}s raw {sweep_ref:8.3f}s ref")
     print(json.dumps({
         "backend": _kernels.backend_name(),
         "n": args.n,
@@ -118,9 +137,12 @@ def main() -> None:
         "python": platform.python_version(),
         "codes": args.codes,
         "batch": args.batch,
-        "filter_range_ns_per_code": round(ns_per_code["range"], 1),
-        "filter_codes_ns_per_code": round(ns_per_code["codes"], 1),
+        "filter_range_ns_per_code": round(ns_per_code["range"][0], 1),
+        "filter_codes_ns_per_code": round(ns_per_code["codes"][0], 1),
         "sample_n7_sweep_s": round(sweep, 4),
+        "filter_range_ns_per_code_ref": round(ns_per_code["range"][1], 1),
+        "filter_codes_ns_per_code_ref": round(ns_per_code["codes"][1], 1),
+        "sample_n7_sweep_s_ref": round(sweep_ref, 4),
     }))
 
 

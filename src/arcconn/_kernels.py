@@ -168,13 +168,17 @@ def _pack(layout, code: int) -> int:
 
 def _rows(q: int, n: int, shift: int) -> list[int]:
     """The n rows of a packed word from bit shift: 0 for succ, n for pred."""
+    if not n:
+        return []
     full = (1 << n) - 1
-    return [q >> (shift + 2 * n * v) & full for v in range(n)]
+    return [q >> s & full for s in range(shift, 2 * n * n, 2 * n)]
 
 
-def decode_code(n: int, code: int) -> list[int]:
-    """Successor masks of the graph with the given enumeration code."""
-    return _rows(_pack(_layout(n), code), n, 0)
+def decode_code(n: int, code: int) -> tuple[list[int], list[int]]:
+    """Successor and predecessor masks of the graph with the given
+    enumeration code, read from one packed word."""
+    q = _pack(_layout(n), code)
+    return _rows(q, n, 0), _rows(q, n, n)
 
 
 def reach_closure(succ: Sequence[int], n: int) -> list[int]:

@@ -547,38 +547,51 @@ def lambda_prime_exists(D: Digraph) -> bool:
 # proof-derived cut candidates
 
 
-def _rotations(C: Cycle) -> list[tuple[int, int, int, int]]:
-    return [tuple(C[(i + j) % 4] for j in range(4)) for i in range(4)]  # type: ignore[misc]
+def _arc_mask(n: int, C: Cycle) -> int:
+    """The arcs of cycle C as the bits t * n + h of one n*n-bit mask."""
+    mask = 0
+    t = C[-1]
+    for h in C:
+        mask |= 1 << (t * n + h)
+        t = h
+    return mask
 
 
-def _directed_candidates(
-    succ: Sequence[int], pred: Sequence[int], C: Cycle, fours: Sequence[Cycle]
+def _mask_arcs(mask: int, n: int) -> tuple[Arc, ...]:
+    """The arcs of an n*n-bit arc mask, in sorted order."""
+    arcs = []
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        arcs.append(divmod(b.bit_length() - 1, n))
+    return tuple(arcs)
+
+
+def _patterns(
+    succ: Sequence[int], pred: Sequence[int], C: Cycle, cmask: int, flip: bool
 ) -> list[tuple[Arc, ...]]:
-    """The candidates of proof_cut_constructions in one orientation.
+    """The three-arc and two-arc patterns of every rotation of C.
 
-    succ/pred are the bitmasks of the digraph, fours its sorted 4-cycles.
+    succ/pred are the masks of the orientation the patterns are built in,
+    and cmask is C's vertex set.  With flip, that orientation is the
+    reversed digraph, and each pattern is flipped back into D.
     """
     cand: list[tuple[Arc, ...]] = []
-    carcs = {(C[i], C[(i + 1) % 4]) for i in range(4)}
-    cmask = 0
-    for v in C:
-        cmask |= 1 << v
-    for C2 in fours:
-        shared = sum((C2[i], C2[(i + 1) % 4]) in carcs for i in range(4))
-        if shared >= 2:
-            x2 = 0
-            for v in C2:
-                x2 |= 1 << v
-            cand.append(tuple((t, h) for t in _bits(x2) for h in _bits(succ[t] & ~x2)))
-    for u, v, w, z in _rotations(C):
-        a1s = _bits(succ[u] & pred[v] & ~cmask)
-        xs = list(_bits(succ[w] & pred[u] & ~cmask))
-        for a1 in a1s:
-            for x in xs:
-                if x != a1:
-                    cand.append(tuple(sorted([(u, a1), (v, w), (w, x)])))
-        for a in _bits(succ[w] & pred[z] & pred[u] & ~cmask):
-            cand.append(tuple(sorted([(z, u), (a, u)])))
+    off = ~cmask
+    for i in range(4):
+        u, v, w, z = C[i], C[i - 3], C[i - 2], C[i - 1]
+        a1s = succ[u] & pred[v] & off
+        xs = succ[w] & pred[u] & off
+        if a1s and xs:
+            # a1 precedes u and x follows it, so they are never equal.
+            for a1 in _bits(a1s):
+                for x in _bits(xs):
+                    S = [(a1, u), (w, v), (x, w)] if flip else [(u, a1), (v, w), (w, x)]
+                    S.sort()
+                    cand.append(tuple(S))
+        for a in _bits(succ[w] & pred[z] & pred[u] & off):
+            first, second = (z, a) if z < a else (a, z)
+            cand.append(((u, first), (u, second)) if flip else ((first, u), (second, u)))
     return cand
 
 
@@ -590,23 +603,46 @@ def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
     two-arc pattern {z->u, a->u}, for every rotation of C where the needed
     arcs exist.  The argument fixes the orientation of C's degree sum without
     loss of generality, so the mirror images of all candidates (computed on
-    the reversed digraph and flipped back) are emitted as well.
+    the reversed digraph and flipped back) are emitted as well.  The list
+    holds each candidate once, in first-emitted order, with its arcs sorted.
+
+    Built on masks: arc sets are n*n-bit masks with bit t * n + h for the
+    arc t -> h, so "shares at least two arcs" is one popcount, and a cut
+    mask lists its arcs in sorted order.
     """
     if not (is_cycle(D, C) and len(C) == 4):
         raise NotAFourCycle(f"{tuple(C)} is not a 4-cycle of the digraph")
     # On girth 4, the paper's case, the 4-cycles are the memoised girth cycles.
     fours = girth_cycles(D) if girth(D) == 4 else cycles_of_length(D, 4)
-    cand = _directed_candidates(D.succ, D.pred, C, fours)
-    # The reversed digraph swaps succ and pred; its 4-cycles are D's, read
-    # backwards from the same smallest vertex.
-    rev_fours = sorted((c[0], c[3], c[2], c[1]) for c in fours)
-    rev_c = (C[0], C[3], C[2], C[1])
-    for S in _directed_candidates(D.pred, D.succ, rev_c, rev_fours):
-        cand.append(tuple(sorted((h, t) for t, h in S)))
-    seen: set[tuple[Arc, ...]] = set()
-    out = []
-    for S in cand:
-        if S and S not in seen:
-            seen.add(S)
-            out.append(S)
-    return out
+    n = D.n
+    succ, pred = D.succ, D.pred
+    carcs = _arc_mask(n, C)
+    cand: list[tuple[Arc, ...]] = []
+    # A 4-cycle shares as many arcs with C as its reversal does with C's
+    # reversal, so one arc mask per 4-cycle serves both orientations: its
+    # out-cut here, and its in-cut, which is its out-cut in the reversed
+    # digraph.  That digraph lists its 4-cycles read backwards from the
+    # same smallest vertex, in sorted order.
+    mirrored = []
+    for C2 in fours:
+        if (_arc_mask(n, C2) & carcs).bit_count() < 2:
+            continue
+        x2 = 0
+        for v in C2:
+            x2 |= 1 << v
+        leaving = entering = 0
+        for t in range(n):
+            if x2 >> t & 1:
+                leaving |= (succ[t] & ~x2) << t * n
+            else:
+                entering |= (succ[t] & x2) << t * n
+        cand.append(_mask_arcs(leaving, n))
+        mirrored.append(((C2[0], C2[3], C2[2], C2[1]), entering))
+    cmask = 0
+    for v in C:
+        cmask |= 1 << v
+    cand += _patterns(succ, pred, C, cmask, False)
+    mirrored.sort()
+    cand += [_mask_arcs(entering, n) for _, entering in mirrored]
+    cand += _patterns(pred, succ, (C[0], C[3], C[2], C[1]), cmask, True)
+    return [S for S in dict.fromkeys(cand) if S]

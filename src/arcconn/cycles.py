@@ -70,8 +70,12 @@ def girth_cycles(D: Digraph) -> list[Cycle]:
 def is_cycle(D: Digraph, C: Cycle) -> bool:
     """True iff C is a directed cycle of D (distinct vertices, arcs present)."""
     k = len(C)
-    if k < 2 or len(set(C)) != k:
+    if k < 2 or len(set(C)) != k or min(C) < 0 or max(C) >= D.n:
         return False
-    if any(not 0 <= v < D.n for v in C):
-        return False
-    return all(D.has_arc(C[i], C[(i + 1) % k]) for i in range(k))
+    succ = D.succ
+    t = C[-1]
+    for h in C:
+        if not succ[t] >> h & 1:
+            return False
+        t = h
+    return True

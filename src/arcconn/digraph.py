@@ -201,11 +201,26 @@ class Digraph:
 
     @classmethod
     def from_code(cls, n: int, code: int) -> "Digraph":
-        """Graph with the given trit enumeration code (see _kernels)."""
+        """Graph with the given trit enumeration code (see _kernels).
+
+        Built straight from the code's packed word: succ and pred are its
+        rows, and the arcs are read off succ in sorted order.  A trit code
+        cannot encode a loop, a repeated arc or a digon, so the checks of
+        __init__ are not run; only the code's range is checked.
+        """
+        if n < 0:
+            raise InvalidVertex(f"vertex count must be non-negative, got {n}")
         _kernels.check_codes(n, code, code)
-        succ = _kernels.decode_code(n, code)
-        arcs = [(v, u) for v in range(n) for u in _bits(succ[v])]
-        return cls(n, arcs)
+        succ, pred = _kernels.decode_code(n, code)
+        D = object.__new__(cls)
+        init = object.__setattr__
+        init(D, "n", n)
+        init(D, "arcs", tuple([(v, u) for v in range(n) for u in _bits(succ[v])]))
+        init(D, "succ", tuple(succ))
+        init(D, "pred", tuple(pred))
+        for memo in ("_strong", "_girth", "_girth_cycles"):
+            init(D, memo, None)
+        return D
 
     @property
     def code(self) -> int:

@@ -37,6 +37,7 @@ from .digraph import Arc, Digraph, _bits
 from .errors import InvalidDigraph, InvalidParams
 
 RoleValue = Union[int, tuple[int, ...]]
+Incidence = tuple[int, int]  # a vertex's (succ, pred) masks
 
 
 class Family(Enum):
@@ -196,41 +197,41 @@ def generate(params: FamilyParams) -> Digraph:
 # recognition
 
 
-def _incidence_table(D: Digraph) -> list[frozenset[Arc]]:
-    """Every vertex's incident arcs, read once from the bitmasks."""
-    return [
-        frozenset([(t, h) for h in _bits(D.succ[t])] + [(g, t) for g in _bits(D.pred[t])])
-        for t in range(D.n)
-    ]
+def _incidence_table(D: Digraph) -> list[Incidence]:
+    """Every vertex's incidence as its (succ, pred) mask pair.
+
+    Two vertices have the same incident arcs exactly when their pairs are
+    equal, so a prescribed incidence is one tuple of masks to compare with.
+    """
+    return list(zip(D.succ, D.pred))
 
 
-def _match_h1(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch]:
+def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
     """H1 on a graph with 2n-4 arcs.
 
     Every H1 member has girth 4, so only the girth cycles of a girth-4 graph
     are tried.  Once every vertex off the 4-cycle is a fan vertex, the cycle
     and fan arcs are 2n-4 distinct arcs of D, so they are all of its arcs.
+    A vertex t on the fan from s to d has incidence (1 << d, 1 << s).  The
+    four sides of a cycle are the same under every rotation, so a cycle
+    matches in its canonical rotation or not at all.
     """
     if girth(D) != 4:
         return None
     for C in girth_cycles(D):
-        for r in range(4):
-            u, v, w, z = (C[(r + j) % 4] for j in range(4))
-            sides = ((u, v), (v, w), (w, z), (z, u))
-            fans: tuple[list[int], ...] = ([], [], [], [])
-            ok = True
-            for t in range(D.n):
-                if t in (u, v, w, z):
-                    continue
-                for fan, (src, dst) in zip(fans, sides):
-                    if inc[t] == {(src, t), (t, dst)}:
-                        fan.append(t)
-                        break
-                else:
-                    ok = False
-                    break
-            if not ok:
+        u, v, w, z = C
+        U, V, W, Z = 1 << u, 1 << v, 1 << w, 1 << z
+        side = {(V, U): 0, (W, V): 1, (Z, W): 2, (U, Z): 3}
+        fans: tuple[list[int], ...] = ([], [], [], [])
+        cycle = U | V | W | Z
+        for t, pair in enumerate(inc):
+            if cycle >> t & 1:
                 continue
+            k = side.get(pair)
+            if k is None:
+                break
+            fans[k].append(t)
+        else:
             params = FamilyParams(Family.H1, tuple(len(fan) for fan in fans))
             roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w, "z": z}
             roles.update(zip("ABCD", map(tuple, fans)))
@@ -248,58 +249,64 @@ class _Buckets:
     y_q: list[int]
 
 
-def _bucket_outside(inc: list[frozenset[Arc]], u: int, v: int, w: int) -> Optional[_Buckets]:
-    """Classify every non-spine vertex by its full incidence pattern."""
+def _bucket_outside(inc: list[Incidence], u: int, v: int, w: int) -> Optional[_Buckets]:
+    """Classify every non-spine vertex by its full incidence pattern.
+
+    plain_p is w->t->u, plain_q u->t->w, fan_a u->t->v, fan_b v->t->w,
+    core_p w->t->u plus one more arc, and y_q u->t->w plus an arc with v.
+    """
+    U, V, W = 1 << u, 1 << v, 1 << w
     b = _Buckets([], [], [], [], [], [])
-    for t, arcs in enumerate(inc):
-        if t in (u, v, w):
+    exact = {
+        (U, W): b.plain_p,
+        (W, U): b.plain_q,
+        (V, U): b.fan_a,
+        (W, V): b.fan_b,
+        (W | V, U): b.y_q,
+        (W, U | V): b.y_q,
+    }
+    spine = U | V | W
+    for t, pair in enumerate(inc):
+        if spine >> t & 1:
             continue
-        p = {(w, t), (t, u)}
-        q = {(u, t), (t, w)}
-        if arcs == p:
-            b.plain_p.append(t)
-        elif arcs == q:
-            b.plain_q.append(t)
-        elif arcs == {(u, t), (t, v)}:
-            b.fan_a.append(t)
-        elif arcs == {(v, t), (t, w)}:
-            b.fan_b.append(t)
-        elif len(arcs) == 3 and p < arcs:
+        bucket = exact.get(pair)
+        if bucket is not None:
+            bucket.append(t)
+            continue
+        out, into = pair
+        if out & U and into & W and out.bit_count() + into.bit_count() == 3:
             b.core_p.append(t)
-        elif arcs == q | {(t, v)} or arcs == q | {(v, t)}:
-            b.y_q.append(t)
         else:
             return None
     return b
 
 
 def _core_pair(
-    inc: list[frozenset[Arc]], b: _Buckets, u: int, w: int
+    inc: list[Incidence], b: _Buckets, u: int, w: int
 ) -> Optional[tuple[int, int, str]]:
     """Resolve the two linked 4th-cycle vertices of H5/H6/H7.
 
     Both carry the plain pattern w->t->u plus one arc joining them to each
     other.  Returns (z, x, orientation) with x the tail of the joining arc,
-    so the recorded orientation token is always "xz".
+    so the recorded orientation token is always "xz".  Each core vertex has
+    exactly one arc beyond w->t->u, so when c's extra arc joins d, it is
+    d's extra arc too.
     """
     if len(b.core_p) != 2 or b.plain_p:
         return None
     c, d = b.core_p
-    extra_c = inc[c] - {(w, c), (c, u)}
-    extra_d = inc[d] - {(w, d), (d, u)}
-    if extra_c != extra_d or len(extra_c) != 1:
-        return None
-    (arc,) = extra_c
-    if set(arc) != {c, d}:
-        return None
-    x, z = arc
-    return z, x, "xz"
+    out, into = inc[c]
+    if out & ~(1 << u) == 1 << d:
+        return d, c, "xz"  # c -> d
+    if into & ~(1 << w) == 1 << d:
+        return c, d, "xz"  # d -> c
+    return None
 
 
 _SPINE_FAMILIES = (Family.H2, Family.H3, Family.H4, Family.H5, Family.H6, Family.H7)
 
 
-def _match_spines(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch]:
+def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
     """The lowest of H2..H7 that D belongs to, in one pass over the spines.
 
     Spines u->v->w are visited in arc order and bucketed once each.  A spine
@@ -312,9 +319,10 @@ def _match_spines(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch
     """
     best: Optional[FamilyMatch] = None
     limit = len(_SPINE_FAMILIES)
+    succ, pred = D.succ, D.pred
     for u, v in D.arcs:
-        for w in _bits(D.succ[v]):
-            if D.has_arc(u, w) or D.has_arc(w, u):
+        for w in _bits(succ[v]):
+            if (succ[u] | pred[u]) >> w & 1:
                 continue
             b = _bucket_outside(inc, u, v, w)
             if b is None:
@@ -330,7 +338,7 @@ def _match_spines(D: Digraph, inc: list[frozenset[Arc]]) -> Optional[FamilyMatch
 
 
 def _assemble(
-    D: Digraph, inc: list[frozenset[Arc]], fam: Family, u: int, v: int, w: int, b: _Buckets
+    D: Digraph, inc: list[Incidence], fam: Family, u: int, v: int, w: int, b: _Buckets
 ) -> Optional[FamilyMatch]:
     roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w}
     if fam is Family.H2:
@@ -352,7 +360,7 @@ def _assemble(
             return None
         y = b.y_q[0]
         z, x, *rest = b.plain_p
-        orient = "yv" if D.has_arc(y, v) else "vy"
+        orient = "yv" if D.succ[y] >> v & 1 else "vy"
         params = FamilyParams(fam, (len(rest),), (orient,))
         roles.update(z=z, x=x, y=y, A=tuple(rest))
     elif fam is Family.H5:
@@ -381,7 +389,7 @@ def _assemble(
             return None
         z, x, orient = pair
         y = b.y_q[0]
-        y_orient = "yv" if D.has_arc(y, v) else "vy"
+        y_orient = "yv" if D.succ[y] >> v & 1 else "vy"
         params = FamilyParams(fam, (), (orient, y_orient))
         roles.update(z=z, x=x, y=y)
     else:

@@ -575,15 +575,22 @@ def _is_chunk_entry(entry: object) -> bool:
 def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
     chunks: dict[str, dict] = {}
     header_ok = False
+    torn: Optional[int] = None  # a line that is not JSON, allowed only last
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, 1):
             raw = raw.strip()
             if not raw:
                 continue
+            if torn is not None:
+                raise ValueError(
+                    f"checkpoint line {torn} is not JSON, and only the last line "
+                    "may be torn by an interrupted run"
+                )
             try:
                 entry = json.loads(raw)
             except json.JSONDecodeError:
-                continue  # torn tail line from an interrupted run
+                torn = lineno
+                continue
             if isinstance(entry, dict) and "spec" in entry:
                 if entry["spec"] != spec.fingerprint():
                     raise ValueError(

@@ -252,3 +252,69 @@ def l8() -> Digraph:
 @pytest.fixture
 def four_cycle() -> Digraph:
     return Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+# ---------------------------------------------------------------------------
+# proof-cut candidate oracle: the set-membership builder that the mask-based
+# connectivity.proof_cut_constructions replaced, kept verbatim so that the
+# two can be held to the same list, contents and order
+
+
+def _oracle_rotations(C):
+    return [tuple(C[(i + j) % 4] for j in range(4)) for i in range(4)]
+
+
+def _oracle_directed_candidates(succ, pred, C, fours):
+    """The candidates of proof_cut_constructions in one orientation.
+
+    succ/pred are the bitmasks of the digraph, fours its sorted 4-cycles.
+    """
+    from arcconn.digraph import _bits
+
+    cand = []
+    carcs = {(C[i], C[(i + 1) % 4]) for i in range(4)}
+    cmask = 0
+    for v in C:
+        cmask |= 1 << v
+    for C2 in fours:
+        shared = sum((C2[i], C2[(i + 1) % 4]) in carcs for i in range(4))
+        if shared >= 2:
+            x2 = 0
+            for v in C2:
+                x2 |= 1 << v
+            cand.append(tuple((t, h) for t in _bits(x2) for h in _bits(succ[t] & ~x2)))
+    for u, v, w, z in _oracle_rotations(C):
+        a1s = _bits(succ[u] & pred[v] & ~cmask)
+        xs = list(_bits(succ[w] & pred[u] & ~cmask))
+        for a1 in a1s:
+            for x in xs:
+                if x != a1:
+                    cand.append(tuple(sorted([(u, a1), (v, w), (w, x)])))
+        for a in _bits(succ[w] & pred[z] & pred[u] & ~cmask):
+            cand.append(tuple(sorted([(z, u), (a, u)])))
+    return cand
+
+
+def oracle_proof_cut_constructions(D: Digraph, C) -> list[tuple[Arc, ...]]:
+    """Candidate cuts the girth-4 upper-bound argument builds around C."""
+    from arcconn.cycles import cycles_of_length, girth, girth_cycles, is_cycle
+    from arcconn.errors import NotAFourCycle
+
+    if not (is_cycle(D, C) and len(C) == 4):
+        raise NotAFourCycle(f"{tuple(C)} is not a 4-cycle of the digraph")
+    # On girth 4, the paper's case, the 4-cycles are the memoised girth cycles.
+    fours = girth_cycles(D) if girth(D) == 4 else cycles_of_length(D, 4)
+    cand = _oracle_directed_candidates(D.succ, D.pred, C, fours)
+    # The reversed digraph swaps succ and pred; its 4-cycles are D's, read
+    # backwards from the same smallest vertex.
+    rev_fours = sorted((c[0], c[3], c[2], c[1]) for c in fours)
+    rev_c = (C[0], C[3], C[2], C[1])
+    for S in _oracle_directed_candidates(D.pred, D.succ, rev_c, rev_fours):
+        cand.append(tuple(sorted((h, t) for t, h in S)))
+    seen = set()
+    out = []
+    for S in cand:
+        if S and S not in seen:
+            seen.add(S)
+            out.append(S)
+    return out

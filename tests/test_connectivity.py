@@ -26,10 +26,12 @@ from arcconn import (
 )
 
 from .conftest import (
+    stratum_codes,
     stratum_digraphs,
     brute_lambda,
     brute_lambda_prime,
     digraphs,
+    oracle_proof_cut_constructions,
     oracle_restricted_witness,
     oracle_sccs,
     sparse_strong_digraphs,
@@ -269,6 +271,30 @@ def test_proof_cuts_are_arcs_of_d(D):
         for S in proof_cut_constructions(D, C):
             for arc in S:
                 assert D.has_arc(*arc)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_proof_cuts_match_set_membership_oracle_on_strata(n):
+    """Same list, contents and order, as the set-membership builder on every
+    girth cycle of the n <= 5 strata and of the n = 6 stratum slice."""
+    from arcconn import girth_cycles
+
+    for code in stratum_codes(n):
+        D = Digraph.from_code(n, code)
+        for C in girth_cycles(D):
+            assert proof_cut_constructions(D, C) == oracle_proof_cut_constructions(D, C)
+
+
+@given(st.one_of(strong_digraphs(min_n=7, max_n=7), sparse_strong_digraphs(min_n=7, max_n=7)))
+def test_proof_cuts_match_set_membership_oracle_at_n7(D):
+    """Every 4-cycle in every rotation, also where the girth is 3 and the
+    4-cycles are listed afresh."""
+    from arcconn import cycles_of_length
+
+    for C in cycles_of_length(D, 4):
+        for r in range(4):
+            rotated = C[r:] + C[:r]
+            assert proof_cut_constructions(D, rotated) == oracle_proof_cut_constructions(D, rotated)
 
 
 # ---------------------------------------------------------------------------

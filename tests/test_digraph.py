@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from arcconn import Digraph, InvalidDigraph, InvalidVertex, UnknownArc
+from arcconn import Digraph, InvalidDigraph, InvalidVertex, UnknownArc, _kernels
 
 from .conftest import digraphs, oracle_sccs, oracle_strong
 
@@ -183,6 +185,42 @@ def test_from_code_edge_codes_and_range(n):
     for code in (-1, size):
         with pytest.raises(InvalidDigraph, match=f"n={n} is outside 0..{size - 1}"):
             Digraph.from_code(n, code)
+
+
+def _assert_built_alike(n: int, code: int) -> None:
+    """from_code skips __init__; the graph must be the one __init__ builds
+    from the decoded arcs, with no memo filled in."""
+    D = Digraph.from_code(n, code)
+    succ, _ = _kernels.decode_code(n, code)
+    E = Digraph(n, [(v, u) for v in range(n) for u in range(n) if succ[v] >> u & 1])
+    assert D.arcs == E.arcs and D.succ == E.succ and D.pred == E.pred
+    assert D == E and hash(D) == hash(E)
+    assert type(D.arcs) is tuple and type(D.succ) is tuple and type(D.pred) is tuple
+    assert D._strong is None and D._girth is None and D._girth_cycles is None
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_from_code_matches_init_on_every_code(n):
+    for code in range(3 ** (n * (n - 1) // 2)):
+        _assert_built_alike(n, code)
+
+
+@pytest.mark.parametrize("n", range(5, 22))
+def test_from_code_matches_init_on_seeded_codes(n):
+    """Orders 5..18 decode through the word tables, 19..21 by rows."""
+    assert bool(_kernels._layout(n)[0]) == (n <= 18)
+    rng = random.Random(n)
+    size = 3 ** (n * (n - 1) // 2)
+    for code in [0, size - 1] + [rng.randrange(size) for _ in range(40)]:
+        _assert_built_alike(n, code)
+    for code in (-1, size):
+        with pytest.raises(InvalidDigraph):
+            Digraph.from_code(n, code)
+
+
+def test_from_code_rejects_negative_order():
+    with pytest.raises(InvalidVertex):
+        Digraph.from_code(-1, 0)
 
 
 def test_relabel_requires_permutation():

@@ -137,5 +137,6 @@ def test_decode_matches_trit_reading():
         for code in [0, size - 1] + [rng.randrange(size) for _ in range(20)]:
             D = oracle_digraph(n, code)
             q = _kernels._pack(_kernels._layout(n), code)
-            assert _kernels._rows(q, n, 0) == _kernels.decode_code(n, code) == list(D.succ), (n, code)
+            assert _kernels._rows(q, n, 0) == list(D.succ), (n, code)
             assert _kernels._rows(q, n, n) == list(D.pred), (n, code)
+            assert _kernels.decode_code(n, code) == (list(D.succ), list(D.pred)), (n, code)

@@ -54,12 +54,12 @@ def test_kernels_work_past_64_vertices():
 
 @given(codes(5))
 def test_decode_matches_digraph_arcs(code):
-    succ = _kernels.decode_code(5, code)
+    succ, pred = _kernels.decode_code(5, code)
     D = Digraph.from_code(5, code)
     assert D.code == code  # Digraph.code encodes pair by pair, apart from decode
     for t in range(5):
         for h in range(5):
-            assert bool(succ[t] >> h & 1) == D.has_arc(t, h)
+            assert bool(succ[t] >> h & 1) == bool(pred[h] >> t & 1) == D.has_arc(t, h)
 
 
 @given(

@@ -21,6 +21,7 @@ from arcconn import (
     run_sweep,
     sample_oriented,
 )
+from arcconn import cli
 from arcconn.connectivity import RESIDUAL_HOST
 from arcconn.verify import (
     CLAUSE_FIELDS,
@@ -287,6 +288,24 @@ def test_sweep_resume_skips_torn_last_line(tmp_path):
     ck = out / "checkpoint.jsonl"
     ck.write_text(ck.read_text() + '{"key": "4:0", "chu')
     assert run_sweep(spec, out_dir=str(out), resume=True).records == fresh.records
+
+
+def test_sweep_resume_rejects_torn_line_before_the_last(tmp_path, capsys):
+    """Only an interrupted run's last line may be torn: a line that is not
+    JSON further up names its line instead of being skipped."""
+    out = tmp_path / "out"
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=10_000)
+    run_sweep(spec, out_dir=str(out))
+    ck = out / "checkpoint.jsonl"
+    lines = ck.read_text().splitlines()
+    assert len(lines) >= 4
+    lines[2] = lines[2][: len(lines[2]) // 2]
+    ck.write_text("\n".join(lines) + "\n\n")
+    with pytest.raises(ValueError, match="checkpoint line 3 is not JSON"):
+        run_sweep(spec, out_dir=str(out), resume=True)
+    argv = ["sweep", "--n", "5", "--chunk-size", "10000", "--out", str(out), "--resume", "--quiet"]
+    assert cli.main(argv) == 2
+    assert "checkpoint line 3 is not JSON" in capsys.readouterr().err
 
 
 def test_sweep_random_mode_records_match_direct_checks():
