@@ -168,10 +168,8 @@ def _pack(layout, code: int) -> int:
 
 def _rows(q: int, n: int, shift: int) -> list[int]:
     """The n rows of a packed word from bit shift: 0 for succ, n for pred."""
-    if not n:
-        return []
     full = (1 << n) - 1
-    return [q >> s & full for s in range(shift, 2 * n * n, 2 * n)]
+    return [q >> (shift + 2 * n * v) & full for v in range(n)]
 
 
 def decode_code(n: int, code: int) -> tuple[list[int], list[int]]:

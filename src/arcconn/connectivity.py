@@ -559,12 +559,7 @@ def _arc_mask(n: int, C: Cycle) -> int:
 
 def _mask_arcs(mask: int, n: int) -> tuple[Arc, ...]:
     """The arcs of an n*n-bit arc mask, in sorted order."""
-    arcs = []
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        arcs.append(divmod(b.bit_length() - 1, n))
-    return tuple(arcs)
+    return tuple(divmod(b, n) for b in _bits(mask))
 
 
 def _patterns(
@@ -583,7 +578,8 @@ def _patterns(
         a1s = succ[u] & pred[v] & off
         xs = succ[w] & pred[u] & off
         if a1s and xs:
-            # a1 precedes u and x follows it, so they are never equal.
+            # u->a1 and x->u, so a1 == x would be a digon, which a Digraph
+            # cannot hold.
             for a1 in _bits(a1s):
                 for x in _bits(xs):
                     S = [(a1, u), (w, v), (x, w)] if flip else [(u, a1), (v, w), (w, x)]

@@ -75,12 +75,17 @@ class Digraph:
             seen.add(arc)
             succ[t] |= 1 << h
             pred[h] |= 1 << t
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", tuple(sorted(seen)))
-        object.__setattr__(self, "succ", tuple(succ))
-        object.__setattr__(self, "pred", tuple(pred))
+        self._set(n, tuple(sorted(seen)), succ, pred)
+
+    def _set(self, n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> None:
+        """Fill the slots of a new graph; the memos start empty."""
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "arcs", arcs)
+        init(self, "succ", tuple(succ))
+        init(self, "pred", tuple(pred))
         for memo in ("_strong", "_girth", "_girth_cycles"):
-            object.__setattr__(self, memo, None)
+            init(self, memo, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Digraph is immutable")
@@ -213,13 +218,7 @@ class Digraph:
         _kernels.check_codes(n, code, code)
         succ, pred = _kernels.decode_code(n, code)
         D = object.__new__(cls)
-        init = object.__setattr__
-        init(D, "n", n)
-        init(D, "arcs", tuple([(v, u) for v in range(n) for u in _bits(succ[v])]))
-        init(D, "succ", tuple(succ))
-        init(D, "pred", tuple(pred))
-        for memo in ("_strong", "_girth", "_girth_cycles"):
-            init(D, memo, None)
+        D._set(n, tuple([(v, u) for v in range(n) for u in _bits(succ[v])]), succ, pred)
         return D
 
     @property

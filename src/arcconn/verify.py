@@ -572,13 +572,18 @@ def _is_chunk_entry(entry: object) -> bool:
     )
 
 
-def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
+def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, dict], int]:
+    """The completed chunks of a checkpoint, and the byte offset just past
+    its last line read whole, where a resumed run goes on writing."""
     chunks: dict[str, dict] = {}
     header_ok = False
     torn: Optional[int] = None  # a line that is not JSON, allowed only last
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            raw = raw.strip()
+    end = 0
+    offset = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, 1):
+            start, offset = offset, offset + len(line)
+            raw = line.decode("ascii").strip()
             if not raw:
                 continue
             if torn is not None:
@@ -591,6 +596,7 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
             except json.JSONDecodeError:
                 torn = lineno
                 continue
+            end = start + len(line.rstrip())
             if isinstance(entry, dict) and "spec" in entry:
                 if entry["spec"] != spec.fingerprint():
                     raise ValueError(
@@ -610,7 +616,17 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> dict[str, dict]:
                 chunks[entry["key"]] = chunk
     if not header_ok:
         raise ValueError("checkpoint is missing its configuration header")
-    return chunks
+    return chunks, end
+
+
+def _cut_checkpoint(path: str, end: int) -> None:
+    """Drop what follows the last whole line at byte offset end (a torn
+    line, or only that line's newline) and end the file with a newline, so
+    the chunks a resumed run appends each start a line of their own."""
+    with open(path, "r+b") as fh:
+        fh.truncate(end)
+        fh.seek(end)
+        fh.write(b"\n")
 
 
 def run_sweep(
@@ -633,7 +649,8 @@ def run_sweep(
         os.makedirs(out_dir, exist_ok=True)
         ck_path = os.path.join(out_dir, "checkpoint.jsonl")
         if resume and os.path.exists(ck_path):
-            chunks = _read_checkpoint(ck_path, spec)
+            chunks, end = _read_checkpoint(ck_path, spec)
+            _cut_checkpoint(ck_path, end)
             if chunks:
                 emit(f"resumed {len(chunks)} completed chunk(s) from checkpoint")
         else:

@@ -290,6 +290,24 @@ def test_sweep_resume_skips_torn_last_line(tmp_path):
     assert run_sweep(spec, out_dir=str(out), resume=True).records == fresh.records
 
 
+@pytest.mark.parametrize("tear", ["fragment", "newline"])
+def test_sweep_resumed_after_a_torn_line_resumes_again(tmp_path, tear):
+    """A resumed run writes after the last whole line, not after a torn
+    one, so the checkpoint it leaves can be resumed once more."""
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=10_000)
+    solid = run_sweep(spec)
+    out = tmp_path / "out"
+    run_sweep(spec, out_dir=str(out), _stop_after_chunks=2)
+    ck = out / "checkpoint.jsonl"
+    text = ck.read_text()
+    ck.write_text(text + '{"key": "5:0", "chu' if tear == "fragment" else text.rstrip("\n"))
+    part = run_sweep(spec, out_dir=str(out), resume=True, _stop_after_chunks=1)
+    assert not part.completed
+    assert all(json.loads(line) for line in ck.read_text().splitlines())
+    resumed = run_sweep(spec, out_dir=str(out), resume=True)
+    assert resumed.completed and resumed.records == solid.records
+
+
 def test_sweep_resume_rejects_torn_line_before_the_last(tmp_path, capsys):
     """Only an interrupted run's last line may be torn: a line that is not
     JSON further up names its line instead of being skipped."""
