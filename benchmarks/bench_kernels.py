@@ -107,12 +107,12 @@ def main() -> None:
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
-    universe = 3 ** (args.n * (args.n - 1) // 2)
+    universe = _kernels.universe_size(args.n)
     batch = [rng.randrange(universe) for _ in range(args.batch)]
 
     filters = {
-        "range": bench_filter(lambda: _kernels.filter_range(args.n, 0, args.codes, 4, True)),
-        "codes": bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4, True)),
+        "range": bench_filter(lambda: _kernels.filter_range(args.n, 0, args.codes, 4)),
+        "codes": bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4)),
     }
     ns_per_code = {}
     for op, ((raw, ref), (seen, strong, kept)) in filters.items():

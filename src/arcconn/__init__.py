@@ -69,9 +69,7 @@ from .verify import (
     SweepResult,
     VerificationRecord,
     check_graph,
-    enumerate_oriented,
     run_sweep,
-    sample_oriented,
 )
 
 __all__ = [
@@ -107,7 +105,6 @@ __all__ = [
     "cycles_of_length",
     "emit_digraph6",
     "emit_edge_list",
-    "enumerate_oriented",
     "family_census",
     "generate",
     "girth",
@@ -126,7 +123,6 @@ __all__ = [
     "parse_edge_list",
     "proof_cut_constructions",
     "run_sweep",
-    "sample_oriented",
     "save",
     "xi",
     "xi_of_cycle",

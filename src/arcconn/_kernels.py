@@ -68,9 +68,16 @@ def backend_name() -> str:
     return BACKEND
 
 
+@lru_cache(maxsize=None)
+def universe_size(n: int) -> int:
+    """Number of oriented graphs on n labelled vertices (3 per vertex pair),
+    so codes run over 0 .. universe_size(n) - 1."""
+    return 3 ** (n * (n - 1) // 2)
+
+
 def check_codes(n: int, first: int, last: int) -> None:
     """Raise InvalidDigraph unless codes first and last encode graphs on n vertices."""
-    size = 3 ** (n * (n - 1) // 2)
+    size = universe_size(n)
     for code in (first, last):
         if not 0 <= code < size:
             raise InvalidDigraph(f"code {code} for n={n} is outside 0..{size - 1}")
@@ -334,7 +341,7 @@ def _trit_sets(value: int, v: int) -> tuple[int, int]:
     return out, into
 
 
-def _judge_block(n, base, first, last, girth_target, require_strong, survivors):
+def _judge_block(n, base, first, last, girth_target, survivors):
     """Judge codes base+first .. base+last-1, which share D - 0 (module doc).
 
     Appends the survivors in ascending order and returns the strong count.
@@ -346,28 +353,24 @@ def _judge_block(n, base, first, last, girth_target, require_strong, survivors):
     # A strong D gives vertex 0 every vertex of H with no in-arc as an
     # out-neighbour and every one with no out-arc as an in-neighbour.
     must_out = must_in = 0
-    if require_strong:
-        for v in range(1, n):
-            if not pred[v]:
-                must_out |= 1 << v
-            if not succ[v]:
-                must_in |= 1 << v
-        if must_out & must_in:
-            return 0
-        reach = reach_closure(succ, n)
-        coreach = reach_closure(pred, n)
-        spans_out = _Memo(lambda o: _union(reach, o) == rest)
-        spans_in = _Memo(lambda i: _union(coreach, i) == rest)
+    for v in range(1, n):
+        if not pred[v]:
+            must_out |= 1 << v
+        if not succ[v]:
+            must_in |= 1 << v
+    if must_out & must_in:
+        return 0
+    reach = reach_closure(succ, n)
+    coreach = reach_closure(pred, n)
+    spans_out = _Memo(lambda o: _union(reach, o) == rest)
+    spans_in = _Memo(lambda i: _union(coreach, i) == rest)
     keep = True  # whether a strong code of this block can have the target girth
     if girth_target:
         # Below the target g_h need not be girth(H), but girth(H) is below it
         # too; otherwise g_h is girth(H).
         g_h = girth(succ, pred, n, girth_target)
         # girth(D) <= girth(H), and an oriented graph has no cycle shorter than 3
-        if girth_target < 3 or 0 < g_h < girth_target:
-            if not require_strong:
-                return last - first
-            keep = False
+        keep = girth_target >= 3 and not 0 < g_h < girth_target
         # dist_H(O, I) >= k + 1 iff the k-ball around O misses I
         exact = g_h != girth_target
         step = _Memo(lambda s: s | _union(succ, s))
@@ -397,10 +400,9 @@ def _judge_block(n, base, first, last, girth_target, require_strong, survivors):
         if high:
             part = [(value, o | o_high, i | i_high) for value, o, i in part]
         for value, o, i in part:
-            if require_strong:
-                if not (spans_out[o] and spans_in[i]):
-                    continue
-                strong += 1
+            if not (spans_out[o] and spans_in[i]):
+                continue
+            strong += 1
             if girth_target:
                 if not keep:
                     continue
@@ -408,48 +410,35 @@ def _judge_block(n, base, first, last, girth_target, require_strong, survivors):
                 if near & i or (exact and not far & i):
                     continue
             survivors.append(offset + value)
-    return strong if require_strong else last - first
+    return strong
 
 
-def filter_range(
-    n: int,
-    lo: int,
-    hi: int,
-    girth_target: int = 0,
-    require_strong: bool = True,
-) -> tuple[int, int, list[int]]:
-    """Scan enumeration codes [lo, hi) and keep those passing the filters.
+def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, int, list[int]]:
+    """Scan enumeration codes [lo, hi) and keep the strong ones, of girth
+    girth_target when it is nonzero.
 
     Returns (seen, strong_count, survivor_codes), survivors ascending.
-    strong_count is only meaningful when require_strong is set.  Raises
-    InvalidDigraph when the range reaches outside [0, 3**(n(n-1)/2)) or
-    ends before it starts.
+    Raises InvalidDigraph when the range reaches outside
+    [0, universe_size(n)) or ends before it starts.
     """
     if lo < hi:
         check_codes(n, lo, hi - 1)
     elif lo > hi:
         raise InvalidDigraph(f"code range {lo}..{hi} for n={n} ends before it starts")
     if n < 2:
-        return filter_codes(n, range(lo, hi), girth_target, require_strong)
+        return filter_codes(n, range(lo, hi), girth_target)
     size = 3 ** (n - 1)
     strong_count = 0
     survivors: list[int] = []
     code = lo
     while code < hi:
         base = code - code % size
-        strong_count += _judge_block(
-            n, base, code - base, min(size, hi - base), girth_target, require_strong, survivors
-        )
+        strong_count += _judge_block(n, base, code - base, min(size, hi - base), girth_target, survivors)
         code = base + size
     return hi - lo, strong_count, survivors
 
 
-def filter_codes(
-    n: int,
-    codes: list[int],
-    girth_target: int = 0,
-    require_strong: bool = True,
-) -> tuple[int, int, list[int]]:
+def filter_codes(n: int, codes: list[int], girth_target: int = 0) -> tuple[int, int, list[int]]:
     """Like filter_range but over an explicit code list (sampled sweeps).
 
     Each code is decoded on its own into a packed word (by word tables up
@@ -457,7 +446,7 @@ def filter_codes(
     that word, then a forward and a backward reach from vertex 0.  The girth
     search stops at the first cycle shorter than girth_target, as such a
     code is rejected whatever its girth.  Raises InvalidDigraph when some
-    code lies outside [0, 3**(n(n-1)/2)).
+    code lies outside [0, universe_size(n)).
     """
     if codes:
         check_codes(n, min(codes), max(codes))
@@ -468,11 +457,11 @@ def filter_codes(
     survivors = []
     for code in codes:
         q = _pack(layout, code)
-        if require_strong and ((q & low) + add | q) & top != top:
+        if ((q & low) + add | q) & top != top:
             continue
         succ = _rows(q, n, 0)
         pred = _rows(q, n, n)
-        if require_strong and (reach(succ, 0, full) != full or reach(pred, 0, full) != full):
+        if reach(succ, 0, full) != full or reach(pred, 0, full) != full:
             continue
         strong_count += 1
         if girth_target and girth(succ, pred, n, girth_target) != girth_target:

@@ -78,15 +78,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0, help="samples per order (random mode)")
     p.add_argument("--seed", type=int, default=0)
     _add_reading(p)
-    p.add_argument("--girth", type=int, default=4, help="restrict to this girth (default 4)")
-    p.add_argument("--no-girth-filter", action="store_true", help="keep every girth")
-    p.add_argument("--include-nonstrong", action="store_true", help="keep non-strong graphs too")
+    girth = p.add_mutually_exclusive_group()
+    girth.add_argument("--girth", type=int, default=4, help="restrict to this girth (default 4)")
+    girth.add_argument("--no-girth-filter", action="store_true", help="keep every girth")
     p.add_argument("--audit-readings", action="store_true",
                    help="evaluate both definitional readings and report differences")
     p.add_argument("--proof-cuts", action="store_true")
     p.add_argument("--chunk-size", type=int, default=250_000)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--cap", type=int, default=None, help="override the exhaustive order cap")
     p.add_argument("--out", default=None, metavar="DIR", help="write artifacts here")
     p.add_argument("--resume", action="store_true", help="reuse DIR's checkpoint")
     p.add_argument("--quiet", action="store_true", help="suppress per-chunk progress")
@@ -222,11 +221,12 @@ def _record_dict(rec) -> dict:
 
 
 def _parse_order_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        return int(lo_text), int(hi_text)
-    n = int(text)
-    return n, n
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        return lo, int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(f"bad order range {text!r}: give an order A or a range A..B") from None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -239,12 +239,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
         reading=DefinitionReading.parse(args.reading),
         girth=None if args.no_girth_filter else args.girth,
-        require_strong=not args.include_nonstrong,
         audit_readings=args.audit_readings,
         check_proof_cuts=args.proof_cuts,
         chunk_size=args.chunk_size,
         jobs=args.jobs,
-        cap=args.cap,
     )
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     result = run_sweep(spec, out_dir=args.out, resume=args.resume, progress=progress)

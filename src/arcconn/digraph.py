@@ -159,9 +159,7 @@ class Digraph:
 
     def arc_outside(self, X: Iterable[int]) -> Optional[Arc]:
         """Lexicographically smallest arc with both endpoints outside X."""
-        mask = 0
-        for x in _check_vertices(self.n, X):
-            mask |= 1 << x
+        mask = _vertex_mask(self.n, X)
         for t, h in self.arcs:
             if not mask >> t & 1 and not mask >> h & 1:
                 return (t, h)

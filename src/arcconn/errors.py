@@ -64,8 +64,9 @@ class InvalidParams(ArcConnError):
 
 
 class CapExceeded(ArcConnError):
-    """Requested work exceeds an order limit: an exhaustive enumeration above
-    the sweep cap, or a lambda' vertex-set walk above its limit."""
+    """Requested work exceeds an order limit: an exhaustive sweep above
+    verify.EXHAUSTIVE_MAX_ORDER (random mode covers those orders), or a
+    lambda' vertex-set walk above its limit."""
 
 
 class ParseError(ArcConnError):

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import product
 from typing import Iterator, Optional, Union
 
 from .cycles import girth, girth_cycles
@@ -439,18 +440,8 @@ def _params_for_order(n: int) -> Iterator[FamilyParams]:
         for sizes in _compositions(extra, parts):
             if fam is Family.H5 and sizes[0] < 1:
                 continue
-            slots = ORIENT_CHOICES[fam]
-            for orients in _orient_combos(slots):
+            for orients in product(*ORIENT_CHOICES[fam]):
                 yield FamilyParams(fam, sizes, orients)
-
-
-def _orient_combos(slots: tuple[tuple[str, str], ...]) -> Iterator[tuple[str, ...]]:
-    if not slots:
-        yield ()
-        return
-    for choice in slots[0]:
-        for rest in _orient_combos(slots[1:]):
-            yield (choice,) + rest
 
 
 def family_census(n: int) -> list[tuple[FamilyParams, Digraph]]:

@@ -34,7 +34,7 @@ import random
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import _kernels
 from .connectivity import (
@@ -56,8 +56,10 @@ from .errors import CapExceeded
 from .families import FamilyMatch, match_family
 from .formats import emit_digraph6
 
-SWEEP_CAP_ENV = "ARCCONN_SWEEP_CAP"
-DEFAULT_SWEEP_CAP = 6
+# Above this order SweepSpec.validate refuses an exhaustive sweep: n = 7 has
+# 3**21 = 10,460,353,203 labeled codes, over 2 h of work, so random mode is
+# the labeled route from n = 7 up.
+EXHAUSTIVE_MAX_ORDER = 6
 
 CLAUSE_FIELDS = ("theorem1_ok", "bounds_ok", "family_consistency_ok", "proof_ok")
 
@@ -83,56 +85,10 @@ RECORD_FIELDS = (
 AUDIT_EXAMPLE_CAP = 20
 
 
-def pair_count(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-def universe_size(n: int) -> int:
-    """Number of oriented graphs on n labelled vertices (3 per vertex pair)."""
-    return 3 ** pair_count(n)
-
-
-def exhaustive_cap() -> int:
-    raw = os.environ.get(SWEEP_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SWEEP_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise CapExceeded(f"{SWEEP_CAP_ENV} must be an integer, got {raw!r}") from None
-
-
-def _check_cap(n: int, cap: Optional[int]) -> None:
-    """Refuse exhaustive work at order n above cap (default: exhaustive_cap())."""
-    limit = exhaustive_cap() if cap is None else cap
-    if n > limit:
-        raise CapExceeded(
-            f"exhaustive enumeration at n={n} exceeds the cap of {limit}; "
-            f"raise {SWEEP_CAP_ENV} or pass a larger cap to opt in"
-        )
-
-
-def enumerate_oriented(n: int, cap: Optional[int] = None) -> Iterator[Digraph]:
-    """Yield every oriented graph on n labelled vertices in code order.
-
-    Refuses orders above the exhaustive cap (default 6, override with the
-    ARCCONN_SWEEP_CAP environment variable or the cap argument).
-    """
-    _check_cap(n, cap)
-    for code in range(universe_size(n)):
-        yield Digraph.from_code(n, code)
-
-
 def sample_codes(n: int, count: int, seed: int) -> list[int]:
     rng = random.Random(seed)
-    size = universe_size(n)
+    size = _kernels.universe_size(n)
     return [rng.randrange(size) for _ in range(count)]
-
-
-def sample_oriented(n: int, count: int, seed: int) -> Iterator[Digraph]:
-    """Yield count oriented graphs drawn uniformly with a fixed seed."""
-    for code in sample_codes(n, count, seed):
-        yield Digraph.from_code(n, code)
 
 
 @dataclass(frozen=True)
@@ -322,12 +278,10 @@ class SweepSpec:
     seed: int = 0
     reading: DefinitionReading = ORIGINAL_HOST
     girth: Optional[int] = 4
-    require_strong: bool = True
     audit_readings: bool = False
     check_proof_cuts: bool = False
     chunk_size: int = 250_000
     jobs: int = 1
-    cap: Optional[int] = None
 
     def validate(self) -> None:
         if self.n_lo < 1 or self.n_lo > self.n_hi:
@@ -340,8 +294,11 @@ class SweepSpec:
             raise ValueError("girth filter must be at least 2")
         if self.chunk_size < 1 or self.jobs < 1:
             raise ValueError("chunk_size and jobs must be positive")
-        if self.mode == "exhaustive":
-            _check_cap(self.n_hi, self.cap)
+        if self.mode == "exhaustive" and self.n_hi > EXHAUSTIVE_MAX_ORDER:
+            raise CapExceeded(
+                f"exhaustive enumeration at n={self.n_hi} is above order "
+                f"{EXHAUSTIVE_MAX_ORDER}; sweep it with --mode random"
+            )
 
     def fingerprint(self) -> dict[str, object]:
         """Spec fields that determine chunk identities and record content."""
@@ -353,7 +310,6 @@ class SweepSpec:
             "seed": self.seed if self.mode == "random" else 0,
             "reading": self.reading.value,
             "girth": self.girth,
-            "require_strong": self.require_strong,
             "audit_readings": self.audit_readings,
             "check_proof_cuts": self.check_proof_cuts,
             "chunk_size": self.chunk_size,
@@ -419,7 +375,7 @@ def _plan_chunks(spec: SweepSpec) -> list[Task]:
     tasks: list[Task] = []
     for n in range(spec.n_lo, spec.n_hi + 1):
         if spec.mode == "exhaustive":
-            size = universe_size(n)
+            size = _kernels.universe_size(n)
             for lo in range(0, size, spec.chunk_size):
                 hi = min(lo + spec.chunk_size, size)
                 tasks.append((f"x:{n}:{lo}:{hi}", n, "range", (lo, hi)))
@@ -436,13 +392,9 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
     target = 0 if spec.girth is None else spec.girth
     if kind == "range":
         lo, hi = payload
-        seen, strong, codes = _kernels.filter_range(
-            n, lo, hi, girth_target=target, require_strong=spec.require_strong
-        )
+        seen, strong, codes = _kernels.filter_range(n, lo, hi, girth_target=target)
     else:
-        seen, strong, codes = _kernels.filter_codes(
-            n, payload, girth_target=target, require_strong=spec.require_strong
-        )
+        seen, strong, codes = _kernels.filter_codes(n, payload, girth_target=target)
     records: list[VerificationRecord] = []
     audit = _new_audit() if spec.audit_readings else None
     for code in codes:
@@ -549,7 +501,7 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
     result.lambda_prime_connected = sum(
         v["lambda_prime_connected"] for v in result.per_n.values()
     )
-    if spec.girth == 4 and spec.require_strong:
+    if spec.girth == 4:
         result.accounting_ok = (
             result.stratum == result.family_total + result.lambda_prime_connected
         )

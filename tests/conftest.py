@@ -230,9 +230,9 @@ def stratum_codes(n: int) -> tuple[int, ...]:
     deterministic slice of them at n = 6."""
     hi = 3 ** (n * (n - 1) // 2)
     if n <= 5:
-        _, _, kept = _kernels.filter_range(n, 0, hi, girth_target=4, require_strong=True)
+        _, _, kept = _kernels.filter_range(n, 0, hi, girth_target=4)
     else:
-        _, _, kept = _kernels.filter_range(n, 0, hi // 24, girth_target=4, require_strong=True)
+        _, _, kept = _kernels.filter_range(n, 0, hi // 24, girth_target=4)
     return tuple(kept)
 
 

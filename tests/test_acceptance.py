@@ -29,11 +29,11 @@ from arcconn import (
     lambda_prime_exists,
     match_family,
     run_sweep,
-    sample_oriented,
     xi,
 )
 from arcconn import _kernels
 from arcconn.families import _params_for_order
+from arcconn.verify import sample_codes
 
 from .conftest import brute_lambda
 
@@ -112,7 +112,7 @@ def test_exhaustive_sweep_n6_with_sampled_fallback(sweep_n6, capsys):
 def test_oracle_equivalence_exact_vs_bruteforce(capsys):
     """Exact and brute-force lambda' agree (existence and cardinality) on
     every strong girth-4 graph at n=5 and on 1000 seeded strong n=7 samples."""
-    _, _, codes = _kernels.filter_range(5, 0, 3**10, girth_target=4, require_strong=True)
+    _, _, codes = _kernels.filter_range(5, 0, 3**10, girth_target=4)
     n5_checked = 0
     agree = True
     for code in codes:
@@ -123,8 +123,8 @@ def test_oracle_equivalence_exact_vs_bruteforce(capsys):
         n5_checked += 1
 
     strong_n7 = []
-    stream = sample_oriented(7, 10**4, seed=777)
-    for D in stream:
+    for code in sample_codes(7, 10**4, seed=777):
+        D = Digraph.from_code(7, code)
         if D.is_strong():
             strong_n7.append(D)
             if len(strong_n7) == 1_000:
@@ -164,7 +164,7 @@ def test_lambda_against_bruteforce_all_strong_up_to_n5(capsys):
     agree = True
     for n in (2, 3, 4, 5):
         size = 3 ** (n * (n - 1) // 2)
-        _, strong_count, codes = _kernels.filter_range(n, 0, size, girth_target=0, require_strong=True)
+        _, strong_count, codes = _kernels.filter_range(n, 0, size, girth_target=0)
         assert strong_count == len(codes)
         for code in codes:
             D = Digraph.from_code(n, code)

@@ -141,8 +141,23 @@ def test_sweep_reports_pure_backend(tmp_path):
 
 
 def test_sweep_cli_cap_is_usage_error(capsys):
-    assert main(["sweep", "--n", "8"]) == 2
-    assert "cap" in capsys.readouterr().err
+    assert main(["sweep", "--n", "7"]) == 2
+    assert "above order 6; sweep it with --mode random" in capsys.readouterr().err
+    assert main(["sweep", "--n", "7", "--mode", "random", "--samples", "1000", "--quiet"]) == 0
+    assert "codes seen 1000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("text", ["6..", "..6", "six", "5..6..7", ""])
+def test_sweep_cli_malformed_order_range_is_usage_error(capsys, text):
+    assert main(["sweep", "--n", text]) == 2
+    assert f"bad order range {text!r}: give an order A or a range A..B" in capsys.readouterr().err
+
+
+def test_sweep_cli_girth_flags_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--n", "5", "--girth", "5", "--no-girth-filter"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_sweep_cli_resume_without_out_is_usage_error(capsys):

@@ -417,7 +417,7 @@ def test_unit_cut_hosts_match_the_definition_exhaustively():
     from arcconn.connectivity import _unit_cut_hosts
 
     for n in range(2, 6):
-        _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), 0, True)
+        _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), 0)
         for code in codes:
             D = Digraph.from_code(n, code)
             for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):

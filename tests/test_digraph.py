@@ -187,7 +187,7 @@ def test_from_code_edge_codes_and_range(n):
             Digraph.from_code(n, code)
 
 
-def _assert_built_alike(n: int, code: int) -> None:
+def _assert_built_alike(n: int, code: int) -> Digraph:
     """from_code skips __init__; the graph must be the one __init__ builds
     from the decoded arcs, with no memo filled in."""
     D = Digraph.from_code(n, code)
@@ -197,12 +197,14 @@ def _assert_built_alike(n: int, code: int) -> None:
     assert D == E and hash(D) == hash(E)
     assert type(D.arcs) is tuple and type(D.succ) is tuple and type(D.pred) is tuple
     assert D._strong is None and D._girth is None and D._girth_cycles is None
+    return D
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_from_code_matches_init_on_every_code(n):
-    for code in range(3 ** (n * (n - 1) // 2)):
-        _assert_built_alike(n, code)
+    size = 3 ** (n * (n - 1) // 2)
+    arc_sets = {_assert_built_alike(n, code).arcs for code in range(size)}
+    assert len(arc_sets) == size  # every code its own graph: 27 at n = 3
 
 
 @pytest.mark.parametrize("n", range(5, 22))

@@ -45,12 +45,12 @@ def verdict(n: int, code: int) -> tuple[bool, int]:
     return strong, g or 0
 
 
-def expected(n, codes, girth_target, require_strong):
+def expected(n, codes, girth_target):
     strong_count = 0
     kept = []
     for code in codes:
         strong, g = verdict(n, code)
-        if require_strong and not strong:
+        if not strong:
             continue
         strong_count += 1
         if girth_target and g != girth_target:
@@ -62,10 +62,9 @@ def expected(n, codes, girth_target, require_strong):
 def check_window(n, lo, hi):
     codes = list(range(lo, hi))
     for girth_target in TARGETS:
-        for require_strong in (True, False):
-            want = expected(n, codes, girth_target, require_strong)
-            assert _kernels.filter_range(n, lo, hi, girth_target, require_strong) == want
-            assert _kernels.filter_codes(n, codes, girth_target, require_strong) == want
+        want = expected(n, codes, girth_target)
+        assert _kernels.filter_range(n, lo, hi, girth_target) == want
+        assert _kernels.filter_codes(n, codes, girth_target) == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -75,8 +74,8 @@ def test_filters_match_oracles_on_every_code(n):
 
 @pytest.mark.parametrize("girth_target", TARGETS)
 def test_lone_vertex_is_not_strong(girth_target):
-    assert _kernels.filter_range(1, 0, 1, girth_target, True) == (1, 0, [])
-    assert _kernels.filter_codes(1, [0], girth_target, True) == (1, 0, [])
+    assert _kernels.filter_range(1, 0, 1, girth_target) == (1, 0, [])
+    assert _kernels.filter_codes(1, [0], girth_target) == (1, 0, [])
 
 
 def test_filter_codes_matches_oracles_on_a_seeded_n7_batch():
@@ -87,9 +86,7 @@ def test_filter_codes_matches_oracles_on_a_seeded_n7_batch():
     rng = random.Random(7)
     codes = [0, size - 1] + [rng.randrange(size) for _ in range(2000)]
     for girth_target in TARGETS:
-        for require_strong in (True, False):
-            want = expected(n, codes, girth_target, require_strong)
-            assert _kernels.filter_codes(n, codes, girth_target, require_strong) == want
+        assert _kernels.filter_codes(n, codes, girth_target) == expected(n, codes, girth_target)
 
 
 @st.composite
@@ -121,7 +118,7 @@ def test_filters_match_oracles_at_order_70():
     base = sum(3 ** position[(v, v + 1)] for v in range(1, n - 1))
     base += 2 * 3 ** position[(1, n - 1)]
     check_window(n, base + 3**6 - 40, base + 3**6 + 25)
-    kept = _kernels.filter_range(n, base + 3**6 - 40, base + 3**6 + 25, 4, True)[2]
+    kept = _kernels.filter_range(n, base + 3**6 - 40, base + 3**6 + 25, 4)[2]
     assert kept  # the window holds strong girth-4 graphs
 
 

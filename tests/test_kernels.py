@@ -29,16 +29,17 @@ def test_kernels_facade_backend():
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_filters_reject_codes_outside_the_universe(n):
     size = 3 ** (n * (n - 1) // 2)
-    assert _kernels.filter_range(n, 0, size, 0, False)[0] == size
-    assert _kernels.filter_codes(n, [0, size - 1], 0, False) == (2, 2, [0, size - 1])
+    assert _kernels.filter_range(n, 0, size)[0] == size
+    # the empty graph and the transitive tournament: neither is strong
+    assert _kernels.filter_codes(n, [0, size - 1]) == (2, 0, [])
     assert _kernels.filter_range(n, 7, 7) == (0, 0, [])
     assert _kernels.filter_codes(n, []) == (0, 0, [])
     for lo, hi in ((-1, size), (0, size + 1), (size, size + 5), (-5, -1), (3, 2)):
         with pytest.raises(InvalidDigraph):
-            _kernels.filter_range(n, lo, hi, 0, False)
+            _kernels.filter_range(n, lo, hi)
     for batch in ([size], [-1], [0, size], [size - 1, -1, 0]):
         with pytest.raises(InvalidDigraph, match=f"for n={n} is outside 0..{size - 1}"):
-            _kernels.filter_codes(n, batch, 0, False)
+            _kernels.filter_codes(n, batch)
 
 
 def test_kernels_work_past_64_vertices():

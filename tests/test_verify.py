@@ -16,12 +16,10 @@ from arcconn import (
     FamilyParams,
     SweepSpec,
     check_graph,
-    enumerate_oriented,
     generate,
     run_sweep,
-    sample_oriented,
 )
-from arcconn import cli
+from arcconn import _kernels, cli
 from arcconn.connectivity import RESIDUAL_HOST
 from arcconn.verify import (
     CLAUSE_FIELDS,
@@ -29,42 +27,20 @@ from arcconn.verify import (
     VerificationRecord,
     read_records_csv,
     sample_codes,
-    universe_size,
 )
 
 
-def test_enumerate_counts():
-    assert sum(1 for _ in enumerate_oriented(2)) == 3
-    assert sum(1 for _ in enumerate_oriented(4)) == 729
-    seen = set()
-    for D in enumerate_oriented(3):
-        seen.add(D.arcs)
-    assert len(seen) == 27
-
-
-def test_enumerate_cap(monkeypatch):
-    with pytest.raises(CapExceeded):
-        list(enumerate_oriented(7))
-    monkeypatch.setenv("ARCCONN_SWEEP_CAP", "4")
-    with pytest.raises(CapExceeded):
-        list(enumerate_oriented(5))
-    monkeypatch.setenv("ARCCONN_SWEEP_CAP", "junk")
-    with pytest.raises(CapExceeded):
-        list(enumerate_oriented(2))
-
-
 def test_sampler_is_deterministic_and_seed_sensitive():
-    a = [D.code for D in sample_oriented(7, 40, seed=42)]
-    b = [D.code for D in sample_oriented(7, 40, seed=42)]
-    c = [D.code for D in sample_oriented(7, 40, seed=43)]
-    assert a == b and a != c
+    a = sample_codes(7, 40, seed=42)
+    assert a == sample_codes(7, 40, seed=42) != sample_codes(7, 40, seed=43)
+    assert all(0 <= code < _kernels.universe_size(7) for code in a)
 
 
 def test_sampler_arc_density_matches_uniform_trit_model():
     """Each unordered pair independently holds an arc (either direction)
     with probability 2/3; check the sample mean with binomial slack."""
     pairs = 6 * 5 // 2
-    total = sum(D.m for D in sample_oriented(6, 2_000, seed=7))
+    total = sum(Digraph.from_code(6, code).m for code in sample_codes(6, 2_000, seed=7))
     expected = 2_000 * pairs * 2 / 3
     sigma = (2_000 * pairs * (2 / 3) * (1 / 3)) ** 0.5
     assert abs(total - expected) < 6 * sigma
@@ -349,9 +325,12 @@ def test_sweep_spec_validation():
         SweepSpec(n_lo=4, n_hi=4, mode="stochastic").validate()
     with pytest.raises(ValueError):
         SweepSpec(n_lo=4, n_hi=4, mode="random").validate()
-    with pytest.raises(CapExceeded):
-        SweepSpec(n_lo=4, n_hi=9).validate()
-    SweepSpec(n_lo=4, n_hi=9, cap=9).validate()
+    SweepSpec(n_lo=4, n_hi=6).validate()
+    for n_lo in (4, 7):
+        with pytest.raises(CapExceeded, match="n=7 is above order 6; sweep it with --mode random"):
+            SweepSpec(n_lo=n_lo, n_hi=7).validate()
+    SweepSpec(n_lo=7, n_hi=7, mode="random", samples=1000).validate()
+    SweepSpec(n_lo=4, n_hi=9, mode="random", samples=1).validate()
 
 
 def test_sweep_counterexample_channel(tmp_path, monkeypatch):
@@ -383,5 +362,5 @@ def test_sweep_counterexample_channel(tmp_path, monkeypatch):
 
 
 def test_universe_size():
-    assert universe_size(4) == 729
-    assert universe_size(6) == 14_348_907
+    assert [_kernels.universe_size(n) for n in range(5)] == [1, 1, 3, 27, 729]
+    assert _kernels.universe_size(6) == 14_348_907
