@@ -1,7 +1,7 @@
 """Time lambda_prime_exact per order, with and without the one-arc pre-pass.
 
 For each order, draws seeded strong oriented graphs of girth 4 by rejection
-sampling, prints the mix of their lambda' values, and times
+sampling (perfbench's draw_graph, as the params-large workload does), prints the mix of their lambda' values, and times
 lambda_prime_exact (original reading) in us per graph twice: walking the
 candidate vertex sets alone ("walk") and after the pre-pass that lists the
 sets one arc cuts off ("pre-pass").  The library runs the pre-pass from
@@ -12,47 +12,27 @@ the clock starts, as a Digraph memoises them and every caller of lambda'
 has them already.
 
 Usage:
-    python benchmarks/bench_lambda_prime.py
+    PYTHONPATH=src python benchmarks/bench_lambda_prime.py
 """
 
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
-from arcconn import Digraph, connectivity, girth, girth_cycles, lambda_prime_exact
+from arcconn import Digraph, connectivity, girth_cycles, lambda_prime_exact
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.workloads import draw_graph  # noqa: E402
 
 ORDERS = range(6, 17)
 GRAPHS = 20  # per order
 DENSITY = 0.4  # probability of drawing each vertex pair
 SEED = 2024
-
-
-def draw_graph(rng: random.Random, n: int) -> Digraph:
-    """A strong oriented graph of girth exactly 4.
-
-    Adds each vertex pair with probability DENSITY, in a random direction,
-    unless the arc would close a directed triangle; rejects draws that are
-    not strong or have no directed 4-cycle.
-    """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    while True:
-        succ = [0] * n
-        pred = [0] * n
-        rng.shuffle(pairs)
-        for i, j in pairs:
-            if rng.random() >= DENSITY:
-                continue
-            u, v = (i, j) if rng.random() < 0.5 else (j, i)
-            if succ[v] & pred[u]:
-                continue  # v -> w -> u would close a triangle with u -> v
-            succ[u] |= 1 << v
-            pred[v] |= 1 << u
-        D = Digraph(n, [(u, v) for u in range(n) for v in range(n) if succ[u] >> v & 1])
-        if D.is_strong() and girth(D) == 4:
-            return D
 
 
 def time_per_graph(graphs: list[Digraph], prepass_from: int) -> float:
@@ -69,9 +49,13 @@ def main() -> None:
     rng = random.Random(SEED)
     print(f"pre-pass from order {connectivity._HOST_PREPASS_MIN_ORDER} in the library")
     for n in ORDERS:
-        graphs = [draw_graph(rng, n) for _ in range(GRAPHS)]
+        graphs = []
+        for _ in range(GRAPHS):
+            succ = draw_graph(rng, n, DENSITY)
+            graphs.append(Digraph(n, [(u, v) for u in range(n) for v in range(n) if succ[u] >> v & 1]))
         for D in graphs:
-            girth_cycles(D)  # memoised on D, as for every caller
+            D.is_strong()  # memoised on D, as for every caller
+            girth_cycles(D)
         mix = Counter(lambda_prime_exact(D).value for D in graphs)
         walk = time_per_graph(graphs, n + 1)
         prepass = time_per_graph(graphs, 0)

@@ -54,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InvalidDigraph
 
@@ -214,6 +214,19 @@ def reach(rows: Sequence[int], start: int, within: int) -> int:
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
+
+
+def arc_within(rows: Sequence[int], mask: int) -> Optional[tuple[int, int]]:
+    """The smallest arc (t, h) of rows with t and h both in mask, or None."""
+    rest = mask
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        t = b.bit_length() - 1
+        heads = rows[t] & mask
+        if heads:
+            return t, (heads & -heads).bit_length() - 1
+    return None
 
 
 def is_strong(succ: Sequence[int], pred: Sequence[int], n: int) -> bool:

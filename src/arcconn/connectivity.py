@@ -219,28 +219,24 @@ def arc_connectivity(D: Digraph) -> int:
 
 
 def _witness_scan(
-    D: Digraph, succ: list[int], removed: Sequence[Arc], reading: DefinitionReading
+    D: Digraph, succ: list[int], reading: DefinitionReading
 ) -> Optional[tuple[tuple[int, ...], Arc]]:
     """Shared core of the restricted-arc-cut test.
 
-    succ must be D's successor masks with `removed` taken out.  Scans the
+    succ must be D's successor masks with the cut taken out.  Scans the
     non-trivial strong components of the residue sink-first (reverse
     topological order) and returns the first one having an arc with both
-    endpoints outside it, together with the lexicographically smallest such
-    arc.
+    endpoints outside it, in D or in the residue as the reading says,
+    together with the lexicographically smallest such arc.
     """
-    comps = _kernels.scc_masks(succ, D.n)
-    if reading is ORIGINAL_HOST:
-        allowed: Sequence[Arc] = D.arcs
-    else:
-        gone = set(removed)
-        allowed = [a for a in D.arcs if a not in gone]
-    for comp in reversed(comps):
+    full = (1 << D.n) - 1
+    host_rows = D.succ if reading is ORIGINAL_HOST else succ
+    for comp in reversed(_kernels.scc_masks(succ, D.n)):
         if comp.bit_count() < 2:
             continue
-        for t, h in allowed:
-            if not comp >> t & 1 and not comp >> h & 1:
-                return tuple(_bits(comp)), (t, h)
+        arc = _kernels.arc_within(host_rows, full & ~comp)
+        if arc is not None:
+            return tuple(_bits(comp)), arc
     return None
 
 
@@ -261,7 +257,7 @@ def is_restricted_arc_cut(
     succ = list(D.succ)
     for t, h in cut:
         succ[t] &= ~(1 << h)
-    return _witness_scan(D, succ, cut, reading)
+    return _witness_scan(D, succ, reading)
 
 
 def lambda_prime_bruteforce(
@@ -271,20 +267,12 @@ def lambda_prime_bruteforce(
 ) -> RestrictedCutCertificate:
     """Oracle lambda': try every arc subset by increasing cardinality.
 
-    k_max defaults to xi(D) when the girth-4 theorem guarantees that bound
-    (strong, girth 4, n >= 6, no exception-family match) and to |A(D)|
-    otherwise.  If the search space is capped below |A(D)| and nothing is
+    k_max defaults to |A(D)|, so the oracle assumes no bound of the theorems
+    it checks.  If the search space is capped below |A(D)| and nothing is
     found, the outcome is UNKNOWN_BELOW_BOUND rather than NONEXISTENT.
     """
     m = D.m
-    if k_max is None:
-        k_max = m
-        if D.n >= 6 and girth(D) == 4 and D.is_strong():
-            from .families import match_family
-
-            if match_family(D) is None:
-                k_max = min(m, xi(D).value)
-    k_max = min(k_max, m)
+    k_max = m if k_max is None else min(k_max, m)
     arcs = D.arcs
     base = list(D.succ)
     for k in range(k_max + 1):
@@ -292,7 +280,7 @@ def lambda_prime_bruteforce(
             succ = base[:]
             for t, h in S:
                 succ[t] &= ~(1 << h)
-            witness = _witness_scan(D, succ, S, reading)
+            witness = _witness_scan(D, succ, reading)
             if witness is not None:
                 component, outside = witness
                 return RestrictedCutCertificate(
@@ -409,8 +397,7 @@ def _unit_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
         succ[t] &= ~(1 << h)
         if not _kernels.reach(succ, t, full) >> h & 1:
             for comp in _kernels.scc_masks(succ, n):
-                rest = full & ~comp
-                if comp.bit_count() > 1 and any(host_rows[v] & rest for v in _bits(rest)):
+                if comp.bit_count() > 1 and _kernels.arc_within(host_rows, full & ~comp) is not None:
                     hosts.add(comp)
         succ[t] |= 1 << h
     return hosts
@@ -477,8 +464,7 @@ def lambda_prime_exact(
         start = (mask & -mask).bit_length() - 1
         if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:
             continue
-        rest = full & ~mask
-        if not any(succ[v] & rest for v in _bits(rest)):
+        if _kernels.arc_within(succ, full & ~mask) is None:
             continue  # no arc wholly outside X
         any_qualifying = True
         cap, ends = _contracted_capacities(D, mask)

@@ -159,11 +159,8 @@ class Digraph:
 
     def arc_outside(self, X: Iterable[int]) -> Optional[Arc]:
         """Lexicographically smallest arc with both endpoints outside X."""
-        mask = _vertex_mask(self.n, X)
-        for t, h in self.arcs:
-            if not mask >> t & 1 and not mask >> h & 1:
-                return (t, h)
-        return None
+        outside = (1 << self.n) - 1 & ~_vertex_mask(self.n, X)
+        return _kernels.arc_within(self.succ, outside)
 
     # -- derived digraphs ----------------------------------------------
 

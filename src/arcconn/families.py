@@ -13,6 +13,12 @@ consecutive cycle vertices.  H2..H7 share the two 4-cycles (u,v,w,z,u) and
   H6  an arc between x and z, plus fans u->a_i->v and v->b_i->w
   H7  an arc between x and z, plus a vertex y with u->y->w adjacent to v
 
+The table _SHAPES is the one definition of these shapes: each family's fans
+(one size parameter each, named p, q, r, s in order), whether x and z are
+joined by an arc, and whether y exists.  The size names, the orientation
+slots, the vertex counts, the generator, the parameter checks, the census
+and the H2..H7 recognizer are all read off it.
+
 "Adjacent" clauses carry an explicit orientation choice ("yv" means the arc
 y->v, "xz" means x->z, and so on).  Empty fans are allowed everywhere except
 H5, whose definition does not extend the empty-set allowance; the p=0 shape
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .cycles import girth, girth_cycles
 from .digraph import Arc, Digraph, _bits
@@ -58,27 +64,48 @@ class Family(Enum):
             raise InvalidParams(f"unknown family {text!r}; expected H1..H7") from None
 
 
+class _Shape(NamedTuple):
+    fans: tuple[str, ...]  # one spine per size, in definition order: "wu" is w->a_i->u
+    xz: bool = False  # an arc joins x and z
+    y: bool = False  # a vertex y with u->y->w, adjacent to v
+
+
+_SHAPES: dict[Family, _Shape] = {
+    Family.H1: _Shape(("uv", "vw", "wz", "zu")),
+    Family.H2: _Shape(("wu", "uw")),
+    Family.H3: _Shape(("uv", "vw", "wu")),
+    Family.H4: _Shape(("wu",), y=True),
+    Family.H5: _Shape(("uw",), xz=True),
+    Family.H6: _Shape(("uv", "vw"), xz=True),
+    Family.H7: _Shape((), xz=True, y=True),
+}
+
+# The named vertices in layout order: every family but H1 has x.
+_NAMED: dict[Family, str] = {
+    fam: "uvwz" + "x" * (fam is not Family.H1) + "y" * shape.y
+    for fam, shape in _SHAPES.items()
+}
+
 SIZE_NAMES: dict[Family, tuple[str, ...]] = {
-    Family.H1: ("p", "q", "r", "s"),
-    Family.H2: ("p", "q"),
-    Family.H3: ("p", "q", "r"),
-    Family.H4: ("p",),
-    Family.H5: ("p",),
-    Family.H6: ("p", "q"),
-    Family.H7: (),
+    fam: tuple("pqrs"[: len(shape.fans)]) for fam, shape in _SHAPES.items()
 }
 
 # Orientation slots: each "is adjacent to" clause of the definition, with the
 # two legal arc spellings; the first spelling is the generator default.
 ORIENT_CHOICES: dict[Family, tuple[tuple[str, str], ...]] = {
-    Family.H1: (),
-    Family.H2: (),
-    Family.H3: (),
-    Family.H4: (("yv", "vy"),),
-    Family.H5: (("xz", "zx"),),
-    Family.H6: (("xz", "zx"),),
-    Family.H7: (("xz", "zx"), ("yv", "vy")),
+    fam: (("xz", "zx"),) * shape.xz + (("yv", "vy"),) * shape.y
+    for fam, shape in _SHAPES.items()
 }
+
+
+def _base_order(fam: Family) -> int:
+    """Vertex count of the member with every fan empty."""
+    return len(_NAMED[fam])
+
+
+def _fans_admissible(fam: Family, sizes: Sequence[int]) -> bool:
+    """False only for H5 with an empty fan, which its definition excludes."""
+    return fam is not Family.H5 or sizes[0] >= 1
 
 
 @dataclass(frozen=True)
@@ -95,8 +122,8 @@ class FamilyParams:
             )
         if any(s < 0 for s in self.sizes):
             raise InvalidParams("fan sizes must be non-negative")
-        if self.family is Family.H5 and self.sizes[0] < 1:
-            raise InvalidParams("H5 requires a non-empty fan (p >= 1)")
+        if not _fans_admissible(self.family, self.sizes):
+            raise InvalidParams(f"{self.family.value} requires a non-empty fan (p >= 1)")
         choices = ORIENT_CHOICES[self.family]
         if len(self.orientations) != len(choices):
             raise InvalidParams(
@@ -111,10 +138,7 @@ class FamilyParams:
 
     @property
     def n(self) -> int:
-        base = 4 if self.family is Family.H1 else 5
-        if self.family in (Family.H4, Family.H7):
-            base += 1
-        return base + sum(self.sizes)
+        return _base_order(self.family) + sum(self.sizes)
 
     def describe(self) -> str:
         bits = [f"{k}={v}" for k, v in zip(SIZE_NAMES[self.family], self.sizes)]
@@ -136,51 +160,26 @@ class FamilyMatch:
         return f"{self.params.describe()} roles: {', '.join(parts)}"
 
 
-def _oriented_arc(token: str, pos: dict[str, int]) -> Arc:
-    return pos[token[0]], pos[token[1]]
-
-
 def generate(params: FamilyParams) -> Digraph:
     """Realize the family member with the fixed vertex layout.
 
     Raises InvalidParams if the parameters are out of range or the prescribed
     arcs fail the oriented / strong / girth-4 requirements.
     """
-    fam = params.family
-    pos = {"u": 0, "v": 1, "w": 2, "z": 3}
-    nxt = 4
-    if fam is not Family.H1:
-        pos["x"] = nxt
-        nxt += 1
-    if fam in (Family.H4, Family.H7):
-        pos["y"] = nxt
-        nxt += 1
-    arcs: list[Arc] = [
-        (pos["u"], pos["v"]),
-        (pos["v"], pos["w"]),
-        (pos["w"], pos["z"]),
-        (pos["z"], pos["u"]),
-    ]
-    if fam is not Family.H1:
-        arcs += [(pos["w"], pos["x"]), (pos["x"], pos["u"])]
-    for token in params.orientations:
-        arcs.append(_oriented_arc(token, pos))
-    if fam in (Family.H4, Family.H7):
-        arcs += [(pos["u"], pos["y"]), (pos["y"], pos["w"])]
-
-    fans = {
-        Family.H1: ("uv", "vw", "wz", "zu"),
-        Family.H2: ("wu", "uw"),
-        Family.H3: ("uv", "vw", "wu"),
-        Family.H4: ("wu",),
-        Family.H5: ("uw",),
-        Family.H6: ("uv", "vw"),
-        Family.H7: (),
-    }[fam]
-    for spec, count in zip(fans, params.sizes):
-        src, dst = pos[spec[0]], pos[spec[1]]
+    shape = _SHAPES[params.family]
+    named = _NAMED[params.family]
+    pos = {name: i for i, name in enumerate(named)}
+    core = ["uv", "vw", "wz", "zu"]
+    if "x" in pos:
+        core += ["wx", "xu"]
+    core += params.orientations
+    if shape.y:
+        core += ["uy", "yw"]
+    arcs: list[Arc] = [(pos[t], pos[h]) for t, h in core]
+    nxt = len(named)
+    for (t, h), count in zip(shape.fans, params.sizes):
         for _ in range(count):
-            arcs += [(src, nxt), (nxt, dst)]
+            arcs += [(pos[t], nxt), (nxt, pos[h])]
             nxt += 1
 
     try:
@@ -207,6 +206,10 @@ def _incidence_table(D: Digraph) -> list[Incidence]:
     return list(zip(D.succ, D.pred))
 
 
+# H1's fans as (tail, head) positions on its 4-cycle (u, v, w, z).
+_H1_SIDES = tuple(("uvwz".index(t), "uvwz".index(h)) for t, h in _SHAPES[Family.H1].fans)
+
+
 def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
     """H1 on a graph with 2n-4 arcs.
 
@@ -220,11 +223,10 @@ def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
     if girth(D) != 4:
         return None
     for C in girth_cycles(D):
-        u, v, w, z = C
-        U, V, W, Z = 1 << u, 1 << v, 1 << w, 1 << z
-        side = {(V, U): 0, (W, V): 1, (Z, W): 2, (U, Z): 3}
+        bits = [1 << c for c in C]
+        side = {(bits[h], bits[t]): k for k, (t, h) in enumerate(_H1_SIDES)}
         fans: tuple[list[int], ...] = ([], [], [], [])
-        cycle = U | V | W | Z
+        cycle = bits[0] | bits[1] | bits[2] | bits[3]
         for t, pair in enumerate(inc):
             if cycle >> t & 1:
                 continue
@@ -234,37 +236,34 @@ def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
             fans[k].append(t)
         else:
             params = FamilyParams(Family.H1, tuple(len(fan) for fan in fans))
-            roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w, "z": z}
+            roles: dict[str, RoleValue] = dict(zip("uvwz", C))
             roles.update(zip("ABCD", map(tuple, fans)))
             return FamilyMatch(Family.H1, params, roles)
     return None
 
 
-@dataclass
-class _Buckets:
-    plain_p: list[int]
-    plain_q: list[int]
-    fan_a: list[int]
-    fan_b: list[int]
-    core_p: list[int]
-    y_q: list[int]
+# Slots of _bucket_outside's buckets: the plain fan vertices of each spine,
+# then the core and y patterns.
+_FAN_SLOTS = ("wu", "uw", "uv", "vw")
+_CORE, _Y = 4, 5
 
 
-def _bucket_outside(inc: list[Incidence], u: int, v: int, w: int) -> Optional[_Buckets]:
+def _bucket_outside(inc: list[Incidence], u: int, v: int, w: int) -> Optional[list[list[int]]]:
     """Classify every non-spine vertex by its full incidence pattern.
 
-    plain_p is w->t->u, plain_q u->t->w, fan_a u->t->v, fan_b v->t->w,
-    core_p w->t->u plus one more arc, and y_q u->t->w plus an arc with v.
+    Slots 0..3 hold the plain vertices of the spines in _FAN_SLOTS (slot 0
+    is w->t->u), _CORE holds w->t->u plus one more arc, and _Y holds
+    u->t->w plus an arc with v.
     """
     U, V, W = 1 << u, 1 << v, 1 << w
-    b = _Buckets([], [], [], [], [], [])
+    b: list[list[int]] = [[], [], [], [], [], []]
     exact = {
-        (U, W): b.plain_p,
-        (W, U): b.plain_q,
-        (V, U): b.fan_a,
-        (W, V): b.fan_b,
-        (W | V, U): b.y_q,
-        (W, U | V): b.y_q,
+        (U, W): b[0],
+        (W, U): b[1],
+        (V, U): b[2],
+        (W, V): b[3],
+        (W | V, U): b[_Y],
+        (W, U | V): b[_Y],
     }
     spine = U | V | W
     for t, pair in enumerate(inc):
@@ -276,35 +275,41 @@ def _bucket_outside(inc: list[Incidence], u: int, v: int, w: int) -> Optional[_B
             continue
         out, into = pair
         if out & U and into & W and out.bit_count() + into.bit_count() == 3:
-            b.core_p.append(t)
+            b[_CORE].append(t)
         else:
             return None
     return b
 
 
-def _core_pair(
-    inc: list[Incidence], b: _Buckets, u: int, w: int
-) -> Optional[tuple[int, int, str]]:
-    """Resolve the two linked 4th-cycle vertices of H5/H6/H7.
+def _core_pair(inc: list[Incidence], core: list[int], u: int, w: int) -> Optional[tuple[int, int]]:
+    """Resolve the two linked 4th-cycle vertices of the families with an
+    x-z arc.
 
     Both carry the plain pattern w->t->u plus one arc joining them to each
-    other.  Returns (z, x, orientation) with x the tail of the joining arc,
-    so the recorded orientation token is always "xz".  Each core vertex has
+    other.  Returns (z, x) with x the tail of the joining arc, so the
+    recorded orientation token is always "xz".  Each core vertex has
     exactly one arc beyond w->t->u, so when c's extra arc joins d, it is
     d's extra arc too.
     """
-    if len(b.core_p) != 2 or b.plain_p:
+    if len(core) != 2:
         return None
-    c, d = b.core_p
+    c, d = core
     out, into = inc[c]
     if out & ~(1 << u) == 1 << d:
-        return d, c, "xz"  # c -> d
+        return d, c  # c -> d
     if into & ~(1 << w) == 1 << d:
-        return c, d, "xz"  # d -> c
+        return c, d  # d -> c
     return None
 
 
-_SPINE_FAMILIES = (Family.H2, Family.H3, Family.H4, Family.H5, Family.H6, Family.H7)
+# H2..H7 as _assemble reads them: the family, its x-z arc, its number of y
+# vertices, the bucket slot of each fan in definition order, and the fan
+# slots it lacks.
+_SPINE_RULES = tuple(
+    (fam, shape.xz, int(shape.y), tuple(map(_FAN_SLOTS.index, shape.fans)),
+     tuple(i for i, spine in enumerate(_FAN_SLOTS) if spine not in shape.fans))
+    for fam, shape in _SHAPES.items() if "x" in _NAMED[fam]
+)
 
 
 def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
@@ -319,7 +324,7 @@ def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
     exactly when u and w are not adjacent.
     """
     best: Optional[FamilyMatch] = None
-    limit = len(_SPINE_FAMILIES)
+    limit = len(_SPINE_RULES)
     succ, pred = D.succ, D.pred
     for u, v in D.arcs:
         for w in _bits(succ[v]):
@@ -328,8 +333,8 @@ def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
             b = _bucket_outside(inc, u, v, w)
             if b is None:
                 continue
-            for i, fam in enumerate(_SPINE_FAMILIES[:limit]):
-                match = _assemble(D, inc, fam, u, v, w, b)
+            for i, rule in enumerate(_SPINE_RULES[:limit]):
+                match = _assemble(D, inc, rule, u, v, w, b)
                 if match is not None:
                     best, limit = match, i
                     break
@@ -339,63 +344,43 @@ def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
 
 
 def _assemble(
-    D: Digraph, inc: list[Incidence], fam: Family, u: int, v: int, w: int, b: _Buckets
+    D: Digraph, inc: list[Incidence], rule: tuple, u: int, v: int, w: int, b: list[list[int]]
 ) -> Optional[FamilyMatch]:
-    roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w}
-    if fam is Family.H2:
-        if b.fan_a or b.fan_b or b.core_p or b.y_q or len(b.plain_p) < 2:
-            return None
-        z, x, *rest = b.plain_p
-        params = FamilyParams(fam, (len(rest), len(b.plain_q)))
-        roles.update(z=z, x=x, A=tuple(rest), B=tuple(b.plain_q))
-    elif fam is Family.H3:
-        if b.plain_q or b.core_p or b.y_q or len(b.plain_p) < 2:
-            return None
-        z, x, *rest = b.plain_p
-        params = FamilyParams(fam, (len(b.fan_a), len(b.fan_b), len(rest)))
-        roles.update(z=z, x=x, A=tuple(b.fan_a), B=tuple(b.fan_b), C=tuple(rest))
-    elif fam is Family.H4:
-        if b.plain_q or b.fan_a or b.fan_b or b.core_p:
-            return None
-        if len(b.y_q) != 1 or len(b.plain_p) < 2:
-            return None
-        y = b.y_q[0]
-        z, x, *rest = b.plain_p
-        orient = "yv" if D.succ[y] >> v & 1 else "vy"
-        params = FamilyParams(fam, (len(rest),), (orient,))
-        roles.update(z=z, x=x, y=y, A=tuple(rest))
-    elif fam is Family.H5:
-        if b.fan_a or b.fan_b or b.y_q or not b.plain_q:
-            return None
-        pair = _core_pair(inc, b, u, w)
-        if pair is None:
-            return None
-        z, x, orient = pair
-        params = FamilyParams(fam, (len(b.plain_q),), (orient,))
-        roles.update(z=z, x=x, A=tuple(b.plain_q))
-    elif fam is Family.H6:
-        if b.plain_q or b.y_q:
-            return None
-        pair = _core_pair(inc, b, u, w)
-        if pair is None:
-            return None
-        z, x, orient = pair
-        params = FamilyParams(fam, (len(b.fan_a), len(b.fan_b)), (orient,))
-        roles.update(z=z, x=x, A=tuple(b.fan_a), B=tuple(b.fan_b))
-    elif fam is Family.H7:
-        if b.plain_q or b.fan_a or b.fan_b or len(b.y_q) != 1:
-            return None
-        pair = _core_pair(inc, b, u, w)
-        if pair is None:
-            return None
-        z, x, orient = pair
-        y = b.y_q[0]
-        y_orient = "yv" if D.succ[y] >> v & 1 else "vy"
-        params = FamilyParams(fam, (), (orient, y_orient))
-        roles.update(z=z, x=x, y=y)
-    else:
+    """The member of rule's family on spine u->v->w, if D is one.
+
+    z and x are the linked core pair when the family has the x-z arc, and
+    otherwise the first two plain w->t->u vertices, whose rest form the wu
+    fan.  Every fan the family lacks must be empty.
+    """
+    fam, xz, ys, fan_slots, absent = rule
+    if len(b[_Y]) != ys:
         return None
-    return FamilyMatch(fam, params, roles)
+    plain = b[0]
+    if xz:
+        pair = _core_pair(inc, b[_CORE], u, w)
+        if pair is None:
+            return None
+        z, x = pair
+        orients = ["xz"]
+    else:
+        if b[_CORE] or len(plain) < 2:
+            return None
+        z, x, *plain = plain
+        orients = []
+    buckets = (plain, b[1], b[2], b[3])
+    for slot in absent:
+        if buckets[slot]:
+            return None
+    fans = [buckets[slot] for slot in fan_slots]
+    sizes = tuple(map(len, fans))
+    if not _fans_admissible(fam, sizes):
+        return None
+    roles: dict[str, RoleValue] = {"u": u, "v": v, "w": w, "z": z, "x": x}
+    if ys:
+        y = roles["y"] = b[_Y][0]
+        orients.append("yv" if D.succ[y] >> v & 1 else "vy")
+    roles.update(zip("ABCD", map(tuple, fans)))
+    return FamilyMatch(fam, FamilyParams(fam, sizes, tuple(orients)), roles)
 
 
 def match_family(D: Digraph) -> Optional[FamilyMatch]:
@@ -431,14 +416,11 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 def _params_for_order(n: int) -> Iterator[FamilyParams]:
     for fam in Family:
-        extra = n - (4 if fam is Family.H1 else 5)
-        if fam in (Family.H4, Family.H7):
-            extra -= 1
-        parts = len(SIZE_NAMES[fam])
+        extra = n - _base_order(fam)
         if extra < 0:
             continue
-        for sizes in _compositions(extra, parts):
-            if fam is Family.H5 and sizes[0] < 1:
+        for sizes in _compositions(extra, len(SIZE_NAMES[fam])):
+            if not _fans_admissible(fam, sizes):
                 continue
             for orients in product(*ORIENT_CHOICES[fam]):
                 yield FamilyParams(fam, sizes, orients)

@@ -290,6 +290,8 @@ class SweepSpec:
             raise ValueError(f"mode must be exhaustive or random, got {self.mode!r}")
         if self.mode == "random" and self.samples < 1:
             raise ValueError("random mode needs samples >= 1")
+        if self.mode == "exhaustive" and (self.samples or self.seed):
+            raise ValueError("samples and seed apply only to a sweep with --mode random")
         if self.girth is not None and self.girth < 2:
             raise ValueError("girth filter must be at least 2")
         if self.chunk_size < 1 or self.jobs < 1:
@@ -306,8 +308,8 @@ class SweepSpec:
             "n_lo": self.n_lo,
             "n_hi": self.n_hi,
             "mode": self.mode,
-            "samples": self.samples if self.mode == "random" else 0,
-            "seed": self.seed if self.mode == "random" else 0,
+            "samples": self.samples,
+            "seed": self.seed,
             "reading": self.reading.value,
             "girth": self.girth,
             "audit_readings": self.audit_readings,

@@ -160,6 +160,12 @@ def test_sweep_cli_girth_flags_exclude_each_other(capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--samples", "5"], ["--seed", "3"], ["--samples", "5", "--seed", "3"]])
+def test_sweep_cli_random_only_flags_in_exhaustive_mode_are_usage_errors(capsys, flags):
+    assert main(["sweep", "--n", "4", *flags, "--quiet"]) == 2
+    assert "--mode random" in capsys.readouterr().err
+
+
 def test_sweep_cli_resume_without_out_is_usage_error(capsys):
     assert main(["sweep", "--n", "4", "--resume", "--quiet"]) == 2
     assert "resume" in capsys.readouterr().err

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from arcconn import (
     CutOutcome,
     Digraph,
+    Family,
+    FamilyParams,
     NotAFourCycle,
     NotAGirthCycle,
     NotStrong,
@@ -15,6 +19,7 @@ from arcconn import (
     RESIDUAL_HOST,
     UnknownArc,
     arc_connectivity,
+    generate,
     is_restricted_arc_cut,
     lambda_prime_bruteforce,
     lambda_prime_exact,
@@ -24,6 +29,7 @@ from arcconn import (
     xi,
     xi_of_cycle,
 )
+from arcconn import _kernels, connectivity, families
 
 from .conftest import (
     stratum_codes,
@@ -174,6 +180,29 @@ def test_lambda_prime_bruteforce_unknown_below_bound(l8):
     cert = lambda_prime_bruteforce(l8, k_max=0)
     assert cert.outcome is CutOutcome.UNKNOWN_BELOW_BOUND
     assert cert.searched_bound == 0
+
+
+def test_bruteforce_default_searches_every_arc_set(l8, monkeypatch):
+    """With no k_max the oracle searches up to |A(D)|: it assumes no bound
+    from the theorems it checks, so it consults neither xi nor the family
+    recognizer."""
+
+    def consulted(D):
+        raise AssertionError("the oracle consulted a bound it is meant to check")
+
+    monkeypatch.setattr(connectivity, "xi", consulted)
+    monkeypatch.setattr(families, "match_family", consulted)
+    rng = random.Random(7)
+    codes = [rng.randrange(3 ** 21) for _ in range(20_000)]
+    strong = _kernels.filter_codes(7, codes[:40], 0)[2][:6]
+    girth4 = _kernels.filter_codes(7, codes, 4)[2][:6]
+    assert len(strong) == len(girth4) == 6
+    h1 = generate(FamilyParams(Family.H1, (1, 0, 1, 0)))
+    for D in [l8, h1] + [Digraph.from_code(7, c) for c in strong + girth4]:
+        for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
+            default = lambda_prime_bruteforce(D, reading=reading)
+            assert default == lambda_prime_bruteforce(D, k_max=D.m, reading=reading)
+            assert default.outcome is not CutOutcome.UNKNOWN_BELOW_BOUND
 
 
 @given(strong_digraphs(min_n=3, max_n=5))
@@ -413,7 +442,6 @@ def oracle_unit_cut_hosts(D: Digraph, residual_host: bool) -> set[int]:
 
 
 def test_unit_cut_hosts_match_the_definition_exhaustively():
-    from arcconn import _kernels
     from arcconn.connectivity import _unit_cut_hosts
 
     for n in range(2, 6):

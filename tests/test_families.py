@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,15 @@ from arcconn import (
     lambda_prime_exists,
     match_family,
 )
-from arcconn.families import ORIENT_CHOICES, SIZE_NAMES, _params_for_order
+from arcconn.families import (
+    ORIENT_CHOICES,
+    SIZE_NAMES,
+    _SPINE_RULES,
+    _assemble,
+    _bucket_outside,
+    _incidence_table,
+    _params_for_order,
+)
 
 from .conftest import stratum_codes, stratum_digraphs
 
@@ -27,6 +36,27 @@ ARC_EXCESS = {
     Family.H1: -4, Family.H2: -4, Family.H3: -4,
     Family.H4: -3, Family.H5: -3, Family.H6: -3,
     Family.H7: -2,
+}
+
+# The roles each family's match carries, in order: its named vertices, then
+# one fan role per size parameter, empty or not.
+ROLE_KEYS = {
+    Family.H1: "uvwzABCD",
+    Family.H2: "uvwzxAB",
+    Family.H3: "uvwzxABC",
+    Family.H4: "uvwzxyA",
+    Family.H5: "uvwzxA",
+    Family.H6: "uvwzxAB",
+    Family.H7: "uvwzxy",
+}
+
+# Isomorphism classes of family members per order, in all and per family.
+# They do not depend on the labelling, so any canonical form reproduces them.
+CENSUS_CLASSES = {4: 1, 5: 3, 6: 11, 7: 16, 8: 27}
+CENSUS_FAMILIES = {
+    6: {"H1": 3, "H2": 2, "H3": 2, "H4": 1, "H6": 2, "H7": 1},
+    7: {"H1": 5, "H2": 2, "H3": 5, "H4": 1, "H6": 3},
+    8: {"H1": 10, "H2": 3, "H3": 9, "H4": 1, "H6": 4},
 }
 
 
@@ -206,3 +236,31 @@ def test_match_labels_respect_first_family_precedence():
     h5 = generate(FamilyParams(Family.H5, (1,), ("xz",)))
     match = match_family(h5)
     assert match is not None and match.family is Family.H4
+
+
+def test_census_class_counts_per_order():
+    for n, classes in CENSUS_CLASSES.items():
+        members = family_census(n)
+        assert len(members) == classes
+        if n in CENSUS_FAMILIES:
+            assert Counter(p.family.value for p, _ in members) == CENSUS_FAMILIES[n]
+
+
+def test_match_roles_keys_per_family():
+    seen = set()
+    for params in all_params_up_to(7):
+        match = match_family(generate(params))
+        assert "".join(match.roles) == ROLE_KEYS[match.family], params.describe()
+        seen.add(match.family)
+    assert seen == set(Family) - {Family.H5}
+    # Every H5 member matches an earlier family first, so the H5 rule is
+    # read on the generator's own spine u->v->w = 0->1->2.
+    for p in (1, 2):
+        params = FamilyParams(Family.H5, (p,), ("xz",))
+        D = generate(params)
+        inc = _incidence_table(D)
+        rule = next(rule for rule in _SPINE_RULES if rule[0] is Family.H5)
+        match = _assemble(D, inc, rule, 0, 1, 2, _bucket_outside(inc, 0, 1, 2))
+        assert match is not None and match.params == params
+        assert "".join(match.roles) == ROLE_KEYS[Family.H5]
+        assert_roles_certify(D, match)

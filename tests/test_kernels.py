@@ -1,5 +1,6 @@
 """The bitmask kernel module: backend label, range checks, large orders,
-decode, and the reach search behind every strongness test.
+decode, the reach search behind every strongness test, and the arc-in-mask
+scan behind every restricted-cut witness.
 
 ``filter_range`` and ``filter_codes`` are checked against independent
 oracles in ``test_filter_oracle.py``.
@@ -116,3 +117,10 @@ def test_strongness_of_the_smallest_digraphs():
     assert Digraph(0).is_strong() is False
     assert Digraph(1).is_strong() is True
     assert _kernels.is_strong((), (), 0) is False
+
+
+@given(digraphs(max_n=7), st.integers(min_value=0, max_value=2 ** 7 - 1))
+def test_arc_within_is_the_smallest_arc_inside_the_mask(D, mask):
+    mask &= (1 << D.n) - 1
+    inside = [(t, h) for t, h in D.arcs if mask >> t & 1 and mask >> h & 1]
+    assert _kernels.arc_within(D.succ, mask) == min(inside, default=None)

@@ -331,6 +331,9 @@ def test_sweep_spec_validation():
             SweepSpec(n_lo=n_lo, n_hi=7).validate()
     SweepSpec(n_lo=7, n_hi=7, mode="random", samples=1000).validate()
     SweepSpec(n_lo=4, n_hi=9, mode="random", samples=1).validate()
+    for extra in ({"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}):
+        with pytest.raises(ValueError, match="only to a sweep with --mode random"):
+            SweepSpec(n_lo=4, n_hi=4, **extra).validate()
 
 
 def test_sweep_counterexample_channel(tmp_path, monkeypatch):
