@@ -1,67 +1,186 @@
-"""Time lambda_prime_exact per order, with and without the one-arc pre-pass.
+"""Time lambda_prime_exact per order: the walk, the one-arc pre-pass, the pair pass.
 
 For each order, draws seeded strong oriented graphs of girth 4 by rejection
-sampling (perfbench's draw_graph, as the params-large workload does), prints the mix of their lambda' values, and times
-lambda_prime_exact (original reading) in us per graph twice: walking the
-candidate vertex sets alone ("walk") and after the pre-pass that lists the
-sets one arc cuts off ("pre-pass").  The library runs the pre-pass from
-connectivity._HOST_PREPASS_MIN_ORDER up; near the crossover these columns
-are a first guide, and the constant is settled on the end-to-end perfbench
-workloads.  Each graph's girth cycles and strongness are computed before
-the clock starts, as a Digraph memoises them and every caller of lambda'
-has them already.
+sampling (perfbench's draw_graph, as the params-large workload does), counts
+the mix of their lambda' values under the library's own settings, and times
+lambda_prime_exact (original reading) in us per graph three ways:
+
+  walk       the candidate vertex sets alone, no pre-pass
+  pre-pass   after the pass that lists the sets one arc cuts off
+  pair-pass  after that pass and, when it finds none, the pass that lists
+             the sets two arcs cut off (only on trees that have it)
+
+Each column is timed on the GRAPHS graphs drawn first, and on a second
+sample of HARD graphs with no cut of size 1 (lambda' >= 2, or no restricted
+cut at all): the first such graphs in the same draw sequence, drawing on
+past the first sample as needed.  These are the only graphs the pair pass
+changes, and from order 8 up they are about one draw in twenty.  The library
+runs the one-arc pass from connectivity._HOST_PREPASS_MIN_ORDER up and the
+pair pass from connectivity._PAIR_PREPASS_MIN_ORDER up; these rows are the
+evidence for both constants.  Times are medians of REPEATS runs per column,
+in reference us: perfbench's calibration probe (perfbench.calibrate.Meter)
+runs around each column and scales its raw time to a machine where the
+probe takes its reference time.
+
+Orders 6..16 get every column.  From order 20 up the walk takes seconds per
+lambda' = 2 graph, so only the pair-pass column is timed there, and the mix
+counts the graphs that lambda_prime_exact refuses (CapExceeded) as
+"refused"; a refusal is timed up to the error.  Each graph's girth cycles
+and strongness are computed before the clock starts, as a Digraph memoises
+them and every caller of lambda' has them already.
+
+Each row is printed as one JSON line and, with --out, appended to the rows
+of that file (created if absent).  --tree labels the rows, e.g. with the
+commit they time.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_lambda_prime.py
+        [--orders 6-16,20-24] [--tree LABEL] [--out BENCH_lambda_prime.json]
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import platform
 import random
+import statistics
 import sys
-import time
 from collections import Counter
+from contextlib import ExitStack
 from pathlib import Path
 from unittest import mock
 
-from arcconn import Digraph, connectivity, girth_cycles, lambda_prime_exact
+from arcconn import (
+    ORIGINAL_HOST,
+    CapExceeded,
+    Digraph,
+    _kernels,
+    connectivity,
+    girth_cycles,
+    lambda_prime_exact,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench.calibrate import SHORT_ROUNDS, Meter  # noqa: E402
 from perfbench.workloads import draw_graph  # noqa: E402
 
-ORDERS = range(6, 17)
-GRAPHS = 20  # per order
+ORDERS = "6-16,20-24"
+WALK_MAX = 16  # the highest order whose walk and pre-pass columns are timed
+GRAPHS = 40  # per order
+HARD = 10  # graphs per order with no cut of size 1
 DENSITY = 0.4  # probability of drawing each vertex pair
 SEED = 2024
+REPEATS = 3
 
 
-def time_per_graph(graphs: list[Digraph], prepass_from: int) -> float:
-    """Mean us per graph of lambda_prime_exact with the pre-pass from that order."""
-    with mock.patch.object(connectivity, "_HOST_PREPASS_MIN_ORDER", prepass_from):
-        t0 = time.perf_counter()
+def parse_orders(text: str) -> list[int]:
+    """"6-16,20-24" -> [6, ..., 16, 20, ..., 24]."""
+    orders = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        orders += range(int(lo), int(hi or lo) + 1)
+    return orders
+
+
+def passes(n: int, unit: bool, pair: bool) -> ExitStack:
+    """Patch the pass constants so that order n runs exactly the passes asked
+    for; a constant the tree does not have is left out."""
+    stack = ExitStack()
+    for name, on in (("_HOST_PREPASS_MIN_ORDER", unit), ("_PAIR_PREPASS_MIN_ORDER", pair)):
+        if hasattr(connectivity, name):
+            stack.enter_context(mock.patch.object(connectivity, name, 0 if on else n + 1))
+    return stack
+
+
+def time_column(graphs: list[Digraph], meter: Meter, unit: bool, pair: bool) -> float:
+    """Mean reference us per graph of lambda_prime_exact with the passes asked for."""
+    with passes(graphs[0].n, unit, pair):
+        meter.start()
         for D in graphs:
-            lambda_prime_exact(D)
-        took = time.perf_counter() - t0
-    return took / len(graphs) * 1e6
+            try:
+                lambda_prime_exact(D)
+            except CapExceeded:
+                pass
+        _, ref = meter.lap()
+    return ref / len(graphs) * 1e6
+
+
+def lambda_prime_mix(graphs: list[Digraph]) -> dict[str, int]:
+    mix: Counter[str] = Counter()
+    for D in graphs:
+        try:
+            mix[str(lambda_prime_exact(D).value)] += 1
+        except CapExceeded:
+            mix["refused"] += 1
+    return dict(sorted(mix.items()))
+
+
+def draw(rng: random.Random, n: int) -> Digraph:
+    succ = draw_graph(rng, n, DENSITY)
+    D = Digraph(n, [(u, v) for u in range(n) for v in range(n) if succ[u] >> v & 1])
+    D.is_strong()  # memoised on D, as for every caller
+    girth_cycles(D)
+    return D
+
+
+def us_per_graph(graphs: list[Digraph], meter: Meter, columns: dict[str, tuple[bool, bool]]) -> dict:
+    """Median over REPEATS runs of each column's mean reference us per graph."""
+    runs: dict[str, list[float]] = {name: [] for name in columns}
+    for _ in range(REPEATS):
+        for name, (unit, pair) in columns.items():
+            runs[name].append(time_column(graphs, meter, unit, pair))
+    return {name: round(statistics.median(means), 1) for name, means in runs.items()}
+
+
+def bench_order(n: int, meter: Meter) -> dict:
+    rng = random.Random(SEED + n)
+    graphs = [draw(rng, n) for _ in range(GRAPHS)]
+    hard = [D for D in graphs if not connectivity._unit_cut_hosts(D, ORIGINAL_HOST)]
+    while len(hard) < HARD:
+        D = draw(rng, n)
+        if not connectivity._unit_cut_hosts(D, ORIGINAL_HOST):
+            hard.append(D)
+    hard = hard[:HARD]
+    columns = {"pair-pass": (True, True)} if hasattr(connectivity, "_PAIR_PREPASS_MIN_ORDER") else {}
+    if n <= WALK_MAX:
+        columns = {"walk": (False, False), "pre-pass": (True, False), **columns}
+    return {
+        "backend": _kernels.backend_name(),
+        "python": platform.python_version(),
+        "n": n,
+        "graphs": GRAPHS,
+        "lambda_prime_mix": lambda_prime_mix(graphs),
+        "us_per_graph_ref": us_per_graph(graphs, meter, columns),
+        "hard_graphs": HARD,
+        "hard_lambda_prime_mix": lambda_prime_mix(hard),
+        "hard_us_per_graph_ref": us_per_graph(hard, meter, columns),
+    }
 
 
 def main() -> None:
-    rng = random.Random(SEED)
-    print(f"pre-pass from order {connectivity._HOST_PREPASS_MIN_ORDER} in the library")
-    for n in ORDERS:
-        graphs = []
-        for _ in range(GRAPHS):
-            succ = draw_graph(rng, n, DENSITY)
-            graphs.append(Digraph(n, [(u, v) for u in range(n) for v in range(n) if succ[u] >> v & 1]))
-        for D in graphs:
-            D.is_strong()  # memoised on D, as for every caller
-            girth_cycles(D)
-        mix = Counter(lambda_prime_exact(D).value for D in graphs)
-        walk = time_per_graph(graphs, n + 1)
-        prepass = time_per_graph(graphs, 0)
-        values = ", ".join(f"{value}: {count}" for value, count in sorted(mix.items(), key=str))
-        print(f"n={n:2d} {len(graphs)} graphs  lambda' {{{values}}}  "
-              f"walk {walk:10.1f} us/graph  pre-pass {prepass:10.1f} us/graph")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--orders", default=ORDERS, help=f"orders to time (default {ORDERS})")
+    parser.add_argument("--tree", default="", help="label stored in each row")
+    parser.add_argument("--out", help="JSON file whose rows the new rows are appended to")
+    args = parser.parse_args()
+    print(f"passes from order {connectivity._HOST_PREPASS_MIN_ORDER} (one arc) and "
+          f"{getattr(connectivity, '_PAIR_PREPASS_MIN_ORDER', 'none')} (pairs) in the library",
+          file=sys.stderr)
+    meter = Meter(SHORT_ROUNDS)
+    rows = []
+    for n in parse_orders(args.orders):
+        row = {"tree": args.tree, **bench_order(n, meter)}
+        print(json.dumps(row), flush=True)
+        rows.append(row)
+    if args.out:
+        path = Path(args.out)
+        data = json.loads(path.read_text()) if path.exists() else {
+            "benchmark": "benchmarks/bench_lambda_prime.py",
+            "rows": [],
+        }
+        data["rows"] += rows
+        path.write_text(json.dumps(data, indent=2) + "\n")
 
 
 if __name__ == "__main__":

@@ -16,20 +16,32 @@ and the test suite holds them to that.
 Both lambda and lambda_prime_exact stop at a lower bound.  A strong digraph
 needs at least one arc removed to lose strongness, so a vertex of degree 1
 settles lambda before any flow.  A restricted cut is never empty, so
-lambda' >= 1.  From order 7 up, lambda_prime_exact first finds the sets that
-one arc cuts off: for each arc a whose removal breaks strongness, the
-non-trivial strong components of D - a with an arc outside them.  These are
-exactly the candidate sets whose contraction flow is 1.  If there are any,
-lambda' = 1 and only the first of them in candidate order is walked; if
-there are none, lambda' >= 2 and the walk stops at a cut of size 2.  Above
-order 20 the walk goes no further than the girth-cycle vertex sets: when
-none of them gives a cut of size 2, lambda_prime_exact raises CapExceeded.
-The certificate (cut, component, outside arc) is the one the full search over
-all candidates would return: a flow that ends below its limit runs exactly
-as an unlimited one, and the kept cut only changes on a strictly smaller
-flow, so the full search keeps the first candidate, in candidate order,
-whose flow is the minimum (and under ResidualHost its first protected arc
-with that flow).
+lambda' >= 1.  Before the walk over vertex sets, lambda_prime_exact runs up
+to two passes over the arcs:
+
+* From order 7 up, the one-arc pass finds the sets that one arc cuts off:
+  for each arc a whose removal breaks strongness, the non-trivial strong
+  components of D - a with an arc outside them.  These are exactly the
+  candidate sets whose contraction flow is 1.  If there are any, lambda' = 1
+  and only the first of them in candidate order is walked.
+* If there are none and the order is 9 or more, the pair pass finds the
+  sets that two arcs cut off: the non-trivial strong components of
+  D - {a, b} with an arc outside them (in D under OriginalHost, in
+  D - {a, b} under ResidualHost).  With no set of flow 1, these are exactly
+  the candidate sets whose flow is 2.  If there are any, lambda' = 2 and
+  only the first of them is walked; otherwise lambda' >= 3 and the walk
+  stops at a cut of size 3.
+
+Where only the one-arc pass runs and finds nothing, the walk stops at a cut
+of size 2.  Above order 20 both passes always run, and the walk goes no
+further than the girth-cycle vertex sets: when no cut of size 1 or 2 exists
+and none of them gives a cut of size 3, lambda_prime_exact raises
+CapExceeded.  The certificate (cut, component, outside arc) is the one the
+full search over all candidates would return: a flow that ends below its
+limit runs exactly as an unlimited one, and the kept cut only changes on a
+strictly smaller flow, so the full search keeps the first candidate, in
+candidate order, whose flow is the minimum (and under ResidualHost its
+first protected arc with that flow).
 
 xi, the existence witness, the candidate order and the proof cuts all read
 the girth cycles, which the Digraph memoises (see cycles).
@@ -370,12 +382,19 @@ def _candidate_masks(D: Digraph) -> Iterator[int]:
 # saves (sample-n7 p50 -6%, p95 -9%).
 _HOST_PREPASS_MIN_ORDER = 7
 
-# Above this order lambda_prime_exact walks no vertex set past the girth-cycle
-# seeds: when the pre-pass finds no host and no seed gives a cut of size 2,
-# it raises CapExceeded.  The walk doubles with each vertex; at n = 20 it
-# took 4.2-8.5 s on three seeded lambda' = 2 graphs of girth 4 and 2.5 s on
-# an H1 member, which it walks to the end (pure Python 3.11.7, shared 2-core
-# x86-64).
+# From this order up, when the one-arc pass finds no host, lambda_prime_exact
+# looks for cuts of size 2 by arc pairs before it walks any vertex set.  Set
+# from the rows of BENCH_lambda_prime.json (benchmarks/bench_lambda_prime.py,
+# reference us per graph with no cut of size 1, one-arc pass alone against
+# both passes): the pair pass loses at n=7 and n=8 and wins from n=9 up.
+_PAIR_PREPASS_MIN_ORDER = 9
+
+# Above this order lambda_prime_exact runs both passes and walks no vertex set
+# past the girth-cycle seeds: when the passes find no host and no seed gives
+# a cut of size 3, it raises CapExceeded.  The walk doubles with each vertex;
+# at n = 20 it took 4.2-8.5 s on three seeded lambda' = 2 graphs of girth 4
+# and 2.5 s on an H1 member, which it walks to the end (pure Python 3.11.7,
+# shared 2-core x86-64).
 _WALK_MAX_ORDER = 20
 
 
@@ -386,20 +405,141 @@ def _unit_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
     component of D - a, and it is a candidate when some arc lies wholly
     outside it: in D under OriginalHost, in D - a under ResidualHost.  D - a
     is not strong exactly when the tail of a no longer reaches its head,
-    which one reach call decides.
+    which one reach call decides; only then are its components listed.
     """
     n = D.n
     full = (1 << n) - 1
-    succ = list(D.succ)
+    succ, pred = list(D.succ), list(D.pred)
     host_rows = succ if reading is RESIDUAL_HOST else D.succ
     hosts: set[int] = set()
     for t, h in D.arcs:
         succ[t] &= ~(1 << h)
         if not _kernels.reach(succ, t, full) >> h & 1:
-            for comp in _kernels.scc_masks(succ, n):
-                if comp.bit_count() > 1 and _kernels.arc_within(host_rows, full & ~comp) is not None:
+            pred[h] &= ~(1 << t)
+            for comp in _strong_parts(succ, pred, full):
+                if _kernels.arc_within(host_rows, full & ~comp) is not None:
                     hosts.add(comp)
+            pred[h] |= 1 << t
         succ[t] |= 1 << h
+    return hosts
+
+
+def _strong_parts(succ: list[int], pred: list[int], within: int) -> Iterator[int]:
+    """The non-trivial strong components inside within, as vertex masks.
+
+    within must be a union of strong components.  The component of its
+    lowest vertex v is what v reaches backwards inside what it reaches
+    forwards, and the rest of what v reaches and the rest of within are
+    unions of components again, so each is split the same way.
+    """
+    parts = [within]
+    while parts:
+        part = parts.pop()
+        if part & (part - 1) == 0:
+            continue  # at most one vertex
+        v = (part & -part).bit_length() - 1
+        ahead = _kernels.reach(succ, v, part)
+        comp = _kernels.reach(pred, v, ahead)
+        if comp != 1 << v:
+            yield comp
+        parts += (ahead & ~comp, part & ~ahead)
+
+
+def _tail_head_path(succ: Sequence[int], pred: Sequence[int], t: int, h: int, n: int) -> Optional[int]:
+    """One shortest t -> h path in D - (t, h), as an n*n-bit arc mask.
+
+    succ must hold D's successor masks with the arc t -> h taken out, and
+    pred D's own predecessor masks.  None when the path does not exist,
+    that is, when the arc is a strong bridge of D.
+    """
+    layers = []
+    seen = frontier = 1 << t
+    while not frontier >> h & 1:
+        layers.append(frontier)
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= succ[b.bit_length() - 1]
+        frontier = nxt & ~seen
+        if not frontier:
+            return None
+        seen |= frontier
+    # Walk back one layer at a time; the path has at least two arcs, so the
+    # removed arc, which ends at h and leaves layer 0, is never taken.
+    path, v = 0, h
+    for layer in reversed(layers):
+        back = pred[v] & layer
+        u = (back & -back).bit_length() - 1
+        path |= 1 << (u * n + v)
+        v = u
+    return path
+
+
+def _pair_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
+    """The candidate sets whose contraction flow is at most 2, as vertex masks.
+
+    A vertex set X is one of them exactly when, for some two arcs a and b,
+    X is a non-trivial strong component of D - {a, b} with an arc wholly
+    outside it: in D under OriginalHost, in D - {a, b} under ResidualHost.
+    The sets of flow 1 come from the strong bridges a (the arcs whose
+    removal breaks strongness): they are listed from the strong components
+    of D - a, as _unit_cut_hosts lists them.  A set of flow 2 lies strictly
+    inside a strong component of D - a that removing b splits, and inside
+    one of D - b that removing a splits, so the tail of a does not reach its
+    head in D - {a, b}.  Hence b lies on every tail -> head path of a in
+    D - a if a is not a strong bridge, and inside a non-trivial strong
+    component of D - a if it is.  A pair is tried only when b is among a's
+    partners (the arcs of one stored path, or of those components) and a
+    among b's, and its components are searched for only inside the
+    intersection of the two components.
+    """
+    n = D.n
+    full = (1 << n) - 1
+    succ, pred = list(D.succ), list(D.pred)
+    host_rows = succ if reading is RESIDUAL_HOST else D.succ
+    hosts: set[int] = set()
+    partners: dict[Arc, int] = {}  # n*n-bit arc masks
+    homes: dict[Arc, list[int]] = {}  # a strong bridge's components by vertex
+    for t, h in D.arcs:
+        succ[t] &= ~(1 << h)
+        path = _tail_head_path(succ, D.pred, t, h, n)
+        if path is not None:
+            partners[t, h] = path
+        else:
+            pred[h] &= ~(1 << t)
+            home = [full] * n
+            inside = 0
+            for comp in _strong_parts(succ, pred, full):
+                for v in _bits(comp):
+                    home[v] = comp
+                    inside |= (succ[v] & comp) << v * n
+                if _kernels.arc_within(host_rows, full & ~comp) is not None:
+                    hosts.add(comp)
+            partners[t, h], homes[t, h] = inside, home
+            pred[h] |= 1 << t
+        succ[t] |= 1 << h
+    for a, mask in partners.items():
+        ta, ha = a
+        bit_a = 1 << (ta * n + ha)
+        home_a = homes.get(a)
+        for b in _bits(mask):
+            tb, hb = divmod(b, n)
+            if (tb, hb) <= a or not partners[tb, hb] & bit_a:
+                continue
+            home_b = homes.get((tb, hb))
+            within = (home_a[tb] if home_a else full) & (home_b[ta] if home_b else full)
+            succ[ta] &= ~(1 << ha)
+            succ[tb] &= ~(1 << hb)
+            pred[ha] &= ~(1 << ta)
+            pred[hb] &= ~(1 << tb)
+            for comp in _strong_parts(succ, pred, within):
+                if comp not in hosts and _kernels.arc_within(host_rows, full & ~comp) is not None:
+                    hosts.add(comp)
+            succ[ta] |= 1 << ha
+            succ[tb] |= 1 << hb
+            pred[ha] |= 1 << ta
+            pred[hb] |= 1 << tb
     return hosts
 
 
@@ -420,14 +560,16 @@ def lambda_prime_exact(
     cycles seed the candidate order.
 
     From order _HOST_PREPASS_MIN_ORDER up, _unit_cut_hosts first lists the
-    candidate sets whose flow is 1.  If any exist only the first of them in
-    candidate order is walked; otherwise lambda' >= 2 and the walk stops at
-    the first cut of size 2.  Below that order the walk stops at a cut of
+    candidate sets whose flow is 1.  If there are none, from order
+    _PAIR_PREPASS_MIN_ORDER up _pair_cut_hosts lists those whose flow is 2.
+    If the last pass run finds any, only the first of them in candidate
+    order is walked; otherwise the walk stops at the first cut one larger
+    than that pass's flow.  Below both orders the walk stops at a cut of
     size 1.  Either way the certificate is the one the full walk over all
     candidates returns (see the module docstring).  Above order
-    _WALK_MAX_ORDER, when the pre-pass finds no host and no girth-cycle
-    seed gives a cut of size 2, it raises CapExceeded rather than walk the
-    2^n vertex sets.
+    _WALK_MAX_ORDER both passes run, and when they find no host and no
+    girth-cycle seed gives a cut of size 3, it raises CapExceeded rather
+    than walk the 2^n vertex sets.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
@@ -440,26 +582,30 @@ def lambda_prime_exact(
     floor = 1  # the search stops at a cut of this size: no cut is smaller
     masks: Iterable[int] = _candidate_masks(D)
     seeds_only: Optional[dict[int, None]] = None  # if set, walk no other mask
-    if D.n >= _HOST_PREPASS_MIN_ORDER:
-        hosts = _unit_cut_hosts(D, reading)
+    refuse = D.n > _WALK_MAX_ORDER
+    if D.n >= _HOST_PREPASS_MIN_ORDER or refuse:
+        flow, hosts = 1, _unit_cut_hosts(D, reading)
+        if not hosts and (D.n >= _PAIR_PREPASS_MIN_ORDER or refuse):
+            # No set has flow 1, so the sets of flow at most 2 have flow 2.
+            flow, hosts = 2, _pair_cut_hosts(D, reading)
         if hosts:
-            # lambda' = 1, and the walk would keep the first host in
-            # candidate order: walk that one alone, keeping only a flow of 1.
+            # lambda' = flow, and the walk would keep the first host in
+            # candidate order: walk that one alone, keeping only that flow.
             seeds = [m for m in _seed_masks(D) if m in hosts]
             first = seeds[0] if seeds else min(hosts, key=lambda m: (m.bit_count(), m))
-            masks, best = [first], 2
+            masks, best = [first], flow + 1
         else:
-            floor = 2
-            if D.n > _WALK_MAX_ORDER:
+            floor = flow + 1
+            if refuse:
                 seeds_only = _seed_masks(D)
     for mask in masks:
         if best == floor:
             break
         if seeds_only is not None and mask not in seeds_only:
             raise CapExceeded(
-                f"lambda' at n={D.n} has no cut of size 1 and no girth cycle gives "
-                f"one of size 2; walking the 2^{D.n} vertex sets is refused above "
-                f"order {_WALK_MAX_ORDER}"
+                f"lambda' at n={D.n} has no cut of size 1 or 2 and no girth cycle "
+                f"gives one of size 3; walking the 2^{D.n} vertex sets is refused "
+                f"above order {_WALK_MAX_ORDER}"
             )
         start = (mask & -mask).bit_length() - 1
         if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:

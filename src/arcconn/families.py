@@ -27,6 +27,18 @@ is nevertheless reachable as H6 with both fans empty.
 Generated members use a fixed vertex layout: u=0, v=1, w=2, z=3, then x,
 then y where present, then the fan vertices in definition order.
 
+H5 holds no graph that H4 does not.  The vertex map
+
+  u -> w,  v -> z,  w -> u,  z -> v,  x -> y,  a_1 -> x,  a_i -> a_(i-1) (i >= 2)
+
+carries H5(p, xz) onto H4(p-1, yv) and H5(p, zx) onto H4(p-1, vy) arc for
+arc, for every p >= 1: the 4-cycle (u,v,w,z) onto (w,z,u,v), the path
+w->x->u onto u->y->w, the x-z arc onto the y-v arc, u->a_1->w onto
+w->x->u, and the rest of the fan onto H4's fan w->a_i->u.  match_family
+answers with the first family in H1..H7 order, so it reports every H5
+member as H4, and family_census has no H5 class.  The H5 rule stays, as
+the definition lists the family.
+
 Every member of H1, H2 and H3 has 2n-4 arcs, every member of H4, H5 and H6
 has 2n-3, and H7 has 2n-2, so match_family rejects any graph whose arc
 count lies outside [2n-4, 2n-2] without looking further.

@@ -219,6 +219,23 @@ def sparse_strong_digraphs(draw, min_n: int = 3, max_n: int = 6) -> Digraph:
     return Digraph(n, sorted(arcs))
 
 
+@st.composite
+def double_cycle_digraphs(draw, min_n: int = 3, max_n: int = 6) -> Digraph:
+    """Two Hamiltonian cycles, less the arcs of the second that would close a
+    digon with the first.  Where the two are arc-disjoint no single arc cuts
+    anything off, so most draws have lambda' >= 2 or no restricted cut,
+    which the other strategies rarely give."""
+    n = draw(st.integers(min_value=max(3, min_n), max_value=max_n))
+    arcs: set[Arc] = set()
+    for _ in range(2):
+        perm = draw(st.permutations(list(range(n))))
+        for i in range(n):
+            t, h = perm[i], perm[(i + 1) % n]
+            if (h, t) not in arcs:
+                arcs.add((t, h))
+    return Digraph(n, sorted(arcs))
+
+
 from functools import lru_cache
 
 from arcconn import _kernels

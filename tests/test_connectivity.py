@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from arcconn import (
     CutOutcome,
@@ -36,7 +37,7 @@ from .conftest import (
     stratum_digraphs,
     brute_lambda,
     brute_lambda_prime,
-    digraphs,
+    double_cycle_digraphs,
     oracle_proof_cut_constructions,
     oracle_restricted_witness,
     oracle_sccs,
@@ -379,8 +380,9 @@ def walk_limit_graphs(n: int) -> list[Digraph]:
 
 @pytest.mark.parametrize("reading", [ORIGINAL_HOST, RESIDUAL_HOST])
 def test_lambda_prime_refuses_the_walk_above_the_order_limit(reading):
-    """Just above the limit, graphs with no cut of size 1 whose girth cycles
-    give no cut of size 2 fail at once instead of walking 2^n vertex sets."""
+    """Just above the limit, graphs with no cut of size 1 or 2 whose girth
+    cycles give no cut of size 3 fail at once instead of walking 2^n vertex
+    sets."""
     import time
 
     from arcconn import CapExceeded
@@ -392,6 +394,29 @@ def test_lambda_prime_refuses_the_walk_above_the_order_limit(reading):
         with pytest.raises(CapExceeded, match=f"n={n} .* above order {_WALK_MAX_ORDER}"):
             lambda_prime_exact(D, reading=reading)
         assert time.perf_counter() - t0 < 1.0
+
+
+def test_lambda_prime_two_beyond_the_walk_limit():
+    """Two copies of the girth-4 circulant on 12 vertices (arcs i -> i+1,
+    i -> i+3, 2-arc-strong), joined by two arcs each way (n=24): removing
+    one arc leaves D strong, and the two arcs from one copy to the other
+    cut off a copy.  No girth cycle is a host of flow 2, so the walk would
+    meet the copies only after about 2^23 sets; the pair pass finds them."""
+    import time
+
+    from arcconn.connectivity import _WALK_MAX_ORDER
+
+    copies = [(k + i, k + (i + d) % 12) for k in (0, 12) for i in range(12) for d in (1, 3)]
+    D = Digraph(24, sorted(copies + [(0, 12), (6, 18), (15, 3), (21, 9)]))
+    assert D.n > _WALK_MAX_ORDER
+    for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
+        t0 = time.perf_counter()
+        cert = lambda_prime_exact(D, reading=reading)
+        assert time.perf_counter() - t0 < 1.0
+        assert cert.found and cert.value == 2
+        assert is_restricted_arc_cut(D, cert.cut, reading=reading) == (cert.component, cert.outside_arc)
+        below = lambda_prime_bruteforce(D, k_max=1, reading=reading)
+        assert below.outcome is CutOutcome.UNKNOWN_BELOW_BOUND
 
 
 def test_walk_limit_applies_only_above_its_order(monkeypatch):
@@ -460,12 +485,20 @@ def test_unit_cut_hosts_match_the_definition(D):
         assert _unit_cut_hosts(D, reading) == oracle_unit_cut_hosts(D, residual)
 
 
-@given(st.one_of(strong_digraphs(min_n=7, max_n=9), sparse_strong_digraphs(min_n=7, max_n=9)))
+@given(st.one_of(
+    strong_digraphs(min_n=7, max_n=9),
+    sparse_strong_digraphs(min_n=7, max_n=9),
+    double_cycle_digraphs(min_n=7, max_n=9),
+))
 def test_exact_is_minimum_after_the_host_prepass(D):
-    """From order 7 up lambda' = 1 comes from the pre-pass and lambda' >= 2
-    from a walk that stops at 2; the brute-force oracle confirms both."""
+    """With both passes on, lambda' = 1 comes from the one-arc pass,
+    lambda' = 2 from the pair pass and lambda' >= 3 from a walk that stops
+    at 3; the brute-force oracle confirms each."""
+    from unittest import mock
+
     for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
-        cert = lambda_prime_exact(D, reading=reading)
+        with mock.patch.object(connectivity, "_PAIR_PREPASS_MIN_ORDER", D.n):
+            cert = lambda_prime_exact(D, reading=reading)
         if not cert.found:
             continue
         assert is_restricted_arc_cut(D, cert.cut, reading=reading) is not None
@@ -475,16 +508,74 @@ def test_exact_is_minimum_after_the_host_prepass(D):
         assert brute.found and brute.value == cert.value
 
 
-@given(st.one_of(strong_digraphs(min_n=7, max_n=9), sparse_strong_digraphs(min_n=7, max_n=9)))
+@given(st.one_of(
+    strong_digraphs(min_n=8, max_n=11),
+    sparse_strong_digraphs(min_n=8, max_n=11),
+    double_cycle_digraphs(min_n=8, max_n=11),
+))
 def test_host_prepass_keeps_the_walks_certificate(D):
-    """With and without the pre-pass, lambda_prime_exact returns the same
-    certificate: the first candidate of minimum flow in candidate order."""
+    """With both passes, with the one-arc pass alone and with neither,
+    lambda_prime_exact returns the same certificate: the first candidate of
+    minimum flow in candidate order."""
     from unittest import mock
 
-    from arcconn import connectivity
+    def exact(unit: bool, pair: bool, reading):
+        with mock.patch.object(connectivity, "_HOST_PREPASS_MIN_ORDER", 0 if unit else D.n + 1), \
+                mock.patch.object(connectivity, "_PAIR_PREPASS_MIN_ORDER", 0 if pair else D.n + 1):
+            return lambda_prime_exact(D, reading=reading)
 
     for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
-        fast = lambda_prime_exact(D, reading=reading)
-        with mock.patch.object(connectivity, "_HOST_PREPASS_MIN_ORDER", D.n + 1):
-            walked = lambda_prime_exact(D, reading=reading)
-        assert fast == walked
+        both = exact(True, True, reading)
+        assert both == exact(True, False, reading) == exact(False, False, reading)
+
+
+# ---------------------------------------------------------------------------
+# the pair pass: candidate sets whose contraction flow is at most 2
+
+
+def oracle_pair_cut_hosts(D: Digraph) -> dict[bool, set[int]]:
+    """For each pair of arcs {a, b}, the non-trivial strong components of
+    D - {a, b} with an arc outside them, as vertex masks: under key False
+    with the arc in D, under key True (residual host) with it in D - {a, b}."""
+    hosts: dict[bool, set[int]] = {False: set(), True: set()}
+    for pair in combinations(D.arcs, 2):
+        rest = [b for b in D.arcs if b not in pair]
+        for comp in oracle_sccs(D.n, rest):
+            if len(comp) < 2:
+                continue
+            mask = sum(1 << v for v in comp)
+            for residual_host, host in ((False, D.arcs), (True, rest)):
+                if any(t not in comp and h not in comp for t, h in host):
+                    hosts[residual_host].add(mask)
+    return hosts
+
+
+def test_pair_cut_hosts_match_the_definition_exhaustively():
+    from arcconn.connectivity import _pair_cut_hosts
+
+    for n in range(2, 6):
+        _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), 0)
+        for code in codes:
+            D = Digraph.from_code(n, code)
+            oracle = oracle_pair_cut_hosts(D)
+            for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
+                assert _pair_cut_hosts(D, reading) == oracle[residual]
+
+
+@given(st.one_of(
+    strong_digraphs(min_n=6, max_n=10),
+    sparse_strong_digraphs(min_n=6, max_n=10),
+    double_cycle_digraphs(min_n=6, max_n=10),
+))
+# Here pairs of strong bridges give hosts of flow 2 that a search outside
+# the components holding the other arc would miss.
+@example(Digraph(8, [(0, 1), (0, 3), (1, 2), (1, 5), (2, 3), (2, 4), (2, 6), (2, 7),
+                     (3, 4), (4, 5), (5, 3), (5, 7), (6, 0), (6, 7), (7, 1), (7, 3)]))
+@example(Digraph(9, [(0, 2), (0, 8), (1, 4), (1, 6), (2, 3), (2, 4), (2, 8), (3, 4),
+                     (3, 8), (4, 0), (4, 6), (5, 2), (5, 6), (6, 7), (7, 1), (8, 5)]))
+def test_pair_cut_hosts_match_the_definition(D):
+    from arcconn.connectivity import _pair_cut_hosts
+
+    oracle = oracle_pair_cut_hosts(D)
+    for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
+        assert _pair_cut_hosts(D, reading) == oracle[residual]

@@ -20,8 +20,6 @@ from arcconn import (
     match_family,
 )
 from arcconn.families import (
-    ORIENT_CHOICES,
-    SIZE_NAMES,
     _SPINE_RULES,
     _assemble,
     _bucket_outside,
@@ -236,6 +234,21 @@ def test_match_labels_respect_first_family_precedence():
     h5 = generate(FamilyParams(Family.H5, (1,), ("xz",)))
     match = match_family(h5)
     assert match is not None and match.family is Family.H4
+
+
+@pytest.mark.parametrize("p", range(1, 6))
+@pytest.mark.parametrize("xz, yv", [("xz", "yv"), ("zx", "vy")])
+def test_every_h5_member_is_an_h4_member(p, xz, yv):
+    """H5(p, xz) is H4(p-1, yv) under u->w, v->z, w->u, z->v, x->y, a_1->x
+    and a_i->a_(i-1): the map the families docstring states, in the
+    generator's layouts (H5: u..x = 0..4, a_i = 4+i; H4: u..y = 0..5,
+    a_j = 5+j)."""
+    h5 = generate(FamilyParams(Family.H5, (p,), (xz,)))
+    h4 = generate(FamilyParams(Family.H4, (p - 1,), (yv,)))
+    assert h5.relabel([2, 3, 0, 1, 5, 4] + list(range(6, h5.n))) == h4
+    assert h5.canonical_form() == h4.canonical_form()
+    match = match_family(h5)
+    assert match is not None and match.params == FamilyParams(Family.H4, (p - 1,), (yv,))
 
 
 def test_census_class_counts_per_order():
