@@ -17,8 +17,9 @@ past the first sample as needed.  These are the only graphs the pair pass
 changes, and from order 8 up they are about one draw in twenty.  The library
 runs the one-arc pass from connectivity._HOST_PREPASS_MIN_ORDER up and the
 pair pass from connectivity._PAIR_PREPASS_MIN_ORDER up; these rows are the
-evidence for both constants.  Times are medians of REPEATS runs per column,
-in reference us: perfbench's calibration probe (perfbench.calibrate.Meter)
+evidence for both constants.  Each column's time is the median, with the
+quartiles, of REPEATS runs, in reference us: perfbench's calibration probe
+(perfbench.calibrate.Meter)
 runs around each column and scales its raw time to a machine where the
 probe takes its reference time.
 
@@ -35,7 +36,7 @@ commit they time.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_lambda_prime.py
-        [--orders 6-16,20-24] [--tree LABEL] [--out BENCH_lambda_prime.json]
+        [--tree LABEL] [--out BENCH_lambda_prime.json]
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from pathlib import Path
 from unittest import mock
 
 from arcconn import (
-    ORIGINAL_HOST,
     CapExceeded,
     Digraph,
     _kernels,
@@ -65,22 +65,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from perfbench.calibrate import SHORT_ROUNDS, Meter  # noqa: E402
 from perfbench.workloads import draw_graph  # noqa: E402
 
-ORDERS = "6-16,20-24"
+ORDERS = [*range(6, 17), *range(20, 25)]
 WALK_MAX = 16  # the highest order whose walk and pre-pass columns are timed
 GRAPHS = 40  # per order
 HARD = 10  # graphs per order with no cut of size 1
 DENSITY = 0.4  # probability of drawing each vertex pair
 SEED = 2024
-REPEATS = 3
-
-
-def parse_orders(text: str) -> list[int]:
-    """"6-16,20-24" -> [6, ..., 16, 20, ..., 24]."""
-    orders = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        orders += range(int(lo), int(hi or lo) + 1)
-    return orders
+REPEATS = 9
 
 
 def passes(n: int, unit: bool, pair: bool) -> ExitStack:
@@ -106,14 +97,16 @@ def time_column(graphs: list[Digraph], meter: Meter, unit: bool, pair: bool) -> 
     return ref / len(graphs) * 1e6
 
 
-def lambda_prime_mix(graphs: list[Digraph]) -> dict[str, int]:
-    mix: Counter[str] = Counter()
-    for D in graphs:
-        try:
-            mix[str(lambda_prime_exact(D).value)] += 1
-        except CapExceeded:
-            mix["refused"] += 1
-    return dict(sorted(mix.items()))
+def lambda_prime_value(D: Digraph) -> str:
+    """lambda'(D) under the library's own settings, or "refused"."""
+    try:
+        return str(lambda_prime_exact(D).value)
+    except CapExceeded:
+        return "refused"
+
+
+def mix(values: list[str]) -> dict[str, int]:
+    return dict(sorted(Counter(values).items()))
 
 
 def draw(rng: random.Random, n: int) -> Digraph:
@@ -125,23 +118,31 @@ def draw(rng: random.Random, n: int) -> Digraph:
 
 
 def us_per_graph(graphs: list[Digraph], meter: Meter, columns: dict[str, tuple[bool, bool]]) -> dict:
-    """Median over REPEATS runs of each column's mean reference us per graph."""
+    """Each column's mean reference us per graph over REPEATS runs, as the
+    median and the quartiles of the runs."""
     runs: dict[str, list[float]] = {name: [] for name in columns}
     for _ in range(REPEATS):
         for name, (unit, pair) in columns.items():
             runs[name].append(time_column(graphs, meter, unit, pair))
-    return {name: round(statistics.median(means), 1) for name, means in runs.items()}
+    return {
+        "median": {name: round(statistics.median(means), 1) for name, means in runs.items()},
+        "quartiles": {
+            name: [round(q, 1) for q in statistics.quantiles(means, n=4)[::2]]
+            for name, means in runs.items()
+        },
+    }
 
 
 def bench_order(n: int, meter: Meter) -> dict:
     rng = random.Random(SEED + n)
     graphs = [draw(rng, n) for _ in range(GRAPHS)]
-    hard = [D for D in graphs if not connectivity._unit_cut_hosts(D, ORIGINAL_HOST)]
+    values = [lambda_prime_value(D) for D in graphs]
+    hard = [(D, v) for D, v in zip(graphs, values) if v != "1"][:HARD]
     while len(hard) < HARD:
         D = draw(rng, n)
-        if not connectivity._unit_cut_hosts(D, ORIGINAL_HOST):
-            hard.append(D)
-    hard = hard[:HARD]
+        v = lambda_prime_value(D)
+        if v != "1":
+            hard.append((D, v))
     columns = {"pair-pass": (True, True)} if hasattr(connectivity, "_PAIR_PREPASS_MIN_ORDER") else {}
     if n <= WALK_MAX:
         columns = {"walk": (False, False), "pre-pass": (True, False), **columns}
@@ -150,17 +151,16 @@ def bench_order(n: int, meter: Meter) -> dict:
         "python": platform.python_version(),
         "n": n,
         "graphs": GRAPHS,
-        "lambda_prime_mix": lambda_prime_mix(graphs),
+        "lambda_prime_mix": mix(values),
         "us_per_graph_ref": us_per_graph(graphs, meter, columns),
         "hard_graphs": HARD,
-        "hard_lambda_prime_mix": lambda_prime_mix(hard),
-        "hard_us_per_graph_ref": us_per_graph(hard, meter, columns),
+        "hard_lambda_prime_mix": mix([v for _, v in hard]),
+        "hard_us_per_graph_ref": us_per_graph([D for D, _ in hard], meter, columns),
     }
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--orders", default=ORDERS, help=f"orders to time (default {ORDERS})")
     parser.add_argument("--tree", default="", help="label stored in each row")
     parser.add_argument("--out", help="JSON file whose rows the new rows are appended to")
     args = parser.parse_args()
@@ -169,7 +169,7 @@ def main() -> None:
           file=sys.stderr)
     meter = Meter(SHORT_ROUNDS)
     rows = []
-    for n in parse_orders(args.orders):
+    for n in ORDERS:
         row = {"tree": args.tree, **bench_order(n, meter)}
         print(json.dumps(row), flush=True)
         rows.append(row)

@@ -24,13 +24,14 @@ to two passes over the arcs:
   components of D - a with an arc outside them.  These are exactly the
   candidate sets whose contraction flow is 1.  If there are any, lambda' = 1
   and only the first of them in candidate order is walked.
-* If there are none and the order is 9 or more, the pair pass finds the
+* If there are none and the order is 8 or more, the pair pass finds the
   sets that two arcs cut off: the non-trivial strong components of
   D - {a, b} with an arc outside them (in D under OriginalHost, in
-  D - {a, b} under ResidualHost).  With no set of flow 1, these are exactly
-  the candidate sets whose flow is 2.  If there are any, lambda' = 2 and
-  only the first of them is walked; otherwise lambda' >= 3 and the walk
-  stops at a cut of size 3.
+  D - {a, b} under ResidualHost).  It starts from the strong bridges and
+  their components that the one-arc pass listed.  With no set of flow 1,
+  these are exactly the candidate sets whose flow is 2.  If there are any,
+  lambda' = 2 and only the first of them is walked; otherwise lambda' >= 3
+  and the walk stops at a cut of size 3.
 
 Where only the one-arc pass runs and finds nothing, the walk stops at a cut
 of size 2.  Above order 20 both passes always run, and the walk goes no
@@ -386,8 +387,10 @@ _HOST_PREPASS_MIN_ORDER = 7
 # looks for cuts of size 2 by arc pairs before it walks any vertex set.  Set
 # from the rows of BENCH_lambda_prime.json (benchmarks/bench_lambda_prime.py,
 # reference us per graph with no cut of size 1, one-arc pass alone against
-# both passes): the pair pass loses at n=7 and n=8 and wins from n=9 up.
-_PAIR_PREPASS_MIN_ORDER = 9
+# both passes, median and quartiles of 9 runs): the pair pass loses at n=7
+# (218 [214, 221] against 147 [144, 151] us) and wins from n=8 up (267
+# [267, 272] against 283 [276, 289] us at n=8, 362 against 507 at n=9).
+_PAIR_PREPASS_MIN_ORDER = 8
 
 # Above this order lambda_prime_exact runs both passes and walks no vertex set
 # past the girth-cycle seeds: when the passes find no host and no seed gives
@@ -398,30 +401,37 @@ _PAIR_PREPASS_MIN_ORDER = 9
 _WALK_MAX_ORDER = 20
 
 
-def _unit_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
-    """The candidate sets whose contraction flow is 1, as vertex masks.
+def _unit_cut_hosts(
+    D: Digraph, reading: DefinitionReading
+) -> tuple[set[int], dict[Arc, list[int]]]:
+    """The candidate sets whose contraction flow is 1, as vertex masks, and
+    the strong bridges of D, each with the non-trivial strong components of
+    D with it removed.
 
     A vertex set X has flow 1 exactly when, for some arc a, X is a strong
     component of D - a, and it is a candidate when some arc lies wholly
     outside it: in D under OriginalHost, in D - a under ResidualHost.  D - a
-    is not strong exactly when the tail of a no longer reaches its head,
-    which one reach call decides; only then are its components listed.
+    is not strong exactly when the tail of a no longer reaches its head
+    (a is a strong bridge), which one reach call decides; only then are its
+    components listed.  _pair_cut_hosts starts from those lists.
     """
     n = D.n
     full = (1 << n) - 1
     succ, pred = list(D.succ), list(D.pred)
     host_rows = succ if reading is RESIDUAL_HOST else D.succ
     hosts: set[int] = set()
+    bridges: dict[Arc, list[int]] = {}
     for t, h in D.arcs:
         succ[t] &= ~(1 << h)
         if not _kernels.reach(succ, t, full) >> h & 1:
             pred[h] &= ~(1 << t)
-            for comp in _strong_parts(succ, pred, full):
+            comps = bridges[t, h] = list(_strong_parts(succ, pred, full))
+            for comp in comps:
                 if _kernels.arc_within(host_rows, full & ~comp) is not None:
                     hosts.add(comp)
             pred[h] |= 1 << t
         succ[t] |= 1 << h
-    return hosts
+    return hosts, bridges
 
 
 def _strong_parts(succ: list[int], pred: list[int], within: int) -> Iterator[int]:
@@ -476,23 +486,28 @@ def _tail_head_path(succ: Sequence[int], pred: Sequence[int], t: int, h: int, n:
     return path
 
 
-def _pair_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
-    """The candidate sets whose contraction flow is at most 2, as vertex masks.
+def _pair_cut_hosts(
+    D: Digraph, reading: DefinitionReading, bridges: dict[Arc, list[int]]
+) -> set[int]:
+    """The candidate sets that two arcs cut off, as vertex masks.
 
-    A vertex set X is one of them exactly when, for some two arcs a and b,
+    bridges is what _unit_cut_hosts returns beside its hosts: the strong
+    bridges of D (the arcs whose removal breaks strongness), each with the
+    non-trivial strong components of D without it.  The sets returned here
+    and the hosts of _unit_cut_hosts together are the candidate sets whose
+    contraction flow is at most 2.
+
+    A vertex set X is one of those exactly when, for some two arcs a and b,
     X is a non-trivial strong component of D - {a, b} with an arc wholly
     outside it: in D under OriginalHost, in D - {a, b} under ResidualHost.
-    The sets of flow 1 come from the strong bridges a (the arcs whose
-    removal breaks strongness): they are listed from the strong components
-    of D - a, as _unit_cut_hosts lists them.  A set of flow 2 lies strictly
-    inside a strong component of D - a that removing b splits, and inside
-    one of D - b that removing a splits, so the tail of a does not reach its
-    head in D - {a, b}.  Hence b lies on every tail -> head path of a in
-    D - a if a is not a strong bridge, and inside a non-trivial strong
-    component of D - a if it is.  A pair is tried only when b is among a's
-    partners (the arcs of one stored path, or of those components) and a
-    among b's, and its components are searched for only inside the
-    intersection of the two components.
+    A set of flow 2 lies strictly inside a strong component of D - a that
+    removing b splits, and inside one of D - b that removing a splits, so
+    the tail of a does not reach its head in D - {a, b}.  Hence b lies on
+    every tail -> head path of a in D - a if a is not a strong bridge, and
+    inside a non-trivial strong component of D - a if it is.  A pair is
+    tried only when b is among a's partners (the arcs of one stored path,
+    or of those components) and a among b's, and its components are
+    searched for only inside the intersection of the two components.
     """
     n = D.n
     full = (1 << n) - 1
@@ -502,23 +517,21 @@ def _pair_cut_hosts(D: Digraph, reading: DefinitionReading) -> set[int]:
     partners: dict[Arc, int] = {}  # n*n-bit arc masks
     homes: dict[Arc, list[int]] = {}  # a strong bridge's components by vertex
     for t, h in D.arcs:
-        succ[t] &= ~(1 << h)
-        path = _tail_head_path(succ, D.pred, t, h, n)
-        if path is not None:
-            partners[t, h] = path
-        else:
-            pred[h] &= ~(1 << t)
-            home = [full] * n
-            inside = 0
-            for comp in _strong_parts(succ, pred, full):
-                for v in _bits(comp):
-                    home[v] = comp
-                    inside |= (succ[v] & comp) << v * n
-                if _kernels.arc_within(host_rows, full & ~comp) is not None:
-                    hosts.add(comp)
-            partners[t, h], homes[t, h] = inside, home
-            pred[h] |= 1 << t
-        succ[t] |= 1 << h
+        comps = bridges.get((t, h))
+        if comps is None:
+            succ[t] &= ~(1 << h)
+            partners[t, h] = _tail_head_path(succ, D.pred, t, h, n)
+            succ[t] |= 1 << h
+            continue
+        # The tail and head of a bridge lie in different components, so
+        # D's own rows give each component's arcs.
+        home = [full] * n
+        inside = 0
+        for comp in comps:
+            for v in _bits(comp):
+                home[v] = comp
+                inside |= (D.succ[v] & comp) << v * n
+        partners[t, h], homes[t, h] = inside, home
     for a, mask in partners.items():
         ta, ha = a
         bit_a = 1 << (ta * n + ha)
@@ -563,13 +576,13 @@ def lambda_prime_exact(
     candidate sets whose flow is 1.  If there are none, from order
     _PAIR_PREPASS_MIN_ORDER up _pair_cut_hosts lists those whose flow is 2.
     If the last pass run finds any, only the first of them in candidate
-    order is walked; otherwise the walk stops at the first cut one larger
-    than that pass's flow.  Below both orders the walk stops at a cut of
-    size 1.  Either way the certificate is the one the full walk over all
-    candidates returns (see the module docstring).  Above order
-    _WALK_MAX_ORDER both passes run, and when they find no host and no
-    girth-cycle seed gives a cut of size 3, it raises CapExceeded rather
-    than walk the 2^n vertex sets.
+    order is walked, and only until its flow is reached; otherwise the
+    walk stops at the first cut one larger than that pass's flow.  Below
+    both orders the walk stops at a cut of size 1.  Either way the
+    certificate is the one the full walk over all candidates returns (see
+    the module docstring).  Above order _WALK_MAX_ORDER both passes run,
+    and when they find no host and no girth-cycle seed gives a cut of
+    size 3, it raises CapExceeded rather than walk the 2^n vertex sets.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
@@ -584,16 +597,17 @@ def lambda_prime_exact(
     seeds_only: Optional[dict[int, None]] = None  # if set, walk no other mask
     refuse = D.n > _WALK_MAX_ORDER
     if D.n >= _HOST_PREPASS_MIN_ORDER or refuse:
-        flow, hosts = 1, _unit_cut_hosts(D, reading)
+        hosts, bridges = _unit_cut_hosts(D, reading)
+        flow = 1
         if not hosts and (D.n >= _PAIR_PREPASS_MIN_ORDER or refuse):
-            # No set has flow 1, so the sets of flow at most 2 have flow 2.
-            flow, hosts = 2, _pair_cut_hosts(D, reading)
+            # No set has flow 1, so the sets two arcs cut off have flow 2.
+            flow, hosts = 2, _pair_cut_hosts(D, reading, bridges)
         if hosts:
             # lambda' = flow, and the walk would keep the first host in
-            # candidate order: walk that one alone, keeping only that flow.
+            # candidate order: walk that one alone, stopping at that flow.
             seeds = [m for m in _seed_masks(D) if m in hosts]
             first = seeds[0] if seeds else min(hosts, key=lambda m: (m.bit_count(), m))
-            masks, best = [first], flow + 1
+            masks, best, floor = [first], flow + 1, flow
         else:
             floor = flow + 1
             if refuse:

@@ -474,7 +474,7 @@ def test_unit_cut_hosts_match_the_definition_exhaustively():
         for code in codes:
             D = Digraph.from_code(n, code)
             for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
-                assert _unit_cut_hosts(D, reading) == oracle_unit_cut_hosts(D, residual)
+                assert _unit_cut_hosts(D, reading)[0] == oracle_unit_cut_hosts(D, residual)
 
 
 @given(st.one_of(strong_digraphs(min_n=6, max_n=9), sparse_strong_digraphs(min_n=6, max_n=9)))
@@ -482,7 +482,7 @@ def test_unit_cut_hosts_match_the_definition(D):
     from arcconn.connectivity import _unit_cut_hosts
 
     for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
-        assert _unit_cut_hosts(D, reading) == oracle_unit_cut_hosts(D, residual)
+        assert _unit_cut_hosts(D, reading)[0] == oracle_unit_cut_hosts(D, residual)
 
 
 @given(st.one_of(
@@ -530,7 +530,8 @@ def test_host_prepass_keeps_the_walks_certificate(D):
 
 
 # ---------------------------------------------------------------------------
-# the pair pass: candidate sets whose contraction flow is at most 2
+# the pair pass: with the one-arc pass, the candidate sets whose contraction
+# flow is at most 2
 
 
 def oracle_pair_cut_hosts(D: Digraph) -> dict[bool, set[int]]:
@@ -551,7 +552,7 @@ def oracle_pair_cut_hosts(D: Digraph) -> dict[bool, set[int]]:
 
 
 def test_pair_cut_hosts_match_the_definition_exhaustively():
-    from arcconn.connectivity import _pair_cut_hosts
+    from arcconn.connectivity import _pair_cut_hosts, _unit_cut_hosts
 
     for n in range(2, 6):
         _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), 0)
@@ -559,7 +560,8 @@ def test_pair_cut_hosts_match_the_definition_exhaustively():
             D = Digraph.from_code(n, code)
             oracle = oracle_pair_cut_hosts(D)
             for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
-                assert _pair_cut_hosts(D, reading) == oracle[residual]
+                hosts, bridges = _unit_cut_hosts(D, reading)
+                assert hosts | _pair_cut_hosts(D, reading, bridges) == oracle[residual]
 
 
 @given(st.one_of(
@@ -574,8 +576,9 @@ def test_pair_cut_hosts_match_the_definition_exhaustively():
 @example(Digraph(9, [(0, 2), (0, 8), (1, 4), (1, 6), (2, 3), (2, 4), (2, 8), (3, 4),
                      (3, 8), (4, 0), (4, 6), (5, 2), (5, 6), (6, 7), (7, 1), (8, 5)]))
 def test_pair_cut_hosts_match_the_definition(D):
-    from arcconn.connectivity import _pair_cut_hosts
+    from arcconn.connectivity import _pair_cut_hosts, _unit_cut_hosts
 
     oracle = oracle_pair_cut_hosts(D)
     for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
-        assert _pair_cut_hosts(D, reading) == oracle[residual]
+        hosts, bridges = _unit_cut_hosts(D, reading)
+        assert hosts | _pair_cut_hosts(D, reading, bridges) == oracle[residual]
