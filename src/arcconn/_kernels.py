@@ -8,9 +8,10 @@ Reachability has two forms.  ``reach`` is the one single-source search: the
 vertices of a mask that one vertex reaches, forwards along succ or backwards
 along pred.  Strongness of a digraph (``is_strong``), of a sampled code
 (``filter_codes``) and of an induced subgraph (lambda' candidates in
-``connectivity``) is two such searches from one vertex.  ``reach_closure`` is
-the all-sources Warshall closure, for the callers that need every vertex's
-closure (``scc_masks`` and the vertex-0 split below).
+``connectivity``) is two such searches from one vertex, and ``strong_parts``
+lists strong components by two such searches per component.
+``reach_closure`` is the all-sources Warshall closure; only the vertex-0
+split below uses it, as it needs every vertex's closure.
 
 Enumeration encoding: unordered vertex pairs are listed lexicographically
 ((0,1), (0,2), ..., (n-2,n-1)); pair k holds a trit (0 = no arc, 1 = i->j,
@@ -238,31 +239,36 @@ def is_strong(succ: Sequence[int], pred: Sequence[int], n: int) -> bool:
     return n > 0 and reach(succ, 0, full) == full and reach(pred, 0, full) == full
 
 
-def scc_masks(succ: Sequence[int], n: int) -> list[int]:
-    """SCC masks in topological order (sources first), ties by smallest vertex.
+def strong_parts(succ: Sequence[int], pred: Sequence[int], within: int) -> list[int]:
+    """The non-trivial strong components inside within, as vertex masks.
 
-    Vertices u, v share a component iff each reaches the other.  If component
-    A reaches component B then A's closure strictly contains B's, so sorting
-    by descending closure popcount is a valid topological order.
+    within must be a union of strong components.  The component of its
+    lowest vertex v is what v reaches backwards inside what it reaches
+    forwards, and the rest of what v reaches and the rest of within are
+    unions of components again, so each is split the same way (Fleischer,
+    Hendrickson and Pinar's forward-backward split).
     """
-    clos = reach_closure(succ, n)
     comps = []
-    seen = 0
-    for v in range(n):
-        if seen >> v & 1:
-            continue
-        m = clos[v]
-        comp = 0
-        rest = m
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            if clos[b.bit_length() - 1] & (1 << v):
-                comp |= b
-        comps.append((-clos[v].bit_count(), v, comp))
-        seen |= comp
-    comps.sort()
-    return [c for _, _, c in comps]
+    parts = [within]
+    while parts:
+        part = parts.pop()
+        if part & (part - 1) == 0:
+            continue  # at most one vertex
+        v = (part & -part).bit_length() - 1
+        ahead = reach(succ, v, part)
+        comp = reach(pred, v, ahead)
+        if comp != 1 << v:
+            comps.append(comp)
+        parts += (ahead & ~comp, part & ~ahead)
+    return comps
+
+
+def topological_key(succ: Sequence[int], comp: int, within: int) -> tuple[int, int]:
+    """Sort key of a strong component for a topological order, sources
+    first: minus the count of what its lowest vertex v reaches inside
+    within (a component reaches strictly more than one it reaches), then v."""
+    v = (comp & -comp).bit_length() - 1
+    return -reach(succ, v, within).bit_count(), v
 
 
 def girth(succ: Sequence[int], pred: Sequence[int], n: int, target: int = 0) -> int:

@@ -232,25 +232,31 @@ def arc_connectivity(D: Digraph) -> int:
 
 
 def _witness_scan(
-    D: Digraph, succ: list[int], reading: DefinitionReading
+    D: Digraph, succ: list[int], pred: list[int], reading: DefinitionReading
 ) -> Optional[tuple[tuple[int, ...], Arc]]:
     """Shared core of the restricted-arc-cut test.
 
-    succ must be D's successor masks with the cut taken out.  Scans the
-    non-trivial strong components of the residue sink-first (reverse
-    topological order) and returns the first one having an arc with both
-    endpoints outside it, in D or in the residue as the reading says,
+    succ and pred must be D's successor and predecessor masks with the cut
+    taken out.  Among the non-trivial strong components of the residue that
+    have an arc with both endpoints outside them, in D or in the residue as
+    the reading says, returns the one whose lowest vertex reaches the fewest
+    vertices in the residue, ties going to the larger lowest vertex (the
+    last one in _kernels.topological_key order, so a sink-most one),
     together with the lexicographically smallest such arc.
     """
     full = (1 << D.n) - 1
     host_rows = D.succ if reading is ORIGINAL_HOST else succ
-    for comp in reversed(_kernels.scc_masks(succ, D.n)):
-        if comp.bit_count() < 2:
-            continue
+    found = []
+    for comp in _kernels.strong_parts(succ, pred, full):
         arc = _kernels.arc_within(host_rows, full & ~comp)
         if arc is not None:
-            return tuple(_bits(comp)), arc
-    return None
+            found.append((comp, arc))
+    if not found:
+        return None
+    if len(found) > 1:
+        found.sort(key=lambda c: _kernels.topological_key(succ, c[0], full))
+    comp, arc = found[-1]
+    return tuple(_bits(comp)), arc
 
 
 def is_restricted_arc_cut(
@@ -267,10 +273,11 @@ def is_restricted_arc_cut(
         if not D.has_arc(*arc):
             raise UnknownArc("cut contains an arc not in the digraph", arc=arc)
         cut.append(arc)
-    succ = list(D.succ)
+    succ, pred = list(D.succ), list(D.pred)
     for t, h in cut:
         succ[t] &= ~(1 << h)
-    return _witness_scan(D, succ, reading)
+        pred[h] &= ~(1 << t)
+    return _witness_scan(D, succ, pred, reading)
 
 
 def lambda_prime_bruteforce(
@@ -287,13 +294,13 @@ def lambda_prime_bruteforce(
     m = D.m
     k_max = m if k_max is None else min(k_max, m)
     arcs = D.arcs
-    base = list(D.succ)
     for k in range(k_max + 1):
         for S in combinations(arcs, k):
-            succ = base[:]
+            succ, pred = list(D.succ), list(D.pred)
             for t, h in S:
                 succ[t] &= ~(1 << h)
-            witness = _witness_scan(D, succ, reading)
+                pred[h] &= ~(1 << t)
+            witness = _witness_scan(D, succ, pred, reading)
             if witness is not None:
                 component, outside = witness
                 return RestrictedCutCertificate(
@@ -425,34 +432,13 @@ def _unit_cut_hosts(
         succ[t] &= ~(1 << h)
         if not _kernels.reach(succ, t, full) >> h & 1:
             pred[h] &= ~(1 << t)
-            comps = bridges[t, h] = list(_strong_parts(succ, pred, full))
+            comps = bridges[t, h] = _kernels.strong_parts(succ, pred, full)
             for comp in comps:
                 if _kernels.arc_within(host_rows, full & ~comp) is not None:
                     hosts.add(comp)
             pred[h] |= 1 << t
         succ[t] |= 1 << h
     return hosts, bridges
-
-
-def _strong_parts(succ: list[int], pred: list[int], within: int) -> Iterator[int]:
-    """The non-trivial strong components inside within, as vertex masks.
-
-    within must be a union of strong components.  The component of its
-    lowest vertex v is what v reaches backwards inside what it reaches
-    forwards, and the rest of what v reaches and the rest of within are
-    unions of components again, so each is split the same way.
-    """
-    parts = [within]
-    while parts:
-        part = parts.pop()
-        if part & (part - 1) == 0:
-            continue  # at most one vertex
-        v = (part & -part).bit_length() - 1
-        ahead = _kernels.reach(succ, v, part)
-        comp = _kernels.reach(pred, v, ahead)
-        if comp != 1 << v:
-            yield comp
-        parts += (ahead & ~comp, part & ~ahead)
 
 
 def _tail_head_path(succ: Sequence[int], pred: Sequence[int], t: int, h: int, n: int) -> Optional[int]:
@@ -546,7 +532,7 @@ def _pair_cut_hosts(
             succ[tb] &= ~(1 << hb)
             pred[ha] &= ~(1 << ta)
             pred[hb] &= ~(1 << tb)
-            for comp in _strong_parts(succ, pred, within):
+            for comp in _kernels.strong_parts(succ, pred, within):
                 if comp not in hosts and _kernels.arc_within(host_rows, full & ~comp) is not None:
                     hosts.add(comp)
             succ[ta] |= 1 << ha

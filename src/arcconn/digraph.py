@@ -3,7 +3,8 @@
 A Digraph is an immutable digraph on vertices 0..n-1 with no loops and no
 digons (if u->v is present, v->u is not).  Adjacency is kept both as a sorted
 arc tuple and as successor/predecessor bitmasks; the masks feed the bitmask
-kernels for reachability, SCC, and girth work.
+kernels for reachability, strong-component (_kernels.strong_parts) and girth
+work.
 """
 
 from __future__ import annotations
@@ -137,13 +138,14 @@ class Digraph:
             object.__setattr__(self, "_strong", _kernels.is_strong(self.succ, self.pred, self.n))
         return self._strong
 
-    def component_masks(self) -> list[int]:
-        """SCC bitmasks in topological order (sources first)."""
-        return _kernels.scc_masks(self.succ, self.n)
-
     def strong_components(self) -> tuple[tuple[int, ...], ...]:
-        """SCCs as sorted vertex tuples, topologically ordered."""
-        return tuple(tuple(_bits(m)) for m in self.component_masks())
+        """SCCs as sorted vertex tuples, topologically ordered (sources
+        first, by _kernels.topological_key)."""
+        full = (1 << self.n) - 1
+        comps = _kernels.strong_parts(self.succ, self.pred, full)
+        comps += [1 << v for v in _bits(full & ~sum(comps))]  # disjoint: sum is union
+        comps.sort(key=lambda comp: _kernels.topological_key(self.succ, comp, full))
+        return tuple(tuple(_bits(m)) for m in comps)
 
     # -- cuts and arc scans --------------------------------------------
 

@@ -14,10 +14,15 @@ invariants (loops, digons, duplicates) raise InvariantViolation.
 from __future__ import annotations
 
 import os
+import re
 from typing import Iterator
 
 from .digraph import Digraph
 from .errors import InvalidDigraph, InvariantViolation, ParseError
+
+
+# An integer token: int() alone would also read '+3', '1_0' and non-ASCII digits.
+_INT = re.compile(r"-?[0-9]+")
 
 
 def emit_edge_list(D: Digraph) -> str:
@@ -34,7 +39,7 @@ def parse_edge_list(text: str) -> Digraph:
         if not line:
             continue
         parts = line.split()
-        if len(parts) != 2 or not all(_is_int(p) for p in parts):
+        if len(parts) != 2 or not all(_INT.fullmatch(p) for p in parts):
             what = "header 'n m'" if header is None else "arc line 'tail head'"
             raise ParseError(f"expected {what}, got {raw.strip()!r}", line=lineno)
         a, b = int(parts[0]), int(parts[1])
@@ -54,14 +59,6 @@ def parse_edge_list(text: str) -> Digraph:
     except InvalidDigraph as exc:
         line = next((ln for arc, ln in arcs if arc == exc.arc), None)
         raise InvariantViolation(str(exc), line=line) from exc
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-    except ValueError:
-        return False
-    return True
 
 
 def emit_digraph6(D: Digraph) -> str:
@@ -115,15 +112,17 @@ def parse_digraph6(text: str) -> Digraph:
 
 
 def parse(text: str) -> Digraph:
-    """Parse either format, sniffing digraph6 by its leading '&'."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("&"):
-            return parse_digraph6(line)
+    """Parse either format, sniffing digraph6 by its leading '&'.  A digraph6
+    document holds one graph; iter_digraph6 reads one per line."""
+    lines = [(k, raw.strip()) for k, raw in enumerate(text.splitlines(), start=1)]
+    lines = [(k, line) for k, line in lines if line and not line.startswith("#")]
+    if not lines:
+        raise ParseError("document is empty")
+    if not lines[0][1].startswith("&"):
         return parse_edge_list(text)
-    raise ParseError("document is empty")
+    if len(lines) > 1:
+        raise ParseError("a digraph6 document holds one graph, found another line", line=lines[1][0])
+    return parse_digraph6(lines[0][1])
 
 
 def load(path: str | os.PathLike[str]) -> Digraph:

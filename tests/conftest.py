@@ -162,6 +162,41 @@ def oracle_restricted_witness(D: Digraph, S: Iterable[Arc], residual_host: bool 
     return None
 
 
+def oracle_closure_size(n: int, arcs: Iterable[Arc], v: int) -> int:
+    """Number of vertices v reaches, itself included, by breadth-first search."""
+    fwd: dict[int, list[int]] = {u: [] for u in range(n)}
+    for t, h in arcs:
+        fwd[t].append(h)
+    seen = {v}
+    queue = [v]
+    for x in queue:
+        for y in fwd[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return len(seen)
+
+
+def oracle_witness_choice(D: Digraph, S: Iterable[Arc], residual_host: bool = False):
+    """The witness is_restricted_arc_cut pins, or None: among the non-trivial
+    strong components of D - S with an arc outside them (from D, or from the
+    residue), the one whose lowest vertex reaches the fewest vertices in
+    D - S, ties to the larger lowest vertex; with the smallest such arc."""
+    gone = set(S)
+    rest = [a for a in D.arcs if a not in gone]
+    host = rest if residual_host else D.arcs
+    best = None
+    for comp in oracle_sccs(D.n, rest):
+        outside = sorted((t, h) for t, h in host if t not in comp and h not in comp)
+        if len(comp) < 2 or not outside:
+            continue
+        low = min(comp)
+        key = (oracle_closure_size(D.n, rest, low), -low)
+        if best is None or key < best[0]:
+            best = key, (tuple(sorted(comp)), outside[0])
+    return None if best is None else best[1]
+
+
 def brute_lambda_prime(D: Digraph, k_max: Optional[int] = None, residual_host: bool = False):
     """(size, cut) of a minimum restricted arc-cut, or None up to k_max."""
     arcs = D.arcs
@@ -233,6 +268,38 @@ def double_cycle_digraphs(draw, min_n: int = 3, max_n: int = 6) -> Digraph:
             t, h = perm[i], perm[(i + 1) % n]
             if (h, t) not in arcs:
                 arcs.add((t, h))
+    return Digraph(n, sorted(arcs))
+
+
+@st.composite
+def linked_cycle_digraphs(draw, min_n: int = 3, max_n: int = 7) -> Digraph:
+    """Directed cycles on disjoint vertex sets, joined in a ring by one arc
+    from each to the next; the other vertices each get an in-arc from and
+    an out-arc to distinct cycle vertices, and up to two arcs are added at
+    random.  Always strong, and cuts of a few arcs often leave several
+    non-trivial strong components, which the other strategies rarely do."""
+    n = draw(st.integers(min_value=max(3, min_n), max_value=max_n))
+    perm = draw(st.permutations(list(range(n))))
+    k = draw(st.integers(min_value=1, max_value=n // 3))
+    # each vertex past the first 3k joins a cycle or, on 0, stays outside
+    homes = [draw(st.integers(min_value=0, max_value=k)) for _ in range(n - 3 * k)]
+    cycles = [perm[3 * i : 3 * i + 3] + [v for v, c in zip(perm[3 * k :], homes) if c == i + 1] for i in range(k)]
+    extra = [v for v, c in zip(perm[3 * k :], homes) if c == 0]
+    arcs: set[Arc] = set()
+    for C in cycles:
+        arcs.update((C[i], C[(i + 1) % len(C)]) for i in range(len(C)))
+    if len(cycles) > 1:
+        for C, nxt in zip(cycles, cycles[1:] + cycles[:1]):
+            link = st.tuples(st.sampled_from(C), st.sampled_from(nxt))
+            arcs.add(draw(link.filter(lambda a: (a[1], a[0]) not in arcs)))
+    core = [v for C in cycles for v in C]
+    for v in extra:
+        t, h = draw(st.lists(st.sampled_from(core), min_size=2, max_size=2, unique=True))
+        arcs.update(((t, v), (v, h)))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for t, h in draw(st.lists(pairs, max_size=2)):
+        if t != h and (h, t) not in arcs:
+            arcs.add((t, h))
     return Digraph(n, sorted(arcs))
 
 

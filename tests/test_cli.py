@@ -234,6 +234,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["params", str(digon)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+    two = tmp_path / "two.d6"
+    two.write_text("&CO_?\n&CA_?\n")
+    for command in ("params", "check"):
+        assert main([command, str(two)]) == 2
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

@@ -38,9 +38,11 @@ from .conftest import (
     brute_lambda,
     brute_lambda_prime,
     double_cycle_digraphs,
+    linked_cycle_digraphs,
     oracle_proof_cut_constructions,
     oracle_restricted_witness,
     oracle_sccs,
+    oracle_witness_choice,
     sparse_strong_digraphs,
     strong_digraphs,
 )
@@ -149,6 +151,32 @@ def test_restricted_cut_matches_definition_oracle(D, data):
             host = rest if residual else D.arcs
             assert arc in host
             assert arc[0] not in comp and arc[1] not in comp
+
+
+@given(st.one_of(
+    strong_digraphs(min_n=3, max_n=7),
+    sparse_strong_digraphs(min_n=3, max_n=7),
+    linked_cycle_digraphs(min_n=3, max_n=7),
+))
+def test_restricted_cut_witness_follows_the_closure_rule(D):
+    """Every lambda' certificate carries this witness, so its choice is
+    pinned for every cut of at most 3 arcs: the qualifying component that
+    reaches the fewest vertices in the residue (a sink-most one), ties to
+    the larger lowest vertex, with the smallest outside arc."""
+    for k in range(min(3, D.m) + 1):
+        for S in combinations(D.arcs, k):
+            for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
+                assert is_restricted_arc_cut(D, S, reading=reading) == oracle_witness_choice(D, S, residual)
+
+
+def test_restricted_cut_witness_ties_go_to_the_larger_lowest_vertex():
+    # two 3-cycles linked both ways: cutting both links leaves two sinks
+    # that each reach 3 vertices
+    D = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (4, 1)])
+    assert is_restricted_arc_cut(D, [(0, 3), (4, 1)]) == ((3, 4, 5), (0, 1))
+    # with one link left, the sink wins whatever its lowest vertex
+    assert is_restricted_arc_cut(D, [(0, 3)]) == ((0, 1, 2), (3, 4))
+    assert is_restricted_arc_cut(D, [(4, 1)]) == ((3, 4, 5), (0, 1))
 
 
 # ---------------------------------------------------------------------------

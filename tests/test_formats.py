@@ -59,6 +59,18 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError, match="claims"):
         parse_edge_list("3 2\n0 1\n")
 
+    # only an optional '-' and ASCII digits: int() alone would read 10 and 1
+    for text, line in (("3 1_0\n", 1), ("3 1\n0 +1\n", 2)):
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(text)
+        assert err.value.line == line
+
+    # a digraph6 document holds one graph; comments may follow it
+    assert parse("&CO`_\n# done\n") == parse_digraph6("&CO`_")
+    with pytest.raises(ParseError) as err:
+        parse("&CO_?\n# next\n\n&CA_?\n")
+    assert err.value.line == 4
+
 
 def test_edge_list_digon_is_invariant_violation():
     with pytest.raises(InvariantViolation) as err:

@@ -1,6 +1,6 @@
 """The bitmask kernel module: backend label, range checks, large orders,
-decode, the reach search behind every strongness test, and the arc-in-mask
-scan behind every restricted-cut witness.
+decode, the reach search behind every strongness test, the strong-component
+split, and the arc-in-mask scan behind every restricted-cut witness.
 
 ``filter_range`` and ``filter_codes`` are checked against independent
 oracles in ``test_filter_oracle.py``.
@@ -16,7 +16,7 @@ from arcconn import _kernels
 from arcconn.digraph import Digraph
 from arcconn.errors import InvalidDigraph
 
-from .conftest import digraphs, oracle_girth, oracle_strong, sparse_strong_digraphs
+from .conftest import digraphs, oracle_girth, oracle_sccs, oracle_strong, sparse_strong_digraphs
 
 
 def codes(n: int):
@@ -124,3 +124,18 @@ def test_arc_within_is_the_smallest_arc_inside_the_mask(D, mask):
     mask &= (1 << D.n) - 1
     inside = [(t, h) for t, h in D.arcs if mask >> t & 1 and mask >> h & 1]
     assert _kernels.arc_within(D.succ, mask) == min(inside, default=None)
+
+
+@given(digraphs(min_n=1, max_n=8), st.data())
+def test_strong_parts_lists_the_nontrivial_components_within(D, data):
+    comps = oracle_sccs(D.n, D.arcs)
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(comps), max_size=len(comps)))
+    within = 0
+    expected = []
+    for comp, keep in zip(comps, chosen):
+        mask = sum(1 << v for v in comp)
+        if keep:
+            within |= mask
+            if len(comp) > 1:
+                expected.append(mask)
+    assert sorted(_kernels.strong_parts(D.succ, D.pred, within)) == sorted(expected)
