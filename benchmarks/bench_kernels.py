@@ -2,9 +2,9 @@
 
 Times the strong/girth filter over a contiguous code range (filter_range) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path),
-each in ns/code, the four per-graph primitives (closure, strongness by two
-reach searches, strong components by _kernels.strong_parts over the full
-vertex mask, girth) on the same batch,
+each in ns/code, the three per-graph primitives (strongness by two reach
+searches, strong components by _kernels.strong_parts over the full vertex
+mask, girth) on the same batch,
 verify.measure on the girth-4 survivors of the filter_range run, in us per
 graph, and the seeded random-mode sweep of 50,000 codes at n=7 (the
 perfbench sample-n7 input class) in wall seconds.  The last line is one JSON
@@ -66,9 +66,7 @@ def bench_filter(run) -> tuple[Times, tuple[int, int, list[int]]]:
 
 def bench_primitives(n: int, batch: list[int]) -> dict[str, Times]:
     paired = [_kernels.decode_code(n, code) for code in batch]
-    decoded = [succ for succ, _ in paired]
     times = {}
-    times["closure"] = _time(lambda: [_kernels.reach_closure(succ, n) for succ in decoded])
     times["strong"] = _time(lambda: [_kernels.is_strong(succ, pred, n) for succ, pred in paired])
     full = (1 << n) - 1
     times["scc"] = _time(lambda: [_kernels.strong_parts(succ, pred, full) for succ, pred in paired])

@@ -4,14 +4,13 @@ Digraphs on n vertices are handled as adjacency bitmasks: ``succ[v]`` has bit
 ``u`` set iff the arc v->u is present.  These are the hot primitives behind
 strongness/SCC/girth queries and the exhaustive enumeration filter.
 
-Reachability has two forms.  ``reach`` is the one single-source search: the
-vertices of a mask that one vertex reaches, forwards along succ or backwards
-along pred.  Strongness of a digraph (``is_strong``), of a sampled code
-(``filter_codes``) and of an induced subgraph (lambda' candidates in
-``connectivity``) is two such searches from one vertex, and ``strong_parts``
-lists strong components by two such searches per component.
-``reach_closure`` is the all-sources Warshall closure; only the vertex-0
-split below uses it, as it needs every vertex's closure.
+``reach`` is the one reachability search: the vertices of a mask that one
+vertex reaches, forwards along succ or backwards along pred.  Strongness of
+a digraph (``is_strong``), of a sampled code (``filter_codes``) and of an
+induced subgraph (lambda' candidates in ``connectivity``) is two such
+searches from one vertex, ``strong_parts`` lists strong components by two
+such searches per component, and the vertex-0 split below takes every
+vertex's closures by one search each way per vertex.
 
 Enumeration encoding: unordered vertex pairs are listed lexicographically
 ((0,1), (0,2), ..., (n-2,n-1)); pair k holds a trit (0 = no arc, 1 = i->j,
@@ -185,18 +184,6 @@ def decode_code(n: int, code: int) -> tuple[list[int], list[int]]:
     enumeration code, read from one packed word."""
     q = _pack(_layout(n), code)
     return _rows(q, n, 0), _rows(q, n, n)
-
-
-def reach_closure(succ: Sequence[int], n: int) -> list[int]:
-    """Reflexive-transitive closure masks: bit u of closure[v] iff v reaches u."""
-    clos = [(1 << v) | succ[v] for v in range(n)]
-    for k in range(n):
-        ck = clos[k]
-        bit = 1 << k
-        for i in range(n):
-            if clos[i] & bit:
-                clos[i] |= ck
-    return clos
 
 
 def reach(rows: Sequence[int], start: int, within: int) -> int:
@@ -379,10 +366,10 @@ def _judge_block(n, base, first, last, girth_target, survivors):
             must_in |= 1 << v
     if must_out & must_in:
         return 0
-    reach = reach_closure(succ, n)
-    coreach = reach_closure(pred, n)
-    spans_out = _Memo(lambda o: _union(reach, o) == rest)
-    spans_in = _Memo(lambda i: _union(coreach, i) == rest)
+    ahead = [reach(succ, v, rest) for v in range(n)]
+    behind = [reach(pred, v, rest) for v in range(n)]
+    spans_out = _Memo(lambda o: _union(ahead, o) == rest)
+    spans_in = _Memo(lambda i: _union(behind, i) == rest)
     keep = True  # whether a strong code of this block can have the target girth
     if girth_target:
         # Below the target g_h need not be girth(H), but girth(H) is below it

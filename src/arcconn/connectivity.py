@@ -13,36 +13,37 @@ vertex sets X that could host the surviving component, the max-flow value
 between the split halves of X contracted to a single vertex.  They must agree
 and the test suite holds them to that.
 
+The restricted-cut rule is stated once, in _hosts: of the strong parts of a
+residue, those with an arc wholly outside them, read in D or in the residue
+as the reading says.  The witness of a cut, the one-arc pass and the pair
+pass all apply it.
+
 Both lambda and lambda_prime_exact stop at a lower bound.  A strong digraph
 needs at least one arc removed to lose strongness, so a vertex of degree 1
-settles lambda before any flow.  A restricted cut is never empty, so
-lambda' >= 1.  Before the walk over vertex sets, lambda_prime_exact runs up
-to two passes over the arcs:
+settles lambda before any flow.  lambda_prime_exact walks candidate vertex
+sets and stops at the first cut of the floor's size, no cut being smaller.
+Up to two passes over the arcs set the floor and the masks walked, and then
+one walk runs:
 
-* From order 7 up, the one-arc pass finds the sets that one arc cuts off:
-  for each arc a whose removal breaks strongness, the non-trivial strong
-  components of D - a with an arc outside them.  These are exactly the
-  candidate sets whose contraction flow is 1.  If there are any, lambda' = 1
-  and only the first of them in candidate order is walked.
-* If there are none and the order is 8 or more, the pair pass finds the
-  sets that two arcs cut off: the non-trivial strong components of
-  D - {a, b} with an arc outside them (in D under OriginalHost, in
-  D - {a, b} under ResidualHost).  It starts from the strong bridges and
-  their components that the one-arc pass listed.  With no set of flow 1,
-  these are exactly the candidate sets whose flow is 2.  If there are any,
-  lambda' = 2 and only the first of them is walked; otherwise lambda' >= 3
-  and the walk stops at a cut of size 3.
+* Below order 7 no pass runs: the floor is 1 (a restricted cut is never
+  empty) and the walk takes every candidate, girth-cycle seeds first.
+* From order 7 up, the one-arc pass lists the hosts of D - a over the
+  strong bridges a: exactly the candidate sets whose contraction flow is 1.
+* If it finds none and the order is 8 or more, the pair pass lists the
+  hosts of D - {a, b}, starting from the strong bridges and components the
+  one-arc pass stored.  With no set of flow 1, these are exactly the
+  candidate sets whose flow is 2.
+* If the last pass run found hosts, the floor is its flow and the walk
+  takes the first host in candidate order alone.  Otherwise the floor is
+  one more than that flow, and the walk takes every candidate, or above
+  order 20 the girth-cycle seeds only and then raises CapExceeded.
 
-Where only the one-arc pass runs and finds nothing, the walk stops at a cut
-of size 2.  Above order 20 both passes always run, and the walk goes no
-further than the girth-cycle vertex sets: when no cut of size 1 or 2 exists
-and none of them gives a cut of size 3, lambda_prime_exact raises
-CapExceeded.  The certificate (cut, component, outside arc) is the one the
-full search over all candidates would return: a flow that ends below its
-limit runs exactly as an unlimited one, and the kept cut only changes on a
-strictly smaller flow, so the full search keeps the first candidate, in
-candidate order, whose flow is the minimum (and under ResidualHost its
-first protected arc with that flow).
+The certificate (cut, component, outside arc) is the one the full search
+over all candidates would return: a flow that ends below its limit runs
+exactly as an unlimited one, and the kept cut only changes on a strictly
+smaller flow, so the full search keeps the first candidate, in candidate
+order, whose flow is the minimum (and under ResidualHost its first
+protected arc with that flow).
 
 xi, the existence witness, the candidate order and the proof cuts all read
 the girth cycles, which the Digraph memoises (see cycles).
@@ -231,26 +232,49 @@ def arc_connectivity(D: Digraph) -> int:
 # restricted arc-cuts
 
 
+def _hosts(
+    D: Digraph, succ: Sequence[int], comps: Iterable[int], reading: DefinitionReading
+) -> list[tuple[int, Arc]]:
+    """The restricted-cut rule: each strong part of comps that has an arc
+    with both endpoints outside it, with the smallest such arc.
+
+    succ holds the successor masks of the residue the parts were found in;
+    the arc is looked for in D under OriginalHost and in that residue under
+    ResidualHost.
+    """
+    full = (1 << D.n) - 1
+    rows = D.succ if reading is ORIGINAL_HOST else succ
+    found = []
+    for comp in comps:
+        arc = _kernels.arc_within(rows, full & ~comp)
+        if arc is not None:
+            found.append((comp, arc))
+    return found
+
+
+def _residue(D: Digraph, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
+    """D's successor and predecessor masks with the arcs taken out."""
+    succ, pred = list(D.succ), list(D.pred)
+    for t, h in arcs:
+        succ[t] &= ~(1 << h)
+        pred[h] &= ~(1 << t)
+    return succ, pred
+
+
 def _witness_scan(
     D: Digraph, succ: list[int], pred: list[int], reading: DefinitionReading
 ) -> Optional[tuple[tuple[int, ...], Arc]]:
     """Shared core of the restricted-arc-cut test.
 
     succ and pred must be D's successor and predecessor masks with the cut
-    taken out.  Among the non-trivial strong components of the residue that
-    have an arc with both endpoints outside them, in D or in the residue as
-    the reading says, returns the one whose lowest vertex reaches the fewest
+    taken out.  Among the _hosts of the residue's non-trivial strong
+    components, returns the one whose lowest vertex reaches the fewest
     vertices in the residue, ties going to the larger lowest vertex (the
     last one in _kernels.topological_key order, so a sink-most one),
-    together with the lexicographically smallest such arc.
+    together with the lexicographically smallest arc outside it.
     """
     full = (1 << D.n) - 1
-    host_rows = D.succ if reading is ORIGINAL_HOST else succ
-    found = []
-    for comp in _kernels.strong_parts(succ, pred, full):
-        arc = _kernels.arc_within(host_rows, full & ~comp)
-        if arc is not None:
-            found.append((comp, arc))
+    found = _hosts(D, succ, _kernels.strong_parts(succ, pred, full), reading)
     if not found:
         return None
     if len(found) > 1:
@@ -273,11 +297,22 @@ def is_restricted_arc_cut(
         if not D.has_arc(*arc):
             raise UnknownArc("cut contains an arc not in the digraph", arc=arc)
         cut.append(arc)
-    succ, pred = list(D.succ), list(D.pred)
-    for t, h in cut:
-        succ[t] &= ~(1 << h)
-        pred[h] &= ~(1 << t)
-    return _witness_scan(D, succ, pred, reading)
+    return _witness_scan(D, *_residue(D, cut), reading)
+
+
+def _found(
+    reading: DefinitionReading, cut: tuple[Arc, ...], witness: tuple[tuple[int, ...], Arc]
+) -> RestrictedCutCertificate:
+    """The certificate of a restricted cut with its witness (component,
+    outside arc)."""
+    component, outside = witness
+    return RestrictedCutCertificate(
+        outcome=CutOutcome.FOUND,
+        reading=reading,
+        cut=cut,
+        component=component,
+        outside_arc=outside,
+    )
 
 
 def lambda_prime_bruteforce(
@@ -296,20 +331,9 @@ def lambda_prime_bruteforce(
     arcs = D.arcs
     for k in range(k_max + 1):
         for S in combinations(arcs, k):
-            succ, pred = list(D.succ), list(D.pred)
-            for t, h in S:
-                succ[t] &= ~(1 << h)
-                pred[h] &= ~(1 << t)
-            witness = _witness_scan(D, succ, pred, reading)
+            witness = _witness_scan(D, *_residue(D, S), reading)
             if witness is not None:
-                component, outside = witness
-                return RestrictedCutCertificate(
-                    outcome=CutOutcome.FOUND,
-                    reading=reading,
-                    cut=tuple(S),
-                    component=component,
-                    outside_arc=outside,
-                )
+                return _found(reading, tuple(S), witness)
     if k_max >= m:
         return RestrictedCutCertificate(outcome=CutOutcome.NONEXISTENT, reading=reading)
     return RestrictedCutCertificate(
@@ -415,17 +439,15 @@ def _unit_cut_hosts(
     the strong bridges of D, each with the non-trivial strong components of
     D with it removed.
 
-    A vertex set X has flow 1 exactly when, for some arc a, X is a strong
-    component of D - a, and it is a candidate when some arc lies wholly
-    outside it: in D under OriginalHost, in D - a under ResidualHost.  D - a
-    is not strong exactly when the tail of a no longer reaches its head
-    (a is a strong bridge), which one reach call decides; only then are its
-    components listed.  _pair_cut_hosts starts from those lists.
+    A vertex set X has flow 1 exactly when, for some arc a, X is one of the
+    _hosts among the strong components of D - a.  D - a is not strong
+    exactly when the tail of a no longer reaches its head (a is a strong
+    bridge), which one reach call decides; only then are its components
+    listed.  _pair_cut_hosts starts from those lists.
     """
     n = D.n
     full = (1 << n) - 1
     succ, pred = list(D.succ), list(D.pred)
-    host_rows = succ if reading is RESIDUAL_HOST else D.succ
     hosts: set[int] = set()
     bridges: dict[Arc, list[int]] = {}
     for t, h in D.arcs:
@@ -433,9 +455,8 @@ def _unit_cut_hosts(
         if not _kernels.reach(succ, t, full) >> h & 1:
             pred[h] &= ~(1 << t)
             comps = bridges[t, h] = _kernels.strong_parts(succ, pred, full)
-            for comp in comps:
-                if _kernels.arc_within(host_rows, full & ~comp) is not None:
-                    hosts.add(comp)
+            for comp, _ in _hosts(D, succ, comps, reading):
+                hosts.add(comp)
             pred[h] |= 1 << t
         succ[t] |= 1 << h
     return hosts, bridges
@@ -484,8 +505,7 @@ def _pair_cut_hosts(
     contraction flow is at most 2.
 
     A vertex set X is one of those exactly when, for some two arcs a and b,
-    X is a non-trivial strong component of D - {a, b} with an arc wholly
-    outside it: in D under OriginalHost, in D - {a, b} under ResidualHost.
+    X is one of the _hosts among the strong components of D - {a, b}.
     A set of flow 2 lies strictly inside a strong component of D - a that
     removing b splits, and inside one of D - b that removing a splits, so
     the tail of a does not reach its head in D - {a, b}.  Hence b lies on
@@ -498,7 +518,6 @@ def _pair_cut_hosts(
     n = D.n
     full = (1 << n) - 1
     succ, pred = list(D.succ), list(D.pred)
-    host_rows = succ if reading is RESIDUAL_HOST else D.succ
     hosts: set[int] = set()
     partners: dict[Arc, int] = {}  # n*n-bit arc masks
     homes: dict[Arc, list[int]] = {}  # a strong bridge's components by vertex
@@ -532,9 +551,8 @@ def _pair_cut_hosts(
             succ[tb] &= ~(1 << hb)
             pred[ha] &= ~(1 << ta)
             pred[hb] &= ~(1 << tb)
-            for comp in _kernels.strong_parts(succ, pred, within):
-                if comp not in hosts and _kernels.arc_within(host_rows, full & ~comp) is not None:
-                    hosts.add(comp)
+            for comp, _ in _hosts(D, succ, _kernels.strong_parts(succ, pred, within), reading):
+                hosts.add(comp)
             succ[ta] |= 1 << ha
             succ[tb] |= 1 << hb
             pred[ha] |= 1 << ta
@@ -542,77 +560,37 @@ def _pair_cut_hosts(
     return hosts
 
 
-def lambda_prime_exact(
-    D: Digraph, reading: DefinitionReading = ORIGINAL_HOST
+def _seeds_then_refuse(D: Digraph) -> Iterator[int]:
+    """The girth-cycle seeds, then CapExceeded in place of the 2^n other
+    vertex sets (the walk's masks above order _WALK_MAX_ORDER)."""
+    yield from _seed_masks(D)
+    raise CapExceeded(
+        f"lambda' at n={D.n} has no cut of size 1 or 2 and no girth cycle "
+        f"gives one of size 3; walking the 2^{D.n} vertex sets is refused "
+        f"above order {_WALK_MAX_ORDER}"
+    )
+
+
+def _walk(
+    D: Digraph, reading: DefinitionReading, masks: Iterable[int], floor: int, best: Optional[int]
 ) -> RestrictedCutCertificate:
-    """Exact lambda' by contraction max-flow over candidate component sets.
+    """The certificate of the first cut of least contraction flow over
+    masks, in their order, counting only flows below best (any flow when
+    best is None); NONEXISTENT when no mask qualifies.
 
-    For each X inducing a strong subdigraph with an arc wholly outside it,
-    the cheapest arc set whose removal leaves X as its own strong component
-    is the min cut between the contracted halves of X.  X is strong when
-    its lowest vertex reaches all of X forwards and backwards (two
-    _kernels.reach calls).  Each X gets one contracted capacity matrix;
-    the cut is read off the source side of the flow's last search tree.
-    Under ResidualHost the witness arc must additionally survive the cut,
-    so the flow runs once per choice of protected outside arc, each on a
-    copy of that matrix with the arc's entry made infinite.  D's girth
-    cycles seed the candidate order.
-
-    From order _HOST_PREPASS_MIN_ORDER up, _unit_cut_hosts first lists the
-    candidate sets whose flow is 1.  If there are none, from order
-    _PAIR_PREPASS_MIN_ORDER up _pair_cut_hosts lists those whose flow is 2.
-    If the last pass run finds any, only the first of them in candidate
-    order is walked, and only until its flow is reached; otherwise the
-    walk stops at the first cut one larger than that pass's flow.  Below
-    both orders the walk stops at a cut of size 1.  Either way the
-    certificate is the one the full walk over all candidates returns (see
-    the module docstring).  Above order _WALK_MAX_ORDER both passes run,
-    and when they find no host and no girth-cycle seed gives a cut of
-    size 3, it raises CapExceeded rather than walk the 2^n vertex sets.
+    No cut is smaller than floor, so the walk stops at the first cut of
+    that size.
     """
-    if D.n < 2 or not D.is_strong():
-        raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
     succ, pred = D.succ, D.pred
     full = (1 << D.n) - 1
     inf = D.m + 1  # above every finite cut
-    best: Optional[int] = None
-    best_witness: Optional[tuple[tuple[Arc, ...], tuple[int, ...], Arc]] = None
-    any_qualifying = False
-    floor = 1  # the search stops at a cut of this size: no cut is smaller
-    masks: Iterable[int] = _candidate_masks(D)
-    seeds_only: Optional[dict[int, None]] = None  # if set, walk no other mask
-    refuse = D.n > _WALK_MAX_ORDER
-    if D.n >= _HOST_PREPASS_MIN_ORDER or refuse:
-        hosts, bridges = _unit_cut_hosts(D, reading)
-        flow = 1
-        if not hosts and (D.n >= _PAIR_PREPASS_MIN_ORDER or refuse):
-            # No set has flow 1, so the sets two arcs cut off have flow 2.
-            flow, hosts = 2, _pair_cut_hosts(D, reading, bridges)
-        if hosts:
-            # lambda' = flow, and the walk would keep the first host in
-            # candidate order: walk that one alone, stopping at that flow.
-            seeds = [m for m in _seed_masks(D) if m in hosts]
-            first = seeds[0] if seeds else min(hosts, key=lambda m: (m.bit_count(), m))
-            masks, best, floor = [first], flow + 1, flow
-        else:
-            floor = flow + 1
-            if refuse:
-                seeds_only = _seed_masks(D)
+    kept: Optional[RestrictedCutCertificate] = None
     for mask in masks:
-        if best == floor:
-            break
-        if seeds_only is not None and mask not in seeds_only:
-            raise CapExceeded(
-                f"lambda' at n={D.n} has no cut of size 1 or 2 and no girth cycle "
-                f"gives one of size 3; walking the 2^{D.n} vertex sets is refused "
-                f"above order {_WALK_MAX_ORDER}"
-            )
         start = (mask & -mask).bit_length() - 1
         if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:
             continue
         if _kernels.arc_within(succ, full & ~mask) is None:
             continue  # no arc wholly outside X
-        any_qualifying = True
         cap, ends = _contracted_capacities(D, mask)
         protect: list[Optional[tuple[int, int]]] = [None]
         if reading is RESIDUAL_HOST:
@@ -637,23 +615,62 @@ def lambda_prime_exact(
             witness = is_restricted_arc_cut(D, cut, reading)
             assert witness is not None, "flow cut must certify as restricted"
             best = flow
-            best_witness = (tuple(sorted(cut)), witness[0], witness[1])
+            kept = _found(reading, tuple(sorted(cut)), witness)
             if best == floor:
-                break
-    if best_witness is None:
-        if any_qualifying:
-            # Qualifying sets exist, so some finite cut (e.g. the out-cut of
-            # such a set) certifies; reaching here means a logic error.
-            raise AssertionError("qualifying component set produced no cut")
-        return RestrictedCutCertificate(outcome=CutOutcome.NONEXISTENT, reading=reading)
-    cut, component, outside = best_witness
-    return RestrictedCutCertificate(
-        outcome=CutOutcome.FOUND,
-        reading=reading,
-        cut=cut,
-        component=component,
-        outside_arc=outside,
-    )
+                return kept
+    if kept is None and best is not None:
+        # A bound is set only by a pass that found a set whose flow is below
+        # it (with no bound, the first qualifying set always yields a cut).
+        raise AssertionError("qualifying component set produced no cut")
+    return kept or RestrictedCutCertificate(outcome=CutOutcome.NONEXISTENT, reading=reading)
+
+
+def lambda_prime_exact(
+    D: Digraph, reading: DefinitionReading = ORIGINAL_HOST
+) -> RestrictedCutCertificate:
+    """Exact lambda' by contraction max-flow over candidate component sets.
+
+    For each X inducing a strong subdigraph with an arc wholly outside it,
+    the cheapest arc set whose removal leaves X as its own strong component
+    is the min cut between the contracted halves of X.  X is strong when
+    its lowest vertex reaches all of X forwards and backwards (two
+    _kernels.reach calls).  Each X gets one contracted capacity matrix;
+    the cut is read off the source side of the flow's last search tree.
+    Under ResidualHost the witness arc must additionally survive the cut,
+    so the flow runs once per choice of protected outside arc, each on a
+    copy of that matrix with the arc's entry made infinite.
+
+    The passes set the floor and the masks, and then _walk runs once (see
+    the module docstring for why the certificate is the full walk's).  From
+    order _HOST_PREPASS_MIN_ORDER up, _unit_cut_hosts lists the sets of
+    flow 1; when there are none, from order _PAIR_PREPASS_MIN_ORDER up,
+    _pair_cut_hosts lists those of flow 2.  If the last pass run finds any,
+    the floor is its flow and the mask is the first of them in candidate
+    order; otherwise the floor is one more, and the masks are every
+    candidate, or above order _WALK_MAX_ORDER the girth-cycle seeds and
+    then CapExceeded.  With no pass the floor is 1.  This relies on
+    _HOST_PREPASS_MIN_ORDER <= _PAIR_PREPASS_MIN_ORDER <= _WALK_MAX_ORDER,
+    so that both passes run wherever the walk may be refused.
+    """
+    if D.n < 2 or not D.is_strong():
+        raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
+    floor, best, masks = 1, None, _candidate_masks(D)
+    if D.n >= _HOST_PREPASS_MIN_ORDER:
+        hosts, bridges = _unit_cut_hosts(D, reading)
+        if not hosts and D.n >= _PAIR_PREPASS_MIN_ORDER:
+            # No set has flow 1, so the sets two arcs cut off have flow 2.
+            floor, hosts = 2, _pair_cut_hosts(D, reading, bridges)
+        if hosts:
+            # lambda' = floor, and the walk would keep the first host in
+            # candidate order: walk that one alone, below floor + 1.
+            seeds = [m for m in _seed_masks(D) if m in hosts]
+            masks = seeds[:1] or [min(hosts, key=lambda m: (m.bit_count(), m))]
+            best = floor + 1
+        else:
+            floor += 1
+            if D.n > _WALK_MAX_ORDER:
+                masks = _seeds_then_refuse(D)
+    return _walk(D, reading, masks, floor, best)
 
 
 def lambda_prime_existence_witness(D: Digraph) -> Optional[tuple[Cycle, Arc]]:

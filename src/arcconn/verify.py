@@ -18,7 +18,9 @@ them read):
 seeded sample, fans the survivors through ``check_graph``, and aggregates
 commutatively so chunk order, chunk size, and worker count never change the
 result.  Chunks carry ``VerificationRecord`` objects from the workers to the
-aggregate; records become rows of text only on disk.  With an output
+aggregate, with the audit on also each graph's record under the other
+reading, from which the aggregate derives the audit; records become rows of
+text only on disk (the checkpoint's rows and other_rows).  With an output
 directory it checkpoints per chunk (JSONL, resumable) and writes
 records.csv, counterexamples.d6, summary.json, and, when the
 definitional-reading audit is on, audit.json.
@@ -205,12 +207,6 @@ def check_graph(
     """
     if meas is None:
         meas = measure(D, reading)
-    return _judge(D, meas, reading, check_proof)
-
-
-def _judge(
-    D: Digraph, meas: Measurement, reading: DefinitionReading, check_proof: bool
-) -> VerificationRecord:
     family = meas.match.family.value if meas.match else None
     cert = meas.certificate
     exists = None if cert is None else meas.witness is not None
@@ -318,52 +314,34 @@ class SweepSpec:
         }
 
 
-def _new_audit() -> dict:
+def _audit(base: list[VerificationRecord], other: list[VerificationRecord]) -> dict:
+    """How each graph's record differs between the two readings.
+
+    base and other hold the records of the sweep's reading and of the other
+    one, both sorted by graph_id, so they pair up in order.  Counts the
+    graphs whose existence, value or clause verdicts differ, with the first
+    AUDIT_EXAMPLE_CAP graph ids of each.
+    """
+    ids: dict[str, list[str]] = {"existence": [], "value": [], **{name: [] for name in CLAUSE_FIELDS}}
+    for a, b in zip(base, other):
+        if a.lambda_prime_exists != b.lambda_prime_exists:
+            ids["existence"].append(a.graph_id)
+        if a.lambda_prime != b.lambda_prime:
+            ids["value"].append(a.graph_id)
+        for name in CLAUSE_FIELDS:
+            if getattr(a, name) != getattr(b, name):
+                ids[name].append(a.graph_id)
     return {
-        "graphs": 0,
-        "existence_differs": 0,
-        "value_differs": 0,
-        "clause_differs": {name: 0 for name in CLAUSE_FIELDS},
+        "graphs": len(base),
+        "existence_differs": len(ids["existence"]),
+        "value_differs": len(ids["value"]),
+        "clause_differs": {name: len(ids[name]) for name in CLAUSE_FIELDS},
         "examples": {
-            "existence": [],
-            "value": [],
-            "clauses": {name: [] for name in CLAUSE_FIELDS},
+            "existence": ids["existence"][:AUDIT_EXAMPLE_CAP],
+            "value": ids["value"][:AUDIT_EXAMPLE_CAP],
+            "clauses": {name: ids[name][:AUDIT_EXAMPLE_CAP] for name in CLAUSE_FIELDS},
         },
     }
-
-
-def _audit_pair(audit: dict, base: VerificationRecord, other: VerificationRecord) -> None:
-    audit["graphs"] += 1
-    if base.lambda_prime_exists != other.lambda_prime_exists:
-        audit["existence_differs"] += 1
-        audit["examples"]["existence"].append(base.graph_id)
-    if base.lambda_prime != other.lambda_prime:
-        audit["value_differs"] += 1
-        audit["examples"]["value"].append(base.graph_id)
-    for name in CLAUSE_FIELDS:
-        if getattr(base, name) != getattr(other, name):
-            audit["clause_differs"][name] += 1
-            audit["examples"]["clauses"][name].append(base.graph_id)
-
-
-def _merge_audit(total: dict, part: dict) -> None:
-    total["graphs"] += part["graphs"]
-    total["existence_differs"] += part["existence_differs"]
-    total["value_differs"] += part["value_differs"]
-    for name in CLAUSE_FIELDS:
-        total["clause_differs"][name] += part["clause_differs"][name]
-    total["examples"]["existence"] += part["examples"]["existence"]
-    total["examples"]["value"] += part["examples"]["value"]
-    for name in CLAUSE_FIELDS:
-        total["examples"]["clauses"][name] += part["examples"]["clauses"][name]
-
-
-def _trim_audit(audit: dict) -> None:
-    ex = audit["examples"]
-    ex["existence"] = sorted(ex["existence"])[:AUDIT_EXAMPLE_CAP]
-    ex["value"] = sorted(ex["value"])[:AUDIT_EXAMPLE_CAP]
-    for name in CLAUSE_FIELDS:
-        ex["clauses"][name] = sorted(ex["clauses"][name])[:AUDIT_EXAMPLE_CAP]
 
 
 def _other_reading(reading: DefinitionReading) -> DefinitionReading:
@@ -398,25 +376,20 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
     else:
         seen, strong, codes = _kernels.filter_codes(n, payload, girth_target=target)
     records: list[VerificationRecord] = []
-    audit = _new_audit() if spec.audit_readings else None
+    others: list[VerificationRecord] = []  # the other reading's, when auditing
+    other = _other_reading(spec.reading)
     for code in codes:
         D = Digraph.from_code(n, code)
-        if audit is None:
+        if not spec.audit_readings:
             records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts))
             continue
         # Only lambda' and the proof clause depend on the reading.
         meas = measure(D, spec.reading)
-        rec = check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas)
-        records.append(rec)
-        other = _other_reading(spec.reading)
+        records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas))
         if meas.certificate is not None:
-            cert = lambda_prime_exact(D, reading=other)
-            meas = replace(meas, certificate=cert)
-        _audit_pair(audit, rec, _judge(D, meas, other, spec.check_proof_cuts))
-    chunk = {"n": n, "seen": seen, "strong": strong, "records": records}
-    if audit is not None:
-        chunk["audit"] = audit
-    return key, chunk
+            meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
+        others.append(check_graph(D, reading=other, check_proof=spec.check_proof_cuts, meas=meas))
+    return key, {"n": n, "seen": seen, "strong": strong, "records": records, "others": others}
 
 
 @dataclass
@@ -469,7 +442,7 @@ class SweepResult:
 def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> SweepResult:
     result = SweepResult(spec=spec, completed=completed, backend=_kernels.backend_name())
     records: list[VerificationRecord] = []
-    audit = _new_audit() if spec.audit_readings else None
+    others: list[VerificationRecord] = []
     for chunk in chunks.values():
         n = chunk["n"]
         slot = result.per_n.setdefault(
@@ -479,8 +452,7 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
         slot["strong"] += chunk["strong"]
         slot["stratum"] += len(chunk["records"])
         records += chunk["records"]
-        if audit is not None and "audit" in chunk:
-            _merge_audit(audit, chunk["audit"])
+        others += chunk["others"]
     records.sort(key=lambda r: r.graph_id)
     result.records = records
     result.clause_tallies = {
@@ -507,22 +479,23 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
         result.accounting_ok = (
             result.stratum == result.family_total + result.lambda_prime_connected
         )
-    if audit is not None:
-        _trim_audit(audit)
-        result.audit = audit
+    if spec.audit_readings:
+        result.audit = _audit(records, sorted(others, key=lambda r: r.graph_id))
     return result
 
 
-def _is_chunk_entry(entry: object) -> bool:
-    """Whether a checkpoint line has the shape run_sweep writes for a chunk."""
+def _is_chunk_entry(entry: object, audit: bool) -> bool:
+    """Whether a checkpoint line has the shape run_sweep writes for a chunk,
+    with the other reading's rows when the sweep audits the readings."""
     if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
         return False
     chunk = entry.get("chunk")
+    lists = ("rows", "other_rows") if audit else ("rows",)
     return (
         isinstance(chunk, dict)
         and all(name in chunk for name in ("n", "seen", "strong"))
-        and isinstance(chunk.get("rows"), list)
-        and all(isinstance(row, list) for row in chunk["rows"])
+        and all(isinstance(chunk.get(name), list) for name in lists)
+        and all(isinstance(row, list) for name in lists for row in chunk[name])
     )
 
 
@@ -560,13 +533,15 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, dict], int]:
                 header_ok = True
                 continue
             if header_ok:
-                if not _is_chunk_entry(entry):
+                if not _is_chunk_entry(entry, spec.audit_readings):
                     raise ValueError(
                         f"checkpoint line {lineno} is not a chunk entry "
-                        "(an object with 'key' and 'chunk': n, seen, strong, rows)"
+                        "(an object with 'key' and 'chunk': n, seen, strong, rows, "
+                        "and other_rows in an audit sweep)"
                     )
                 chunk = entry["chunk"]
                 chunk["records"] = [VerificationRecord.from_row(row) for row in chunk.pop("rows")]
+                chunk["others"] = [VerificationRecord.from_row(row) for row in chunk.pop("other_rows", [])]
                 chunks[entry["key"]] = chunk
     if not header_ok:
         raise ValueError("checkpoint is missing its configuration header")
@@ -626,8 +601,8 @@ def run_sweep(
             if ck_handle is not None:
                 saved = {name: chunk[name] for name in ("n", "seen", "strong")}
                 saved["rows"] = [rec.to_row() for rec in chunk["records"]]
-                if "audit" in chunk:
-                    saved["audit"] = chunk["audit"]
+                if spec.audit_readings:
+                    saved["other_rows"] = [rec.to_row() for rec in chunk["others"]]
                 ck_handle.write(json.dumps({"key": key, "chunk": saved}) + "\n")
                 ck_handle.flush()
             for rec in chunk["records"]:

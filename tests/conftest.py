@@ -8,11 +8,12 @@ that agreement with the library is meaningful evidence.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Optional
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from arcconn import Digraph, _kernels
 
@@ -211,8 +212,6 @@ def brute_lambda_prime(D: Digraph, k_max: Optional[int] = None, residual_host: b
 # ---------------------------------------------------------------------------
 # strategies
 
-from hypothesis import strategies as st
-
 
 def digraph_codes(n: int):
     return st.integers(min_value=0, max_value=3 ** (n * (n - 1) // 2) - 1)
@@ -301,11 +300,6 @@ def linked_cycle_digraphs(draw, min_n: int = 3, max_n: int = 7) -> Digraph:
         if t != h and (h, t) not in arcs:
             arcs.add((t, h))
     return Digraph(n, sorted(arcs))
-
-
-from functools import lru_cache
-
-from arcconn import _kernels
 
 
 @lru_cache(maxsize=None)

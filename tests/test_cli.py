@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from arcconn import Digraph, emit_digraph6, emit_edge_list, load
+from arcconn import Digraph, emit_edge_list
 from arcconn.cli import main
 
 L8_ARCS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 1), (5, 6), (6, 7), (7, 4)]

@@ -447,6 +447,16 @@ def test_lambda_prime_two_beyond_the_walk_limit():
         assert below.outcome is CutOutcome.UNKNOWN_BELOW_BOUND
 
 
+def test_passes_run_wherever_the_walk_may_be_refused():
+    """lambda_prime_exact runs the pair pass only from the one-arc pass's
+    order up and refuses the walk only above both: the orders must nest."""
+    assert (
+        connectivity._HOST_PREPASS_MIN_ORDER
+        <= connectivity._PAIR_PREPASS_MIN_ORDER
+        <= connectivity._WALK_MAX_ORDER
+    )
+
+
 def test_walk_limit_applies_only_above_its_order(monkeypatch):
     from arcconn import CapExceeded, connectivity
 
@@ -540,11 +550,13 @@ def test_exact_is_minimum_after_the_host_prepass(D):
     strong_digraphs(min_n=8, max_n=11),
     sparse_strong_digraphs(min_n=8, max_n=11),
     double_cycle_digraphs(min_n=8, max_n=11),
+    linked_cycle_digraphs(min_n=8, max_n=11),
 ))
 def test_host_prepass_keeps_the_walks_certificate(D):
     """With both passes, with the one-arc pass alone and with neither,
     lambda_prime_exact returns the same certificate: the first candidate of
-    minimum flow in candidate order."""
+    minimum flow in candidate order.  Linked cycles give residues with
+    several qualifying components, which the other strategies rarely do."""
     from unittest import mock
 
     def exact(unit: bool, pair: bool, reading):

@@ -22,7 +22,6 @@ from arcconn import (
 from arcconn import _kernels, cli
 from arcconn.connectivity import RESIDUAL_HOST
 from arcconn.verify import (
-    CLAUSE_FIELDS,
     RECORD_FIELDS,
     VerificationRecord,
     read_records_csv,
@@ -129,6 +128,43 @@ def test_sweep_resume_matches_uninterrupted(tmp_path, jobs):
     with open(os.path.join(out, "records.csv")) as fh:
         with open(solid.paths["records"]) as fh2:
             assert fh.read() == fh2.read()
+
+
+def test_audit_sweep_resume_matches_uninterrupted(tmp_path):
+    """The other reading's records travel through the checkpoint as
+    other_rows, so a resumed audit sweep writes the same audit.json and
+    summary.json as one run straight through."""
+    spec = SweepSpec(n_lo=6, n_hi=6, mode="random", samples=120_000, seed=3,
+                     chunk_size=30_000, audit_readings=True)
+    solid = run_sweep(spec, out_dir=str(tmp_path / "solid"))
+    assert solid.audit["value_differs"] > 0 and solid.audit["examples"]["value"]
+
+    out = tmp_path / "resumed"
+    part = run_sweep(spec, out_dir=str(out), _stop_after_chunks=2)
+    assert not part.completed
+    resumed = run_sweep(spec, out_dir=str(out), resume=True)
+    assert resumed.completed and resumed.audit == solid.audit
+    assert (out / "audit.json").read_text() == (tmp_path / "solid" / "audit.json").read_text()
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (out, tmp_path / "solid")]
+    for summary in summaries:
+        summary.pop("runtime_seconds")
+    assert summaries[0] == summaries[1]
+
+
+def test_audit_sweep_resume_needs_the_other_readings_rows(tmp_path):
+    """An audit sweep's chunk line without other_rows cannot be resumed:
+    its audit would silently count fewer graphs."""
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=10_000, audit_readings=True)
+    out = tmp_path / "out"
+    run_sweep(spec, out_dir=str(out))
+    ck = out / "checkpoint.jsonl"
+    lines = ck.read_text().splitlines()
+    entry = json.loads(lines[1])
+    del entry["chunk"]["other_rows"]
+    lines[1] = json.dumps(entry)
+    ck.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="checkpoint line 2 is not a chunk entry"):
+        run_sweep(spec, out_dir=str(out), resume=True)
 
 
 def test_sweep_parses_rows_only_when_resuming(tmp_path, monkeypatch):
