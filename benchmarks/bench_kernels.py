@@ -2,9 +2,9 @@
 
 Times the strong/girth filter over a contiguous code range (filter_range) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path),
-each in ns/code, the three per-graph primitives (strongness by two reach
-searches, strong components by _kernels.strong_parts over the full vertex
-mask, girth) on the same batch,
+each in ns/code, the per-graph primitives on the same batch (decode_code,
+strongness by two reach searches, strong components by
+_kernels.strong_parts over the full vertex mask, girth), in us per graph,
 verify.measure on the girth-4 survivors of the filter_range run, in us per
 graph, and the seeded random-mode sweep of 50,000 codes at n=7 (the
 perfbench sample-n7 input class) in wall seconds.  The last line is one JSON
@@ -67,6 +67,7 @@ def bench_filter(run) -> tuple[Times, tuple[int, int, list[int]]]:
 def bench_primitives(n: int, batch: list[int]) -> dict[str, Times]:
     paired = [_kernels.decode_code(n, code) for code in batch]
     times = {}
+    times["decode"] = _time(lambda: [_kernels.decode_code(n, code) for code in batch])
     times["strong"] = _time(lambda: [_kernels.is_strong(succ, pred, n) for succ, pred in paired])
     full = (1 << n) - 1
     times["scc"] = _time(lambda: [_kernels.strong_parts(succ, pred, full) for succ, pred in paired])
@@ -120,9 +121,11 @@ def main() -> None:
         print(f"filter_{op} {seen} codes at n={args.n}: {raw:8.3f}s raw {ref:8.3f}s ref "
               f"({ns_per_code[op][0]:7.0f} raw {ns_per_code[op][1]:7.0f} ref ns/code; "
               f"strong={strong}, girth-4={len(kept)})")
+    us_per_graph = {}
     for op, (raw, ref) in bench_primitives(args.n, batch).items():
+        us_per_graph[op] = (raw / args.batch * 1e6, ref / args.batch * 1e6)
         print(f"{op:8s} {args.batch} graphs: {raw:8.3f}s raw {ref:8.3f}s ref "
-              f"({raw / args.batch * 1e6:7.2f} raw {ref / args.batch * 1e6:7.2f} ref us/graph)")
+              f"({us_per_graph[op][0]:7.2f} raw {us_per_graph[op][1]:7.2f} ref us/graph)")
     kept = filters["range"][1][2]
     if kept:
         raw, ref = bench_measure(args.n, kept)
@@ -139,9 +142,11 @@ def main() -> None:
         "batch": args.batch,
         "filter_range_ns_per_code": round(ns_per_code["range"][0], 1),
         "filter_codes_ns_per_code": round(ns_per_code["codes"][0], 1),
+        "decode_us_per_code": round(us_per_graph["decode"][0], 2),
         "sample_n7_sweep_s": round(sweep, 4),
         "filter_range_ns_per_code_ref": round(ns_per_code["range"][1], 1),
         "filter_codes_ns_per_code_ref": round(ns_per_code["codes"][1], 1),
+        "decode_us_per_code_ref": round(us_per_graph["decode"][1], 2),
         "sample_n7_sweep_s_ref": round(sweep_ref, 4),
     }))
 

@@ -17,16 +17,21 @@ Enumeration encoding: unordered vertex pairs are listed lexicographically
 2 = j->i) and a graph's code is sum(trit_k * 3**k).  This encoding can never
 produce a loop or a digon.
 
-Decoding builds one integer that packs succ[v] and pred[v] side by side for
-each v.  Up to n = 18 it reads the code 7 trits at a time, in code order
-and across row boundaries, and ORs in one entry of a 3**7-entry table of
-whole packed words per group: three lookups at n = 7.  These word tables
-have 2n**2 bits per entry and one table per 7 pairs, so they are built per
-order on first use and only while they fit _WORD_TABLE_BUDGET.  Above that
-decoding reads the trits of each row i (the pairs (i, j), j > i) in groups
-of at most six and ORs one entry of a 3**6-entry table per group, shifted
-into place; that table depends on n only through the row width, and its
-entries have O(n) bits.
+Decoding builds one integer, the packed word, of 2n fields: succ[0..n-1],
+then pred[0..n-1].  Each field is a whole number of bytes, 1, 2, 4 or 8 up
+to n = 64, so the word's bytes read as n machine integers per half give
+every row at once (``_split``, the one reader of a packed word); above 64
+the fields are n bits rounded up to whole bytes and rows are read by
+shifts.  Up to n = 18 decoding reads the code 7 trits at a time, in code
+order and across row boundaries, and ORs in one entry of a 3**7-entry
+table of whole packed words per group: three lookups at n = 7.  These word
+tables have 2n fields per entry and one table per 7 pairs, so they are
+built per order on first use and only while they fit _WORD_TABLE_BUDGET.
+Above that decoding reads the trits of each row i (the pairs (i, j),
+j > i) in groups of at most six and ORs one entry of a 3**6-entry table
+per group, shifted into place; that table depends on n only through the
+field width and the offset of the pred half, and its entries have O(n)
+bits.
 
 Vertex-0 split (``filter_range``).  The lowest n-1 trits are vertex 0's pairs,
 so ``code = low + 3**(n-1) * code(H)`` where H = D - 0 relabelled v -> v-1.
@@ -51,10 +56,11 @@ work per code.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import InvalidDigraph
 
@@ -89,54 +95,91 @@ def pair_table(n: int) -> list[tuple[int, int]]:
 
 
 # Trits per word-table lookup, and the most bytes of packed words that one
-# order's word tables may hold: 3**7 words of 2n**2 bits per 7 trits, so
-# they grow as n**4.  Within 4 MiB means up to n = 18 (3.7 MiB of words,
-# 5.0 MB as Python ints, built in 9 ms); above it decoding keeps the row
-# layout.  Decode per random code, words against rows (2,000 codes, best of
-# 5, Python 3.11.7, shared 2-core x86-64): 1.2 against 3.1 us at n = 7, 8.8
-# against 14.2 us at n = 16, 11.5 against 17.5 us at n = 18.  At n = 70 the
-# tables would hold 880 MiB of words.
+# order's word tables may hold: 3**7 words of 2n fields per 7 trits, so
+# they grow as n**4 within one field width, and the 4-byte fields of
+# n = 17 double them.  Within 7 MiB means up to n = 18 (6.6 MiB of words,
+# 7.8 MB as Python ints, built in 13 ms); above it decoding keeps the row
+# layout.  Decode per random code, words against rows (2,000 codes, best
+# of 5, Python 3.11.7, shared 2-core x86-64): 1.7 against 3.0 us at n = 7,
+# 6.4 against 9.4 us at n = 16, 9.7 against 13.4 us at n = 18.  At n = 70
+# the tables would hold 907 MiB of words.
 _WORD_TRITS = 7
 _WORD_SPAN = 3**_WORD_TRITS
-_WORD_TABLE_BUDGET = 4 << 20
+_WORD_TABLE_BUDGET = 7 << 20
+
+# struct formats of one field, by its bytes (standard sizes, little-endian)
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_bytes(n: int) -> int:
+    """Bytes of one succ or pred field of a packed word: 1, 2, 4 or 8 up to
+    n = 64, so that a field is one machine integer, and n rounded up to
+    whole bytes above."""
+    size = -(-n // 8)
+    return size if size > 8 else 1 << (max(size, 1) - 1).bit_length()
 
 
 def _word_table_bytes(n: int) -> int:
     """Bytes of packed words in order n's word tables."""
     tables = -(-len(pair_table(n)) // _WORD_TRITS)
-    return tables * 3**_WORD_TRITS * -(-2 * n * n // 8)
+    return tables * 3**_WORD_TRITS * 2 * n * _field_bytes(n)
+
+
+class _Layout(NamedTuple):
+    """Decode layout of one order (see _layout)."""
+
+    n: int
+    width: int  # bits per field
+    size: int  # bytes per packed word
+    unpack: Optional[Callable[..., tuple[int, ...]]]  # n fields from a byte offset
+    words: list
+    table: list
+    steps: list
+    low: int
+    add: int
+    top: int
 
 
 @lru_cache(maxsize=4)
-def _layout(n: int):
-    """Decode layout for order n, built on first use: (words, table, steps,
-    low, add, top).
+def _layout(n: int) -> _Layout:
+    """Decode layout for order n, built on first use.
 
-    In the packed word, succ[v] sits at bit 2n*v and pred[v] at bit 2n*v + n.
-    While _word_table_bytes(n) is within _WORD_TABLE_BUDGET, ``words`` holds
-    one table per 7 consecutive trits in code order, and ``words[c][g]`` is
-    the whole packed word of those 7 pairs holding value g.  Otherwise
-    ``words`` is empty and decoding goes by rows: ``table[g]`` is the (row,
-    column) contribution of a group of at most 6 trits of one row with value
-    g, and ``steps`` lists (3**k, row shift, column shift) for each group of
-    k trits in code order.  ``low``, ``add`` and ``top`` test that none of
-    the 2n fields is zero: ``((q & low) + add | q) & top == top``.
+    The packed word has 2n fields of ``width`` bits, a whole number of
+    bytes (_field_bytes): succ[v] is field v, at bit width*v, and pred[v] is
+    field n + v.  Up to n = 64 a field is a machine integer, and ``unpack``
+    reads n of them from the word's little-endian bytes, so _split takes
+    each half with one call; above, ``unpack`` is None and rows are read by
+    shifts.  While _word_table_bytes(n) is within _WORD_TABLE_BUDGET,
+    ``words`` holds one table per 7 consecutive trits in code order, and
+    ``words[c][g]`` is the whole packed word of those 7 pairs holding value
+    g.  Otherwise ``words`` is empty and decoding goes by rows: ``table[g]``
+    is the (row, column) contribution of a group of at most 6 trits of one
+    row with value g, and ``steps`` lists (3**k, row shift, column shift)
+    for each group of k trits in code order.  ``low``, ``add`` and ``top``
+    test that none of the 2n fields is zero:
+    ``((q & low) + add | q) & top == top``.
     """
-    unit = sum(1 << (v * n) for v in range(2 * n))
-    top = unit << (n - 1) if n else 0
+    size = _field_bytes(n)
+    w = 8 * size
+    fmt = _FORMATS.get(size)
+    unpack = struct.Struct(f"<{n}{fmt}").unpack_from if fmt else None
+    head = (n, w, 2 * n * size, unpack)
+    unit = sum(1 << (v * w) for v in range(2 * n))
+    top = unit << (w - 1)
+    pred = n * w  # bit of pred[0]
     if _word_table_bytes(n) <= _WORD_TABLE_BUDGET:
         # The words of trits 0, 1, 2 of pair (i, j): no arc, i -> j, j -> i.
         trits = [
-            (0, 1 << 2 * n * i + j | 1 << 2 * n * j + n + i, 1 << 2 * n * i + n + j | 1 << 2 * n * j + i)
+            (0, 1 << w * i + j | 1 << pred + w * j + i, 1 << pred + w * i + j | 1 << w * j + i)
             for i, j in pair_table(n)
         ]
         words = []
         for first in range(0, len(trits), _WORD_TRITS):
             table = [0]
             for choices in reversed(trits[first : first + _WORD_TRITS]):
-                table = [q | w for q in table for w in choices]
+                table = [q | word for q in table for word in choices]
             words.append(table)
-        return words, [], [], ~top, top - unit, top
+        return _Layout(*head, words, [], [], ~top, top - unit, top)
     table = []
     for value in range(3**_GROUP):
         row = col = 0
@@ -144,46 +187,54 @@ def _layout(n: int):
             value, t = divmod(value, 3)
             if t == 1:  # i -> j: bit j of succ[i], bit i of pred[j]
                 row |= 1 << k
-                col |= 1 << (2 * n * k + n)
+                col |= 1 << (pred + w * k)
             elif t == 2:  # j -> i: bit j of pred[i], bit i of succ[j]
-                row |= 1 << (n + k)
-                col |= 1 << (2 * n * k)
+                row |= 1 << (pred + k)
+                col |= 1 << (w * k)
         table.append((row, col))
     steps = [
-        (3 ** min(_GROUP, n - j), 2 * n * i + j, 2 * n * j + i)
+        (3 ** min(_GROUP, n - j), w * i + j, w * j + i)
         for i in range(n)
         for j in range(i + 1, n, _GROUP)
     ]
-    return [], table, steps, ~top, top - unit, top
+    return _Layout(*head, [], table, steps, ~top, top - unit, top)
 
 
-def _pack(layout, code: int) -> int:
+def _pack(layout: _Layout, code: int) -> int:
     """The packed word of a code, given its order's _layout."""
     q = 0
-    if layout[0]:
-        for words in layout[0]:
+    if layout.words:
+        for words in layout.words:
             code, g = divmod(code, _WORD_SPAN)
             q |= words[g]
         return q
-    table = layout[1]
-    for p, row_shift, col_shift in layout[2]:
+    table = layout.table
+    for p, row_shift, col_shift in layout.steps:
         code, g = divmod(code, p)
         row, col = table[g]
         q |= row << row_shift | col << col_shift
     return q
 
 
-def _rows(q: int, n: int, shift: int) -> list[int]:
-    """The n rows of a packed word from bit shift: 0 for succ, n for pred."""
+def _split(layout: _Layout, q: int) -> tuple[Sequence[int], Sequence[int]]:
+    """The succ and pred rows of a packed word, the one way every reader
+    takes them: two unpacks of its little-endian bytes up to n = 64 (tuples),
+    shifts above (lists)."""
+    if layout.unpack:
+        fields = q.to_bytes(layout.size, "little")
+        return layout.unpack(fields), layout.unpack(fields, layout.size >> 1)
+    n, w = layout.n, layout.width
     full = (1 << n) - 1
-    return [q >> (shift + 2 * n * v) & full for v in range(n)]
+    return [q >> w * v & full for v in range(n)], [q >> w * (n + v) & full for v in range(n)]
 
 
 def decode_code(n: int, code: int) -> tuple[list[int], list[int]]:
     """Successor and predecessor masks of the graph with the given
-    enumeration code, read from one packed word."""
-    q = _pack(_layout(n), code)
-    return _rows(q, n, 0), _rows(q, n, n)
+    enumeration code, as lists: the two halves of its packed word, read by
+    _split."""
+    layout = _layout(n)
+    succ, pred = _split(layout, _pack(layout, code))
+    return list(succ), list(pred)
 
 
 def reach(rows: Sequence[int], start: int, within: int) -> int:
@@ -295,7 +346,7 @@ def girth(succ: Sequence[int], pred: Sequence[int], n: int, target: int = 0) -> 
     return best
 
 
-def _union(rows: list[int], s: int) -> int:
+def _union(rows: Sequence[int], s: int) -> int:
     """OR of rows[v] over the members v of bit set s."""
     u = 0
     while s:
@@ -352,9 +403,8 @@ def _judge_block(n, base, first, last, girth_target, survivors):
 
     Appends the survivors in ascending order and returns the strong count.
     """
-    q = _pack(_layout(n), base)  # vertex 0 is isolated: this is H
-    succ = _rows(q, n, 0)
-    pred = _rows(q, n, n)
+    layout = _layout(n)
+    succ, pred = _split(layout, _pack(layout, base))  # vertex 0 is isolated: this is H
     rest = (1 << n) - 2  # V(H)
     # A strong D gives vertex 0 every vertex of H with no in-arc as an
     # out-neighbour and every one with no out-arc as an in-neighbour.
@@ -448,8 +498,9 @@ def filter_codes(n: int, codes: list[int], girth_target: int = 0) -> tuple[int, 
     """Like filter_range but over an explicit code list (sampled sweeps).
 
     Each code is decoded on its own into a packed word (by word tables up
-    to n = 18, see the module docstring).  Strongness is a degree check on
-    that word, then a forward and a backward reach from vertex 0.  The girth
+    to n = 18, see the module docstring), whose rows _split reads from one
+    to_bytes up to n = 64.  Strongness is a degree check on that word, then
+    a forward and a backward reach from vertex 0.  The girth
     search stops at the first cycle shorter than girth_target, as such a
     code is rejected whatever its girth.  Raises InvalidDigraph when some
     code lies outside [0, universe_size(n)).
@@ -457,7 +508,7 @@ def filter_codes(n: int, codes: list[int], girth_target: int = 0) -> tuple[int, 
     if codes:
         check_codes(n, min(codes), max(codes))
     layout = _layout(n)
-    low, add, top = layout[3:]
+    low, add, top = layout.low, layout.add, layout.top
     full = (1 << n) - 1
     strong_count = 0
     survivors = []
@@ -465,8 +516,7 @@ def filter_codes(n: int, codes: list[int], girth_target: int = 0) -> tuple[int, 
         q = _pack(layout, code)
         if ((q & low) + add | q) & top != top:
             continue
-        succ = _rows(q, n, 0)
-        pred = _rows(q, n, n)
+        succ, pred = _split(layout, q)
         if reach(succ, 0, full) != full or reach(pred, 0, full) != full:
             continue
         strong_count += 1

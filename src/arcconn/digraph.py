@@ -206,9 +206,10 @@ class Digraph:
         """Graph with the given trit enumeration code (see _kernels).
 
         Built straight from the code's packed word: succ and pred are its
-        rows, and the arcs are read off succ in sorted order.  A trit code
-        cannot encode a loop, a repeated arc or a digon, so the checks of
-        __init__ are not run; only the code's range is checked.
+        two halves as decode_code reads them, and the arcs are read off succ
+        in sorted order.  A trit code cannot encode a loop, a repeated arc
+        or a digon, so the checks of __init__ are not run; only the code's
+        range is checked.
         """
         if n < 0:
             raise InvalidVertex(f"vertex count must be non-negative, got {n}")

@@ -211,8 +211,10 @@ def test_from_code_matches_init_on_every_code(n):
 
 @pytest.mark.parametrize("n", range(5, 22))
 def test_from_code_matches_init_on_seeded_codes(n):
-    """Orders 5..18 decode through the word tables, 19..21 by rows."""
-    assert bool(_kernels._layout(n)[0]) == (n <= 18)
+    """Orders whose word tables fit the budget decode through them (5..18),
+    the others by rows (19..21)."""
+    fits = _kernels._word_table_bytes(n) <= _kernels._WORD_TABLE_BUDGET
+    assert bool(_kernels._layout(n).words) == fits
     rng = random.Random(n)
     size = 3 ** (n * (n - 1) // 2)
     for code in [0, size - 1] + [rng.randrange(size) for _ in range(40)]:

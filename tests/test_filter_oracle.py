@@ -127,13 +127,60 @@ def test_decode_matches_trit_reading():
     both halves of the packed word (succ and pred) against the trit reading,
     on the first and last code of each order and on seeded random codes."""
     top = max(n for n in range(2, 40) if _kernels._word_table_bytes(n) <= _kernels._WORD_TABLE_BUDGET)
-    assert _kernels._layout(top)[0] and not _kernels._layout(top + 1)[0]  # the word tables
+    assert _kernels._layout(top).words and not _kernels._layout(top + 1).words
     rng = random.Random(11)
     for n in range(2, top + 3):
         size = 3 ** (n * (n - 1) // 2)
+        layout = _kernels._layout(n)
         for code in [0, size - 1] + [rng.randrange(size) for _ in range(20)]:
             D = oracle_digraph(n, code)
-            q = _kernels._pack(_kernels._layout(n), code)
-            assert _kernels._rows(q, n, 0) == list(D.succ), (n, code)
-            assert _kernels._rows(q, n, n) == list(D.pred), (n, code)
+            succ, pred = _kernels._split(layout, _kernels._pack(layout, code))
+            assert list(succ) == list(D.succ), (n, code)
+            assert list(pred) == list(D.pred), (n, code)
             assert _kernels.decode_code(n, code) == (list(D.succ), list(D.pred)), (n, code)
+
+
+# The last and first order of each field width of the packed word: 1 byte
+# up to n = 8, 2 up to 16, 4 up to 32, 8 up to 64, then n bits rounded up
+# to whole bytes, read by shifts.
+WIDTH_EDGES = (8, 9, 16, 17, 32, 33, 64, 65, 70)
+
+
+def test_field_widths_change_at_the_width_edges():
+    widths = [_kernels._field_bytes(n) for n in WIDTH_EDGES]
+    assert widths == [1, 2, 2, 4, 4, 8, 8, 9, 9]
+    assert [bool(_kernels._layout(n).unpack) for n in WIDTH_EDGES] == [True] * 7 + [False] * 2
+
+
+@pytest.mark.parametrize("n", WIDTH_EDGES)
+def test_decode_matches_trit_reading_at_width_edges(n):
+    size = 3 ** (n * (n - 1) // 2)
+    rng = random.Random(n)
+    for code in [0, size - 1] + [rng.randrange(size) for _ in range(10)]:
+        D = oracle_digraph(n, code)
+        assert _kernels.decode_code(n, code) == (list(D.succ), list(D.pred)), (n, code)
+        E = Digraph.from_code(n, code)
+        assert E == D and E.succ == D.succ and E.pred == D.pred, (n, code)
+
+
+def layered_code(rng: random.Random, n: int, k: int) -> int:
+    """A code whose arcs all go from one of k classes to the next, cyclically:
+    every cycle has a multiple of k arcs, so strong draws have girth k."""
+    cls = [0] * n
+    for i, v in enumerate(rng.sample(range(n), n)):
+        cls[v] = i % k
+    arcs = [(u, v) for u in range(n) for v in range(n) if cls[v] == (cls[u] + 1) % k and rng.random() < 0.8]
+    return Digraph(n, arcs).code
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_filter_codes_matches_oracles_across_the_first_widening(n):
+    # n = 9 is the first order with 2-byte fields.  Uniform codes are mostly
+    # of girth 3; the layered ones give strong graphs of girth 4 and 5.
+    size = 3 ** (n * (n - 1) // 2)
+    rng = random.Random(n)
+    codes = [0, size - 1] + [rng.randrange(size) for _ in range(300)]
+    codes += [layered_code(rng, n, k) for k in (4, 5) for _ in range(100)]
+    for girth_target in TARGETS:
+        assert _kernels.filter_codes(n, codes, girth_target) == expected(n, codes, girth_target)
+    assert all(expected(n, codes, girth_target)[2] for girth_target in TARGETS)
