@@ -59,7 +59,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
 from .cycles import Cycle, cycles_of_length, girth, girth_cycles, is_cycle
-from .digraph import Arc, Digraph, _bits
+from .digraph import Arc, Digraph, _arc, _bits
 from .errors import CapExceeded, NotAFourCycle, NotAGirthCycle, NotStrong, UnknownArc
 
 
@@ -293,7 +293,7 @@ def is_restricted_arc_cut(
     """
     cut = []
     for raw in S:
-        arc = (int(raw[0]), int(raw[1]))
+        arc = _arc(raw)
         if not D.has_arc(*arc):
             raise UnknownArc("cut contains an arc not in the digraph", arc=arc)
         cut.append(arc)
@@ -324,8 +324,11 @@ def lambda_prime_bruteforce(
 
     k_max defaults to |A(D)|, so the oracle assumes no bound of the theorems
     it checks.  If the search space is capped below |A(D)| and nothing is
-    found, the outcome is UNKNOWN_BELOW_BOUND rather than NONEXISTENT.
+    found, the outcome is UNKNOWN_BELOW_BOUND rather than NONEXISTENT.  A
+    negative k_max raises ValueError.
     """
+    if k_max is not None and k_max < 0:
+        raise ValueError(f"k_max must be non-negative, got {k_max}")
     m = D.m
     k_max = m if k_max is None else min(k_max, m)
     arcs = D.arcs

@@ -9,7 +9,8 @@ work.
 
 from __future__ import annotations
 
-from itertools import permutations
+import operator
+from itertools import permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
@@ -25,10 +26,26 @@ from .errors import (
 Arc = tuple[int, int]
 
 
+def _vertex(x: object) -> int:
+    """x as a vertex label: any integer but a bool, else InvalidVertex."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise InvalidVertex(f"vertex label {x!r} is not an integer")
+
+
+def _arc(raw: Iterable[object]) -> Arc:
+    """A (tail, head) pair with both labels read by _vertex."""
+    t, h = raw
+    return _vertex(t), _vertex(h)
+
+
 def _check_vertices(n: int, xs: Iterable[int]) -> list[int]:
     out = []
     for x in xs:
-        v = int(x)
+        v = _vertex(x)
         if not 0 <= v < n:
             raise InvalidVertex(f"vertex {v} not in 0..{n - 1}")
         out.append(v)
@@ -57,8 +74,7 @@ class Digraph:
         pred = [0] * n
         seen: set[Arc] = set()
         for raw in arcs:
-            t, h = raw
-            arc = (int(t), int(h))
+            arc = _arc(raw)
             t, h = arc
             if not (0 <= t < n and 0 <= h < n):
                 raise VertexOutOfRange(
@@ -169,7 +185,7 @@ class Digraph:
     def delete_arcs(self, S: Iterable[Arc]) -> "Digraph":
         removed = set()
         for raw in S:
-            arc = (int(raw[0]), int(raw[1]))
+            arc = _arc(raw)
             if not self.has_arc(*arc):
                 raise UnknownArc("arc not in the digraph", arc=arc)
             removed.add(arc)
@@ -257,7 +273,7 @@ class Digraph:
             starts.append(base)
             base += len(b)
         best: Optional[tuple[Arc, ...]] = None
-        for choice in _product_permutations(blocks):
+        for choice in product(*map(permutations, blocks)):
             perm = [0] * n
             for block, start, order in zip(blocks, starts, choice):
                 for offset, v in enumerate(order):
@@ -283,13 +299,3 @@ def _vertex_mask(n: int, X: Iterable[int]) -> int:
     for v in _check_vertices(n, X):
         mask |= 1 << v
     return mask
-
-
-def _product_permutations(blocks: list[list[int]]) -> Iterator[tuple[tuple[int, ...], ...]]:
-    if not blocks:
-        yield ()
-        return
-    head, rest = blocks[0], blocks[1:]
-    for order in permutations(head):
-        for tail in _product_permutations(rest):
-            yield (order,) + tail

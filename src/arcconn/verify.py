@@ -24,6 +24,17 @@ text only on disk (the checkpoint's rows and other_rows).  With an output
 directory it checkpoints per chunk (JSONL, resumable) and writes
 records.csv, counterexamples.d6, summary.json, and, when the
 definitional-reading audit is on, audit.json.
+
+Each file format is stated in one place:
+
+* a row of records.csv or of the checkpoint: the fields of
+  ``VerificationRecord`` in order (``RECORD_FIELDS``, ``to_row``,
+  ``from_row``);
+* the checkpoint header, and the spec in summary.json and audit.json:
+  ``SweepSpec.fingerprint()``;
+* a checkpoint chunk line: ``_Chunk.line`` and ``_Chunk.parse``;
+* summary.json: ``SweepResult.summary()``, whose totals are sums over
+  ``per_n``.
 """
 
 from __future__ import annotations
@@ -35,8 +46,8 @@ import os
 import random
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, NamedTuple, Optional
 
 from . import _kernels
 from .connectivity import (
@@ -65,25 +76,6 @@ EXHAUSTIVE_MAX_ORDER = 6
 
 CLAUSE_FIELDS = ("theorem1_ok", "bounds_ok", "family_consistency_ok", "proof_ok")
 
-RECORD_FIELDS = (
-    "graph_id",
-    "n",
-    "m",
-    "girth",
-    "is_strong",
-    "family",
-    "family_params",
-    "lambda",
-    "lambda_prime_exists",
-    "lambda_prime",
-    "xi",
-    "theorem1_ok",
-    "bounds_ok",
-    "family_consistency_ok",
-    "proof_ok",
-    "reading",
-)
-
 AUDIT_EXAMPLE_CAP = 20
 
 
@@ -95,7 +87,12 @@ def sample_codes(n: int, count: int, seed: int) -> list[int]:
 
 @dataclass(frozen=True)
 class VerificationRecord:
-    """One graph's measurements plus per-clause verdicts."""
+    """One graph's measurements plus per-clause verdicts.
+
+    Its fields, in order, are the columns of records.csv and of the
+    checkpoint's rows (RECORD_FIELDS); each cell is written by _cell and
+    read back by the reader of its field's annotation.
+    """
 
     graph_id: str
     n: int
@@ -122,35 +119,13 @@ class VerificationRecord:
         return all(v != "fail" for v in self.clauses().values())
 
     def to_row(self) -> list[str]:
-        row = []
-        for name in RECORD_FIELDS:
-            attr = "lambda_" if name == "lambda" else name
-            row.append(_cell(getattr(self, attr)))
-        return row
+        return [_cell(getattr(self, name)) for name in _ATTRS]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "VerificationRecord":
-        if len(row) != len(RECORD_FIELDS):
-            raise ValueError(f"expected {len(RECORD_FIELDS)} cells, got {len(row)}")
-        g = dict(zip(RECORD_FIELDS, row))
-        return cls(
-            graph_id=g["graph_id"],
-            n=int(g["n"]),
-            m=int(g["m"]),
-            girth=_opt_int(g["girth"]),
-            is_strong=g["is_strong"] == "true",
-            family=g["family"] or None,
-            family_params=g["family_params"] or None,
-            lambda_=_opt_int(g["lambda"]),
-            lambda_prime_exists=None if g["lambda_prime_exists"] == "" else g["lambda_prime_exists"] == "true",
-            lambda_prime=_opt_int(g["lambda_prime"]),
-            xi=_opt_int(g["xi"]),
-            theorem1_ok=g["theorem1_ok"],
-            bounds_ok=g["bounds_ok"],
-            family_consistency_ok=g["family_consistency_ok"],
-            proof_ok=g["proof_ok"],
-            reading=g["reading"],
-        )
+        if len(row) != len(_READERS):
+            raise ValueError(f"expected {len(_READERS)} cells, got {len(row)}")
+        return cls(*[read(cell) for read, cell in zip(_READERS, row)])
 
 
 def _cell(value: object) -> str:
@@ -161,8 +136,19 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def _opt_int(cell: str) -> Optional[int]:
-    return None if cell == "" else int(cell)
+# The inverse of _cell for each annotation a record field has.
+_CELL_READERS: dict[str, Callable[[str], object]] = {
+    "str": str,
+    "int": int,
+    "bool": lambda cell: cell == "true",
+    "Optional[str]": lambda cell: cell or None,
+    "Optional[int]": lambda cell: None if cell == "" else int(cell),
+    "Optional[bool]": lambda cell: None if cell == "" else cell == "true",
+}
+_ATTRS = tuple(f.name for f in fields(VerificationRecord))
+_READERS = tuple(_CELL_READERS[f.type] for f in fields(VerificationRecord))
+# A column is named by its field; a trailing underscore only escapes a keyword.
+RECORD_FIELDS = tuple(name.rstrip("_") for name in _ATTRS)
 
 
 @dataclass(frozen=True)
@@ -299,19 +285,10 @@ class SweepSpec:
             )
 
     def fingerprint(self) -> dict[str, object]:
-        """Spec fields that determine chunk identities and record content."""
-        return {
-            "n_lo": self.n_lo,
-            "n_hi": self.n_hi,
-            "mode": self.mode,
-            "samples": self.samples,
-            "seed": self.seed,
-            "reading": self.reading.value,
-            "girth": self.girth,
-            "audit_readings": self.audit_readings,
-            "check_proof_cuts": self.check_proof_cuts,
-            "chunk_size": self.chunk_size,
-        }
+        """Every field in order but jobs, the one that changes neither chunk
+        identities nor record content: the checkpoint header's spec."""
+        spec = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jobs"}
+        return {**spec, "reading": self.reading.value}
 
 
 def _audit(base: list[VerificationRecord], other: list[VerificationRecord]) -> dict:
@@ -367,7 +344,50 @@ def _plan_chunks(spec: SweepSpec) -> list[Task]:
     return tasks
 
 
-def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
+class _Chunk(NamedTuple):
+    """One planned chunk's outcome: the codes of order n it saw, the strong
+    ones among them, the records of its stratum graphs and, in an audit
+    sweep, their records under the other reading.
+
+    In the checkpoint it is the line {"key": ..., "chunk": {"n", "seen",
+    "strong", "rows", and "other_rows" in an audit sweep}}, with each record
+    as its row; line writes it and parse reads it back.
+    """
+
+    n: int
+    seen: int
+    strong: int
+    records: list[VerificationRecord]
+    others: list[VerificationRecord]
+
+    def line(self, key: str, audit: bool) -> str:
+        rows = [rec.to_row() for rec in self.records]
+        chunk = {"n": self.n, "seen": self.seen, "strong": self.strong, "rows": rows}
+        if audit:
+            chunk["other_rows"] = [rec.to_row() for rec in self.others]
+        return json.dumps({"key": key, "chunk": chunk}) + "\n"
+
+    @classmethod
+    def parse(cls, entry: object, audit: bool) -> Optional[tuple[str, "_Chunk"]]:
+        """The key and chunk of a decoded checkpoint line, or None if the
+        line does not have the shape line gives it."""
+        if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
+            return None
+        chunk = entry.get("chunk")
+        lists = ("rows", "other_rows") if audit else ("rows",)
+        if not (
+            isinstance(chunk, dict)
+            and all(isinstance(chunk.get(name), int) for name in ("n", "seen", "strong"))
+            and all(isinstance(chunk.get(name), list) for name in lists)
+            and all(isinstance(row, list) for name in lists for row in chunk[name])
+        ):
+            return None
+        records = [VerificationRecord.from_row(row) for row in chunk["rows"]]
+        others = [VerificationRecord.from_row(row) for row in chunk["other_rows"]] if audit else []
+        return entry["key"], cls(chunk["n"], chunk["seen"], chunk["strong"], records, others)
+
+
+def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, _Chunk]:
     spec, (key, n, kind, payload) = args
     target = 0 if spec.girth is None else spec.girth
     if kind == "range":
@@ -389,7 +409,12 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, dict]:
         if meas.certificate is not None:
             meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
         others.append(check_graph(D, reading=other, check_proof=spec.check_proof_cuts, meas=meas))
-    return key, {"n": n, "seen": seen, "strong": strong, "records": records, "others": others}
+    return key, _Chunk(n, seen, strong, records, others)
+
+
+def _total(key: str) -> property:
+    """A count over the whole sweep: the sum of one per_n key."""
+    return property(lambda self: sum(slot[key] for slot in self.per_n.values()))
 
 
 @dataclass
@@ -398,13 +423,8 @@ class SweepResult:
 
     spec: SweepSpec
     completed: bool
-    seen: int = 0
-    strong: int = 0
-    stratum: int = 0
     per_n: dict[int, dict[str, int]] = field(default_factory=dict)
     family_counts: dict[str, int] = field(default_factory=dict)
-    family_total: int = 0
-    lambda_prime_connected: int = 0
     clause_tallies: dict[str, dict[str, int]] = field(default_factory=dict)
     records: list[VerificationRecord] = field(default_factory=list)
     counterexamples: list[VerificationRecord] = field(default_factory=list)
@@ -413,6 +433,12 @@ class SweepResult:
     runtime: float = 0.0
     backend: str = ""
     paths: dict[str, str] = field(default_factory=dict)
+
+    seen = _total("seen")
+    strong = _total("strong")
+    stratum = _total("stratum")
+    family_total = _total("family")
+    lambda_prime_connected = _total("lambda_prime_connected")
 
     @property
     def ok(self) -> bool:
@@ -439,20 +465,19 @@ class SweepResult:
         }
 
 
-def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> SweepResult:
+def _aggregate(spec: SweepSpec, chunks: dict[str, _Chunk], completed: bool) -> SweepResult:
     result = SweepResult(spec=spec, completed=completed, backend=_kernels.backend_name())
     records: list[VerificationRecord] = []
     others: list[VerificationRecord] = []
     for chunk in chunks.values():
-        n = chunk["n"]
         slot = result.per_n.setdefault(
-            n, {"seen": 0, "strong": 0, "stratum": 0, "family": 0, "lambda_prime_connected": 0}
+            chunk.n, {"seen": 0, "strong": 0, "stratum": 0, "family": 0, "lambda_prime_connected": 0}
         )
-        slot["seen"] += chunk["seen"]
-        slot["strong"] += chunk["strong"]
-        slot["stratum"] += len(chunk["records"])
-        records += chunk["records"]
-        others += chunk["others"]
+        slot["seen"] += chunk.seen
+        slot["strong"] += chunk.strong
+        slot["stratum"] += len(chunk.records)
+        records += chunk.records
+        others += chunk.others
     records.sort(key=lambda r: r.graph_id)
     result.records = records
     result.clause_tallies = {
@@ -468,13 +493,6 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
             result.clause_tallies[name][verdict] += 1
         if not rec.passed:
             result.counterexamples.append(rec)
-    result.seen = sum(v["seen"] for v in result.per_n.values())
-    result.strong = sum(v["strong"] for v in result.per_n.values())
-    result.stratum = sum(v["stratum"] for v in result.per_n.values())
-    result.family_total = sum(result.family_counts.values())
-    result.lambda_prime_connected = sum(
-        v["lambda_prime_connected"] for v in result.per_n.values()
-    )
     if spec.girth == 4:
         result.accounting_ok = (
             result.stratum == result.family_total + result.lambda_prime_connected
@@ -484,33 +502,18 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, dict], completed: bool) -> Swe
     return result
 
 
-def _is_chunk_entry(entry: object, audit: bool) -> bool:
-    """Whether a checkpoint line has the shape run_sweep writes for a chunk,
-    with the other reading's rows when the sweep audits the readings."""
-    if not isinstance(entry, dict) or not isinstance(entry.get("key"), str):
-        return False
-    chunk = entry.get("chunk")
-    lists = ("rows", "other_rows") if audit else ("rows",)
-    return (
-        isinstance(chunk, dict)
-        and all(name in chunk for name in ("n", "seen", "strong"))
-        and all(isinstance(chunk.get(name), list) for name in lists)
-        and all(isinstance(row, list) for name in lists for row in chunk[name])
-    )
-
-
-def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, dict], int]:
+def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, _Chunk], int]:
     """The completed chunks of a checkpoint, and the byte offset just past
     its last line read whole, where a resumed run goes on writing."""
-    chunks: dict[str, dict] = {}
+    chunks: dict[str, _Chunk] = {}
     header_ok = False
-    torn: Optional[int] = None  # a line that is not JSON, allowed only last
+    torn: Optional[int] = None  # a line that is not ASCII JSON, allowed only last
     end = 0
     offset = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             start, offset = offset, offset + len(line)
-            raw = line.decode("ascii").strip()
+            raw = line.strip()
             if not raw:
                 continue
             if torn is not None:
@@ -519,8 +522,8 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, dict], int]:
                     "may be torn by an interrupted run"
                 )
             try:
-                entry = json.loads(raw)
-            except json.JSONDecodeError:
+                entry = json.loads(raw.decode("ascii"))
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 torn = lineno
                 continue
             end = start + len(line.rstrip())
@@ -533,16 +536,15 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, dict], int]:
                 header_ok = True
                 continue
             if header_ok:
-                if not _is_chunk_entry(entry, spec.audit_readings):
+                parsed = _Chunk.parse(entry, spec.audit_readings)
+                if parsed is None:
                     raise ValueError(
                         f"checkpoint line {lineno} is not a chunk entry "
                         "(an object with 'key' and 'chunk': n, seen, strong, rows, "
                         "and other_rows in an audit sweep)"
                     )
-                chunk = entry["chunk"]
-                chunk["records"] = [VerificationRecord.from_row(row) for row in chunk.pop("rows")]
-                chunk["others"] = [VerificationRecord.from_row(row) for row in chunk.pop("other_rows", [])]
-                chunks[entry["key"]] = chunk
+                key, chunk = parsed
+                chunks[key] = chunk
     if not header_ok:
         raise ValueError("checkpoint is missing its configuration header")
     return chunks, end
@@ -572,7 +574,7 @@ def run_sweep(
     emit = progress or (lambda _msg: None)
     t0 = time.perf_counter()
     tasks = _plan_chunks(spec)
-    chunks: dict[str, dict] = {}
+    chunks: dict[str, _Chunk] = {}
     ck_path = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -599,19 +601,15 @@ def run_sweep(
         for fresh, (key, chunk) in enumerate(results, 1):
             chunks[key] = chunk
             if ck_handle is not None:
-                saved = {name: chunk[name] for name in ("n", "seen", "strong")}
-                saved["rows"] = [rec.to_row() for rec in chunk["records"]]
-                if spec.audit_readings:
-                    saved["other_rows"] = [rec.to_row() for rec in chunk["others"]]
-                ck_handle.write(json.dumps({"key": key, "chunk": saved}) + "\n")
+                ck_handle.write(chunk.line(key, spec.audit_readings))
                 ck_handle.flush()
-            for rec in chunk["records"]:
+            for rec in chunk.records:
                 if not rec.passed:
                     bad = [c for c, v in rec.clauses().items() if v == "fail"]
                     emit(f"counterexample {rec.graph_id} fails {', '.join(bad)}")
             emit(
                 f"chunk {len(chunks)}/{total} key={key} "
-                f"stratum={len(chunk['records'])} of {chunk['seen']} codes"
+                f"stratum={len(chunk.records)} of {chunk.seen} codes"
             )
             if _stop_after_chunks is not None and fresh >= _stop_after_chunks:
                 break

@@ -181,6 +181,45 @@ def test_sweep_cli_resume_on_malformed_checkpoint_is_usage_error(tmp_path, capsy
     assert "checkpoint line" in capsys.readouterr().err
 
 
+# checkpoint.jsonl of `sweep --n 3 --girth 3`: the spec header, then one
+# chunk whose rows are the two directed triangles.
+N3_CHECKPOINT = (
+    '{"spec": {"n_lo": 3, "n_hi": 3, "mode": "exhaustive", "samples": 0, "seed": 0, "reading": "original", '
+    '"girth": 3, "audit_readings": false, "check_proof_cuts": false, "chunk_size": 250000}}\n'
+    '{"key": "x:3:0:27", "chunk": {"n": 3, "seen": 27, "strong": 2, "rows": ['
+    '["&BP_", "3", "3", "3", "true", "", "", "1", "false", "", "0", "pass", "na", "na", "na", "original"], '
+    '["&BKO", "3", "3", "3", "true", "", "", "1", "false", "", "0", "pass", "na", "na", "na", "original"]]}}\n'
+)
+# The same with --audit-readings: the rows under the other reading follow.
+N3_AUDIT_CHECKPOINT = (
+    '{"spec": {"n_lo": 3, "n_hi": 3, "mode": "exhaustive", "samples": 0, "seed": 0, "reading": "original", '
+    '"girth": 3, "audit_readings": true, "check_proof_cuts": false, "chunk_size": 250000}}\n'
+    '{"key": "x:3:0:27", "chunk": {"n": 3, "seen": 27, "strong": 2, "rows": ['
+    '["&BP_", "3", "3", "3", "true", "", "", "1", "false", "", "0", "pass", "na", "na", "na", "original"], '
+    '["&BKO", "3", "3", "3", "true", "", "", "1", "false", "", "0", "pass", "na", "na", "na", "original"]], '
+    '"other_rows": ['
+    '["&BP_", "3", "3", "3", "true", "", "", "1", "false", "", "0", "pass", "na", "na", "na", "residual"], '
+    '["&BKO", "3", "3", "3", "true", "", "", "1", "false", "", "0", "pass", "na", "na", "na", "residual"]]}}\n'
+)
+
+
+@pytest.mark.parametrize("flags, pinned", [([], N3_CHECKPOINT), (["--audit-readings"], N3_AUDIT_CHECKPOINT)])
+def test_sweep_checkpoint_bytes_are_pinned(tmp_path, flags, pinned):
+    """A resumed run reads checkpoints that earlier versions wrote, so their
+    bytes must not drift, and the pinned ones must resume to the same files."""
+    argv = ["sweep", "--n", "3", "--girth", "3", "--quiet", *flags]
+    fresh, resumed = tmp_path / "fresh", tmp_path / "resumed"
+    assert main([*argv, "--out", str(fresh)]) == 0
+    assert (fresh / "checkpoint.jsonl").read_bytes() == pinned.encode("ascii")
+
+    resumed.mkdir()
+    (resumed / "checkpoint.jsonl").write_bytes(pinned.encode("ascii"))
+    assert main([*argv, "--out", str(resumed), "--resume"]) == 0
+    names = ["checkpoint.jsonl", "records.csv", "counterexamples.d6"] + (["audit.json"] if flags else [])
+    for name in names:
+        assert (resumed / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 def test_family_gen_to_stdout_and_match(tmp_path, capsys):
     assert main(["family", "gen", "H1", "--params", "p=1,q=1,r=1,s=1"]) == 0
     text = capsys.readouterr().out

@@ -211,6 +211,12 @@ def test_lambda_prime_bruteforce_unknown_below_bound(l8):
     assert cert.searched_bound == 0
 
 
+def test_lambda_prime_bruteforce_refuses_a_negative_bound(l8):
+    # a negative bound searches nothing, so there is no outcome to report
+    with pytest.raises(ValueError, match="k_max must be non-negative, got -1"):
+        lambda_prime_bruteforce(l8, k_max=-1)
+
+
 def test_bruteforce_default_searches_every_arc_set(l8, monkeypatch):
     """With no k_max the oracle searches up to |A(D)|: it assumes no bound
     from the theorems it checks, so it consults neither xi nor the family

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from arcconn import Digraph, InvalidDigraph, InvalidVertex, UnknownArc, _kernels
+from arcconn import Digraph, InvalidDigraph, InvalidVertex, UnknownArc, _kernels, is_restricted_arc_cut
 
 from .conftest import digraphs, oracle_closure_size, oracle_sccs, oracle_strong
 
@@ -233,3 +233,32 @@ def test_relabel_requires_permutation():
     D = Digraph(3, [(0, 1)])
     with pytest.raises(InvalidVertex):
         D.relabel([0, 0, 1])
+
+
+class _Label:
+    """An integer type that is not int: operator.index reads it."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+@pytest.mark.parametrize("arc", [(0.5, 1), (True, 2), ("0", "1"), (0, 1.0), (None, 1)])
+def test_arcs_with_non_integer_labels_are_refused(arc):
+    with pytest.raises(InvalidVertex, match="is not an integer"):
+        Digraph(3, [arc])
+
+
+def test_every_label_reader_refuses_non_integers(four_cycle):
+    with pytest.raises(InvalidVertex):
+        four_cycle.out_degree(1.0)
+    with pytest.raises(InvalidVertex):
+        four_cycle.induced([0, "1"])
+    with pytest.raises(InvalidVertex):
+        four_cycle.delete_arcs([(0.0, 1)])
+    with pytest.raises(InvalidVertex):
+        is_restricted_arc_cut(four_cycle, [("0", "1")])
+    assert Digraph(3, [(_Label(0), _Label(1))]).arcs == ((0, 1),)
+    assert four_cycle.delete_arcs([(_Label(0), 1)]).m == 3

@@ -320,6 +320,29 @@ def test_sweep_resumed_after_a_torn_line_resumes_again(tmp_path, tear):
     assert resumed.completed and resumed.records == solid.records
 
 
+def test_sweep_resume_skips_a_non_ascii_last_line(tmp_path):
+    """A last line that is not ASCII is torn like one that is not JSON."""
+    out = tmp_path / "out"
+    spec = SweepSpec(n_lo=4, n_hi=4)
+    fresh = run_sweep(spec, out_dir=str(out))
+    ck = out / "checkpoint.jsonl"
+    ck.write_bytes(ck.read_bytes() + b'{"key": "\xff')
+    assert run_sweep(spec, out_dir=str(out), resume=True).records == fresh.records
+    assert all(json.loads(line) for line in ck.read_text(encoding="ascii").splitlines())
+
+
+def test_sweep_resume_names_a_non_ascii_line_before_the_last(tmp_path):
+    out = tmp_path / "out"
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=10_000)
+    run_sweep(spec, out_dir=str(out))
+    ck = out / "checkpoint.jsonl"
+    lines = ck.read_bytes().splitlines()
+    lines[2] = b"\xff" + lines[2]
+    ck.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ValueError, match="checkpoint line 3 is not JSON"):
+        run_sweep(spec, out_dir=str(out), resume=True)
+
+
 def test_sweep_resume_rejects_torn_line_before_the_last(tmp_path, capsys):
     """Only an interrupted run's last line may be torn: a line that is not
     JSON further up names its line instead of being skipped."""
