@@ -13,6 +13,11 @@ vertex sets X that could host the surviving component, the max-flow value
 between the split halves of X contracted to a single vertex.  They must agree
 and the test suite holds them to that.
 
+Every flow, for lambda and for lambda', is one _flow on successor masks:
+its paths run from a source set into a sink set, so the contraction of X is
+the flow from X into X, and _cut reads the arcs of a minimum cut off the
+least source side.  No capacity matrix is built.
+
 The restricted-cut rule is stated once, in _hosts: of the strong parts of a
 residue, those with an arc wholly outside them, read in D or in the residue
 as the reading says.  The witness of a cut, the one-arc pass and the pair
@@ -51,7 +56,6 @@ the girth cycles, which the Digraph memoises (see cycles).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -147,70 +151,94 @@ def xi(D: Digraph) -> XiResult:
 
 
 # ---------------------------------------------------------------------------
-# unit-capacity max-flow
+# unit-capacity max-flow on successor masks
 
 
-def _augment(cap: list[list[int]], s: int, t: int) -> list[int]:
-    """Breadth-first search tree from s along positive capacities.
+def _flow(
+    rows: Sequence[int], sources: int, sinks: int, limit: Optional[int] = None, keep: Optional[Arc] = None
+) -> tuple[int, int]:
+    """The most arc-disjoint paths from sources to sinks along the successor
+    masks rows, by shortest augmenting paths, and the least source side of
+    a minimum cut.
 
-    parent[v] is v's parent in the tree and -1 when the search has not
-    reached v; the search stops as soon as it reaches t.
+    A path's first arc leaves sources, its last enters sinks and its inner
+    vertices lie in neither, so sources == sinks == X is the flow between
+    X's contracted halves.  An oriented graph has no digon, so a residual
+    arc is an unused arc or a used one reversed: pushing a path flips its
+    arcs.  keep, an arc between inner vertices, has infinite capacity: it
+    stays in its row, its reversal there while a path uses it.
+
+    With a limit, augmenting stops there, and the value is then a lower
+    bound and side 0.  Below it, side is sources and what the last search
+    reached, which every maximum flow shares.
     """
-    k = len(cap)
-    parent = [-1] * k
-    parent[s] = s
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        row = cap[v]
-        for u in range(k):
-            if parent[u] < 0 and row[u] > 0:
-                parent[u] = v
-                if u == t:
-                    return parent
-                queue.append(u)
-    return parent
+    res = list(rows)
+    for x in _bits(sources):
+        res[x] &= ~sources  # a first arc leaves sources
+    kt, kh = keep or (-1, -1)
+    value = used = 0  # used: the paths through keep
+    while limit is None or value < limit:
+        seen, layer, layers = sources | sinks, sources, []
+        while layer:
+            layers.append(layer)
+            reached = 0
+            while layer:
+                b = layer & -layer
+                layer ^= b
+                reached |= res[b.bit_length() - 1]
+            if reached & sinks:
+                break
+            layer = reached & ~seen
+            seen |= layer
+        else:
+            return value, seen & ~sinks | sources
+        # Walk the layers back from the sinks, flipping one arc per layer;
+        # no path may run an arc back into sources or out of sinks, so those
+        # get no reversal.
+        heads = sinks
+        for layer in reversed(layers):
+            while not res[(layer & -layer).bit_length() - 1] & heads:
+                layer &= layer - 1
+            t = (layer & -layer).bit_length() - 1
+            hit = res[t] & heads
+            h = (hit & -hit).bit_length() - 1
+            if t == kt and h == kh:
+                used += 1
+                res[h] |= 1 << t
+            elif t == kh and h == kt:
+                used -= 1
+                if not used:
+                    res[t] ^= 1 << h
+            else:
+                res[t] ^= 1 << h
+                if not (sources >> t | sinks >> h) & 1:
+                    res[h] |= 1 << t
+            heads = 1 << t
+        value += 1
+    return value, 0
 
 
-def _maxflow(
-    cap: list[list[int]], s: int, t: int, limit: Optional[int] = None
-) -> tuple[int, list[int]]:
-    """Edmonds-Karp on a dense capacity matrix (mutated into the residual).
-
-    Returns the flow value and the last search tree.  With a limit,
-    augmentation stops once flow >= limit; the value is then only a lower
-    bound, which suffices for pruning.  A value below the limit is exact, and
-    the tree then marks the source side of a minimum cut.
-    """
-    flow = 0
-    parent: list[int] = []
-    while limit is None or flow < limit:
-        parent = _augment(cap, s, t)
-        if parent[t] < 0:
-            break
-        bottleneck: Optional[int] = None
-        v = t
-        while v != s:
-            p = parent[v]
-            if bottleneck is None or cap[p][v] < bottleneck:
-                bottleneck = cap[p][v]
-            v = p
-        assert bottleneck is not None and bottleneck > 0
-        v = t
-        while v != s:
-            p = parent[v]
-            cap[p][v] -= bottleneck
-            cap[v][p] += bottleneck
-            v = p
-        flow += bottleneck
-    return flow, parent
+def _cut(rows: Sequence[int], side: int, X: int) -> tuple[Arc, ...]:
+    """The minimum cut of the flow between X's contracted halves, sorted:
+    the arcs from side, the source side _flow gives, to the rest or into X,
+    less those inside X."""
+    cut: list[Arc] = []
+    into = X | ~side
+    for t in _bits(side):
+        heads = rows[t] & (~side if X >> t & 1 else into)
+        while heads:
+            h = heads & -heads
+            heads ^= h
+            cut.append((t, h.bit_length() - 1))
+    return tuple(cut)
 
 
 def arc_connectivity(D: Digraph) -> int:
     """lambda(D): minimum number of arcs whose removal destroys strongness.
 
     Menger reduction: the minimum over ordered pairs of arc-disjoint path
-    counts, realized as 2(n-1) unit-capacity flows against a fixed root.
+    counts, realized as 2(n-1) _flow runs against vertex 0: to each other
+    vertex on D's successor masks, and from it on the predecessor masks.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("arc connectivity needs a strong digraph on >= 2 vertices")
@@ -218,13 +246,9 @@ def arc_connectivity(D: Digraph) -> int:
     best = min(min(D.succ[v].bit_count(), D.pred[v].bit_count()) for v in range(n))
     if best == 1:
         return 1  # a strong digraph has lambda >= 1
-    base = [[D.succ[i] >> j & 1 for j in range(n)] for i in range(n)]
     for v in range(1, n):
-        for s, t in ((0, v), (v, 0)):
-            cap = [row[:] for row in base]
-            flow, _ = _maxflow(cap, s, t, limit=best)
-            if flow < best:
-                best = flow
+        for rows in (D.succ, D.pred):
+            best = min(best, _flow(rows, 1, 1 << v, limit=best)[0])
     return best
 
 
@@ -342,36 +366,6 @@ def lambda_prime_bruteforce(
     return RestrictedCutCertificate(
         outcome=CutOutcome.UNKNOWN_BELOW_BOUND, reading=reading, searched_bound=k_max
     )
-
-
-def _contracted_capacities(D: Digraph, mask: int) -> tuple[list[list[int]], list[tuple[Arc, int, int]]]:
-    """Unit capacity matrix after contracting the vertex set into x_out/x_in.
-
-    Node 0 emits everything leaving the set, node 1 absorbs everything
-    entering it; outside vertices follow in sorted order.  A path 0 -> 1 is
-    exactly a closed walk leaving and re-entering the set through outside
-    vertices, so the min cut is the cheapest arc set destroying all of them.
-    Returns (matrix, ends): ends lists (arc, a, b) for every arc of D not
-    inside the set, in arc order, with a -> b its edge in the matrix.
-    """
-    node = [0] * D.n
-    k = 2
-    for v in range(D.n):
-        if not mask >> v & 1:
-            node[v] = k
-            k += 1
-    cap = [[0] * k for _ in range(k)]
-    ends = []
-    for t, h in D.arcs:
-        t_in = mask >> t & 1
-        h_in = mask >> h & 1
-        if t_in and h_in:
-            continue
-        a = 0 if t_in else node[t]
-        b = 1 if h_in else node[h]
-        cap[a][b] += 1
-        ends.append(((t, h), a, b))
-    return cap, ends
 
 
 def _seed_masks(D: Digraph) -> dict[int, None]:
@@ -581,12 +575,12 @@ def _walk(
     masks, in their order, counting only flows below best (any flow when
     best is None); NONEXISTENT when no mask qualifies.
 
-    No cut is smaller than floor, so the walk stops at the first cut of
-    that size.
+    Each mask X runs _flow from X into X on D's successor masks, and the
+    cut is _cut of its side.  No cut is smaller than floor, so the walk
+    stops at the first cut of that size.
     """
     succ, pred = D.succ, D.pred
     full = (1 << D.n) - 1
-    inf = D.m + 1  # above every finite cut
     kept: Optional[RestrictedCutCertificate] = None
     for mask in masks:
         start = (mask & -mask).bit_length() - 1
@@ -594,31 +588,24 @@ def _walk(
             continue
         if _kernels.arc_within(succ, full & ~mask) is None:
             continue  # no arc wholly outside X
-        cap, ends = _contracted_capacities(D, mask)
-        protect: list[Optional[tuple[int, int]]] = [None]
+        keeps: list[Optional[Arc]] = [None]
         if reading is RESIDUAL_HOST:
             # The unprotected flow lower-bounds every protected flow, so a
             # pruned unprotected run rules out the whole candidate set.
-            probe = [row[:] for row in cap]
-            if best is not None and _maxflow(probe, 0, 1, limit=best)[0] >= best:
+            if best is not None and _flow(succ, mask, mask, best)[0] >= best:
                 continue
-            protect = [(a, b) for _, a, b in ends if a > 1 and b > 1]
-        for entry in protect:
-            net = cap
-            if entry is not None:
-                # Infinite capacity: no finite cut removes the protected arc.
-                net = [row[:] for row in cap]
-                net[entry[0]][entry[1]] = inf
-            flow, tree = _maxflow(net, 0, 1, limit=best)
+            outside = full & ~mask
+            keeps = [(t, h) for t in _bits(outside) for h in _bits(succ[t] & outside)]
+        for keep in keeps:
+            flow, side = _flow(succ, mask, mask, best, keep)
             if best is not None and flow >= best:
                 continue
-            # The min cut: the arcs from the tree's source side to the rest.
-            cut = [arc for arc, a, b in ends if tree[a] >= 0 and tree[b] < 0]
+            cut = _cut(succ, side, mask)
             assert len(cut) == flow, "min cut must match the flow value"
             witness = is_restricted_arc_cut(D, cut, reading)
             assert witness is not None, "flow cut must certify as restricted"
             best = flow
-            kept = _found(reading, tuple(sorted(cut)), witness)
+            kept = _found(reading, cut, witness)
             if best == floor:
                 return kept
     if kept is None and best is not None:
@@ -637,11 +624,12 @@ def lambda_prime_exact(
     the cheapest arc set whose removal leaves X as its own strong component
     is the min cut between the contracted halves of X.  X is strong when
     its lowest vertex reaches all of X forwards and backwards (two
-    _kernels.reach calls).  Each X gets one contracted capacity matrix;
-    the cut is read off the source side of the flow's last search tree.
-    Under ResidualHost the witness arc must additionally survive the cut,
-    so the flow runs once per choice of protected outside arc, each on a
-    copy of that matrix with the arc's entry made infinite.
+    _kernels.reach calls).  Each X gets one _flow from X into X on D's
+    successor masks; the cut is read off the least source side of a
+    minimum cut, which every maximum flow shares.  Under ResidualHost the
+    witness arc must additionally survive the cut, so the flow runs once
+    per choice of protected outside arc, which _flow keeps at infinite
+    capacity.
 
     The passes set the floor and the masks, and then _walk runs once (see
     the module docstring for why the certificate is the full walk's).  From

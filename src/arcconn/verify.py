@@ -502,9 +502,11 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, _Chunk], completed: bool) -> S
     return result
 
 
-def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, _Chunk], int]:
+def _read_checkpoint(path: str, spec: SweepSpec, keys: set[str]) -> tuple[dict[str, _Chunk], int]:
     """The completed chunks of a checkpoint, and the byte offset just past
-    its last line read whole, where a resumed run goes on writing."""
+    its last line read whole, where a resumed run goes on writing.  A chunk
+    under a key not in keys, the ones the sweep plans, raises ValueError:
+    its counts would enter the totals and the sweep could never complete."""
     chunks: dict[str, _Chunk] = {}
     header_ok = False
     torn: Optional[int] = None  # a line that is not ASCII JSON, allowed only last
@@ -544,6 +546,11 @@ def _read_checkpoint(path: str, spec: SweepSpec) -> tuple[dict[str, _Chunk], int
                         "and other_rows in an audit sweep)"
                     )
                 key, chunk = parsed
+                if key not in keys:
+                    raise ValueError(
+                        f"checkpoint line {lineno} holds chunk {key!r}, "
+                        "which this sweep does not plan"
+                    )
                 chunks[key] = chunk
     if not header_ok:
         raise ValueError("checkpoint is missing its configuration header")
@@ -580,7 +587,7 @@ def run_sweep(
         os.makedirs(out_dir, exist_ok=True)
         ck_path = os.path.join(out_dir, "checkpoint.jsonl")
         if resume and os.path.exists(ck_path):
-            chunks, end = _read_checkpoint(ck_path, spec)
+            chunks, end = _read_checkpoint(ck_path, spec, {task[0] for task in tasks})
             _cut_checkpoint(ck_path, end)
             if chunks:
                 emit(f"resumed {len(chunks)} completed chunk(s) from checkpoint")

@@ -3,11 +3,13 @@
 The oracles here deliberately avoid the package's bitmask kernels.  They
 work on plain adjacency dicts with textbook algorithms (Kosaraju for strong
 components, permutation scans for cycles, subset enumeration for cuts) so
-that agreement with the library is meaningful evidence.
+that agreement with the library is meaningful evidence.  The flow oracle
+is the dense Edmonds-Karp that connectivity._flow replaced.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Iterable, Optional
@@ -207,6 +209,85 @@ def brute_lambda_prime(D: Digraph, k_max: Optional[int] = None, residual_host: b
             if oracle_restricted_witness(D, S, residual_host) is not None:
                 return k, S
     return None
+
+
+# ---------------------------------------------------------------------------
+# flow oracle (Edmonds-Karp on a dense capacity matrix)
+
+
+def _oracle_augment(cap: list[list[int]], s: int, t: int) -> list[int]:
+    """Breadth-first search tree from s along positive capacities.
+
+    parent[v] is v's parent in the tree and -1 when the search has not
+    reached v; the search stops as soon as it reaches t.
+    """
+    k = len(cap)
+    parent = [-1] * k
+    parent[s] = s
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        row = cap[v]
+        for u in range(k):
+            if parent[u] < 0 and row[u] > 0:
+                parent[u] = v
+                if u == t:
+                    return parent
+                queue.append(u)
+    return parent
+
+
+def _oracle_maxflow(cap: list[list[int]], s: int, t: int) -> tuple[int, list[int]]:
+    """Edmonds-Karp on a dense capacity matrix (mutated into the residual).
+
+    Returns the flow value and the last search tree, which marks the source
+    side of the least minimum cut.
+    """
+    flow = 0
+    while True:
+        parent = _oracle_augment(cap, s, t)
+        if parent[t] < 0:
+            return flow, parent
+        bottleneck = None
+        v = t
+        while v != s:
+            p = parent[v]
+            if bottleneck is None or cap[p][v] < bottleneck:
+                bottleneck = cap[p][v]
+            v = p
+        v = t
+        while v != s:
+            p = parent[v]
+            cap[p][v] -= bottleneck
+            cap[v][p] += bottleneck
+            v = p
+        flow += bottleneck
+
+
+def oracle_flow(D: Digraph, sources: int, sinks: int, keep: Optional[Arc] = None) -> tuple[int, int]:
+    """(value, side) of connectivity._flow on D's successor masks, from a
+    dense capacity matrix.
+
+    Node 0 emits every arc that leaves sources and node 1 absorbs every arc
+    that enters sinks from outside them; the vertices in neither set follow
+    in sorted order, with parallel arcs summed.  keep's entry is infinite.
+    side is sources with the vertices the last search reached.
+    """
+    inner = [v for v in range(D.n) if not (sources | sinks) >> v & 1]
+    node = {v: i for i, v in enumerate(inner, 2)}
+    cap = [[0] * (len(inner) + 2) for _ in range(len(inner) + 2)]
+    for t, h in D.arcs:
+        if sources >> t & 1:
+            a = None if sources >> h & 1 else 0
+        else:
+            a = node.get(t)  # None for a sink
+        b = 1 if sinks >> h & 1 else node.get(h)  # None for a source
+        if a is not None and b is not None:
+            cap[a][b] += 1
+    if keep is not None:
+        cap[node[keep[0]]][node[keep[1]]] = D.m + 1  # above every finite cut
+    value, tree = _oracle_maxflow(cap, 0, 1)
+    return value, sources | sum(1 << v for v in inner if tree[node[v]] >= 0)
 
 
 # ---------------------------------------------------------------------------

@@ -293,6 +293,26 @@ def test_sweep_resume_rejects_malformed_chunk_line(tmp_path, bad):
         run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=str(out), resume=True)
 
 
+def test_sweep_resume_rejects_a_chunk_the_sweep_does_not_plan(tmp_path, capsys):
+    """A chunk line under a key the sweep does not plan would be counted
+    into the totals and keep the sweep from ever completing; it names its
+    line and key instead."""
+    out = tmp_path / "out"
+    spec = SweepSpec(n_lo=5, n_hi=5, chunk_size=10_000)
+    run_sweep(spec, out_dir=str(out), _stop_after_chunks=5)
+    ck = out / "checkpoint.jsonl"
+    lines = ck.read_text().splitlines()
+    stray = json.loads(lines[1])
+    stray["key"] = "x:5:bogus"
+    ck.write_text("\n".join(lines + [json.dumps(stray)]) + "\n")
+    line = len(lines) + 1
+    with pytest.raises(ValueError, match=f"checkpoint line {line} holds chunk 'x:5:bogus'"):
+        run_sweep(spec, out_dir=str(out), resume=True)
+    argv = ["sweep", "--n", "5", "--chunk-size", "10000", "--out", str(out), "--resume", "--quiet"]
+    assert cli.main(argv) == 2
+    assert f"checkpoint line {line} holds chunk 'x:5:bogus'" in capsys.readouterr().err
+
+
 def test_sweep_resume_skips_torn_last_line(tmp_path):
     out = tmp_path / "out"
     spec = SweepSpec(n_lo=4, n_hi=4)
