@@ -18,20 +18,15 @@ Enumeration encoding: unordered vertex pairs are listed lexicographically
 produce a loop or a digon.
 
 Decoding builds one integer, the packed word, of 2n fields: succ[0..n-1],
-then pred[0..n-1].  Each field is a whole number of bytes, 1, 2, 4 or 8 up
-to n = 64, so the word's bytes read as n machine integers per half give
-every row at once (``_split``, the one reader of a packed word); above 64
-the fields are n bits rounded up to whole bytes and rows are read by
-shifts.  Up to n = 18 decoding reads the code 7 trits at a time, in code
-order and across row boundaries, and ORs in one entry of a 3**7-entry
-table of whole packed words per group: three lookups at n = 7.  These word
-tables have 2n fields per entry and one table per 7 pairs, so they are
-built per order on first use and only while they fit _WORD_TABLE_BUDGET.
-Above that decoding reads the trits of each row i (the pairs (i, j),
-j > i) in groups of at most six and ORs one entry of a 3**6-entry table
-per group, shifted into place; that table depends on n only through the
-field width and the offset of the pred half, and its entries have O(n)
-bits.
+then pred[0..n-1].  Each field is a whole number of bytes, 1, 2 or 4, so
+the word's bytes read as n machine integers per half give every row at once
+(``_split``, the one reader of a packed word).  Decoding reads the code 7
+trits at a time, in code order and across row boundaries, and ORs in one
+entry of a 3**7-entry table of whole packed words per group: three lookups
+at n = 7.  The tables are built per order on first use.  Codes are read up
+to order CODE_MAX_ORDER only: check_codes, which every code reader calls
+first, refuses larger orders with CapExceeded.  The mask kernels (``reach``,
+``strong_parts``, ``girth``, ``arc_within``) take any order.
 
 Vertex-0 split (``filter_range``).  The lowest n-1 trits are vertex 0's pairs,
 so ``code = low + 3**(n-1) * code(H)`` where H = D - 0 relabelled v -> v-1.
@@ -62,12 +57,20 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import InvalidDigraph
+from .errors import CapExceeded, InvalidDigraph
 
 BACKEND = "pure"
 
-_GROUP = 6  # trits per row-layout lookup (see _layout)
+_GROUP = 6  # vertex 0's trits per _low_choices table (see _judge_block)
 _choice_value = itemgetter(0)
+
+# The highest order whose codes are read.  No sweep needs more: of 20,000
+# random codes none is strong with girth 4 at n = 12 or n = 19, and
+# lambda_prime_exact refuses its vertex-set walk from order 21.  Its word
+# tables hold 6.6 MiB of packed words (7.8 MB as Python ints, built in
+# 13 ms); they grow as n**4 within one field width, and the 4-byte fields
+# of n = 17 double them.
+CODE_MAX_ORDER = 18
 
 
 def backend_name() -> str:
@@ -81,8 +84,15 @@ def universe_size(n: int) -> int:
     return 3 ** (n * (n - 1) // 2)
 
 
-def check_codes(n: int, first: int, last: int) -> None:
-    """Raise InvalidDigraph unless codes first and last encode graphs on n vertices."""
+def check_codes(n: int, first: int = 0, last: int = -1) -> None:
+    """The check in front of every code reader: raise CapExceeded when n is
+    above CODE_MAX_ORDER, then InvalidDigraph unless codes first and last
+    encode graphs on n vertices.  When last < first (the defaults), only
+    the order is checked."""
+    if n > CODE_MAX_ORDER:
+        raise CapExceeded(f"trit codes are read up to order {CODE_MAX_ORDER}, not n={n}")
+    if first > last:
+        return
     size = universe_size(n)
     for code in (first, last):
         if not 0 <= code < size:
@@ -94,47 +104,26 @@ def pair_table(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-# Trits per word-table lookup, and the most bytes of packed words that one
-# order's word tables may hold: 3**7 words of 2n fields per 7 trits, so
-# they grow as n**4 within one field width, and the 4-byte fields of
-# n = 17 double them.  Within 7 MiB means up to n = 18 (6.6 MiB of words,
-# 7.8 MB as Python ints, built in 13 ms); above it decoding keeps the row
-# layout.  Decode per random code, words against rows (2,000 codes, best
-# of 5, Python 3.11.7, shared 2-core x86-64): 1.7 against 3.0 us at n = 7,
-# 6.4 against 9.4 us at n = 16, 9.7 against 13.4 us at n = 18.  At n = 70
-# the tables would hold 907 MiB of words.
+# Trits per word-table lookup: one table of 3**7 packed words per 7 pairs.
 _WORD_TRITS = 7
 _WORD_SPAN = 3**_WORD_TRITS
-_WORD_TABLE_BUDGET = 7 << 20
 
 # struct formats of one field, by its bytes (standard sizes, little-endian)
-_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+_FORMATS = {1: "B", 2: "H", 4: "I"}
 
 
 def _field_bytes(n: int) -> int:
-    """Bytes of one succ or pred field of a packed word: 1, 2, 4 or 8 up to
-    n = 64, so that a field is one machine integer, and n rounded up to
-    whole bytes above."""
-    size = -(-n // 8)
-    return size if size > 8 else 1 << (max(size, 1) - 1).bit_length()
-
-
-def _word_table_bytes(n: int) -> int:
-    """Bytes of packed words in order n's word tables."""
-    tables = -(-len(pair_table(n)) // _WORD_TRITS)
-    return tables * 3**_WORD_TRITS * 2 * n * _field_bytes(n)
+    """Bytes of one succ or pred field of a packed word: n bits rounded up
+    to 1, 2 or 4 bytes, so that a field is one machine integer."""
+    return 1 << (max(-(-n // 8), 1) - 1).bit_length()
 
 
 class _Layout(NamedTuple):
     """Decode layout of one order (see _layout)."""
 
-    n: int
-    width: int  # bits per field
     size: int  # bytes per packed word
-    unpack: Optional[Callable[..., tuple[int, ...]]]  # n fields from a byte offset
+    unpack: Callable[..., tuple[int, ...]]  # n fields from a byte offset
     words: list
-    table: list
-    steps: list
     low: int
     add: int
     top: int
@@ -142,96 +131,58 @@ class _Layout(NamedTuple):
 
 @lru_cache(maxsize=4)
 def _layout(n: int) -> _Layout:
-    """Decode layout for order n, built on first use.
+    """Decode layout for order n <= CODE_MAX_ORDER, built on first use.
 
-    The packed word has 2n fields of ``width`` bits, a whole number of
-    bytes (_field_bytes): succ[v] is field v, at bit width*v, and pred[v] is
-    field n + v.  Up to n = 64 a field is a machine integer, and ``unpack``
-    reads n of them from the word's little-endian bytes, so _split takes
-    each half with one call; above, ``unpack`` is None and rows are read by
-    shifts.  While _word_table_bytes(n) is within _WORD_TABLE_BUDGET,
-    ``words`` holds one table per 7 consecutive trits in code order, and
-    ``words[c][g]`` is the whole packed word of those 7 pairs holding value
-    g.  Otherwise ``words`` is empty and decoding goes by rows: ``table[g]``
-    is the (row, column) contribution of a group of at most 6 trits of one
-    row with value g, and ``steps`` lists (3**k, row shift, column shift)
-    for each group of k trits in code order.  ``low``, ``add`` and ``top``
-    test that none of the 2n fields is zero:
+    The packed word has 2n fields of w bits, a whole number of bytes
+    (_field_bytes): succ[v] is field v, at bit w*v, and pred[v] is field
+    n + v.  ``unpack`` reads n fields from the word's little-endian bytes,
+    so _split takes each half with one call.  ``words`` holds one table per
+    7 consecutive trits in code order, and ``words[c][g]`` is the whole
+    packed word of those 7 pairs holding value g.  ``low``, ``add`` and
+    ``top`` test that none of the 2n fields is zero:
     ``((q & low) + add | q) & top == top``.
     """
     size = _field_bytes(n)
     w = 8 * size
-    fmt = _FORMATS.get(size)
-    unpack = struct.Struct(f"<{n}{fmt}").unpack_from if fmt else None
-    head = (n, w, 2 * n * size, unpack)
+    unpack = struct.Struct(f"<{n}{_FORMATS[size]}").unpack_from
     unit = sum(1 << (v * w) for v in range(2 * n))
     top = unit << (w - 1)
     pred = n * w  # bit of pred[0]
-    if _word_table_bytes(n) <= _WORD_TABLE_BUDGET:
-        # The words of trits 0, 1, 2 of pair (i, j): no arc, i -> j, j -> i.
-        trits = [
-            (0, 1 << w * i + j | 1 << pred + w * j + i, 1 << pred + w * i + j | 1 << w * j + i)
-            for i, j in pair_table(n)
-        ]
-        words = []
-        for first in range(0, len(trits), _WORD_TRITS):
-            table = [0]
-            for choices in reversed(trits[first : first + _WORD_TRITS]):
-                table = [q | word for q in table for word in choices]
-            words.append(table)
-        return _Layout(*head, words, [], [], ~top, top - unit, top)
-    table = []
-    for value in range(3**_GROUP):
-        row = col = 0
-        for k in range(_GROUP):
-            value, t = divmod(value, 3)
-            if t == 1:  # i -> j: bit j of succ[i], bit i of pred[j]
-                row |= 1 << k
-                col |= 1 << (pred + w * k)
-            elif t == 2:  # j -> i: bit j of pred[i], bit i of succ[j]
-                row |= 1 << (pred + k)
-                col |= 1 << (w * k)
-        table.append((row, col))
-    steps = [
-        (3 ** min(_GROUP, n - j), w * i + j, w * j + i)
-        for i in range(n)
-        for j in range(i + 1, n, _GROUP)
+    # The words of trits 0, 1, 2 of pair (i, j): no arc, i -> j, j -> i.
+    trits = [
+        (0, 1 << w * i + j | 1 << pred + w * j + i, 1 << pred + w * i + j | 1 << w * j + i)
+        for i, j in pair_table(n)
     ]
-    return _Layout(*head, [], table, steps, ~top, top - unit, top)
+    words = []
+    for first in range(0, len(trits), _WORD_TRITS):
+        table = [0]
+        for choices in reversed(trits[first : first + _WORD_TRITS]):
+            table = [q | word for q in table for word in choices]
+        words.append(table)
+    return _Layout(2 * n * size, unpack, words, ~top, top - unit, top)
 
 
 def _pack(layout: _Layout, code: int) -> int:
     """The packed word of a code, given its order's _layout."""
     q = 0
-    if layout.words:
-        for words in layout.words:
-            code, g = divmod(code, _WORD_SPAN)
-            q |= words[g]
-        return q
-    table = layout.table
-    for p, row_shift, col_shift in layout.steps:
-        code, g = divmod(code, p)
-        row, col = table[g]
-        q |= row << row_shift | col << col_shift
+    for words in layout.words:
+        code, g = divmod(code, _WORD_SPAN)
+        q |= words[g]
     return q
 
 
 def _split(layout: _Layout, q: int) -> tuple[Sequence[int], Sequence[int]]:
-    """The succ and pred rows of a packed word, the one way every reader
-    takes them: two unpacks of its little-endian bytes up to n = 64 (tuples),
-    shifts above (lists)."""
-    if layout.unpack:
-        fields = q.to_bytes(layout.size, "little")
-        return layout.unpack(fields), layout.unpack(fields, layout.size >> 1)
-    n, w = layout.n, layout.width
-    full = (1 << n) - 1
-    return [q >> w * v & full for v in range(n)], [q >> w * (n + v) & full for v in range(n)]
+    """The succ and pred rows of a packed word, as tuples, the one way every
+    reader takes them: two unpacks of its little-endian bytes."""
+    fields = q.to_bytes(layout.size, "little")
+    return layout.unpack(fields), layout.unpack(fields, layout.size >> 1)
 
 
 def decode_code(n: int, code: int) -> tuple[list[int], list[int]]:
     """Successor and predecessor masks of the graph with the given
     enumeration code, as lists: the two halves of its packed word, read by
-    _split."""
+    _split.  Raises as check_codes does."""
+    check_codes(n, code, code)
     layout = _layout(n)
     succ, pred = _split(layout, _pack(layout, code))
     return list(succ), list(pred)
@@ -474,12 +425,11 @@ def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, 
     girth_target when it is nonzero.
 
     Returns (seen, strong_count, survivor_codes), survivors ascending.
-    Raises InvalidDigraph when the range reaches outside
-    [0, universe_size(n)) or ends before it starts.
+    Raises as check_codes does, and InvalidDigraph when the range ends
+    before it starts.
     """
-    if lo < hi:
-        check_codes(n, lo, hi - 1)
-    elif lo > hi:
+    check_codes(n, lo, hi - 1)
+    if lo > hi:
         raise InvalidDigraph(f"code range {lo}..{hi} for n={n} ends before it starts")
     if n < 2:
         return filter_codes(n, range(lo, hi), girth_target)
@@ -497,16 +447,14 @@ def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, 
 def filter_codes(n: int, codes: list[int], girth_target: int = 0) -> tuple[int, int, list[int]]:
     """Like filter_range but over an explicit code list (sampled sweeps).
 
-    Each code is decoded on its own into a packed word (by word tables up
-    to n = 18, see the module docstring), whose rows _split reads from one
-    to_bytes up to n = 64.  Strongness is a degree check on that word, then
-    a forward and a backward reach from vertex 0.  The girth
-    search stops at the first cycle shorter than girth_target, as such a
-    code is rejected whatever its girth.  Raises InvalidDigraph when some
-    code lies outside [0, universe_size(n)).
+    Each code is decoded on its own into a packed word by the word tables
+    (see the module docstring), whose rows _split reads from one to_bytes.
+    Strongness is a degree check on that word, then a forward and a
+    backward reach from vertex 0.  The girth search stops at the first
+    cycle shorter than girth_target, as such a code is rejected whatever
+    its girth.  Raises as check_codes does.
     """
-    if codes:
-        check_codes(n, min(codes), max(codes))
+    check_codes(n, min(codes, default=0), max(codes, default=-1))
     layout = _layout(n)
     low, add, top = layout.low, layout.add, layout.top
     full = (1 << n) - 1

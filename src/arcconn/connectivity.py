@@ -236,9 +236,10 @@ def _cut(rows: Sequence[int], side: int, X: int) -> tuple[Arc, ...]:
 def arc_connectivity(D: Digraph) -> int:
     """lambda(D): minimum number of arcs whose removal destroys strongness.
 
-    Menger reduction: the minimum over ordered pairs of arc-disjoint path
-    counts, realized as 2(n-1) _flow runs against vertex 0: to each other
-    vertex on D's successor masks, and from it on the predecessor masks.
+    Menger reduction over Schnorr's cyclic pairs (SIAM J. Comput. 8, 1979):
+    a minimum cut leaves a vertex set X with no arc out of it, and some
+    v in X has v+1 (mod n) outside X, so lambda is the least of the n
+    arc-disjoint path counts v -> v+1, each a _flow on D's successor masks.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("arc connectivity needs a strong digraph on >= 2 vertices")
@@ -246,9 +247,8 @@ def arc_connectivity(D: Digraph) -> int:
     best = min(min(D.succ[v].bit_count(), D.pred[v].bit_count()) for v in range(n))
     if best == 1:
         return 1  # a strong digraph has lambda >= 1
-    for v in range(1, n):
-        for rows in (D.succ, D.pred):
-            best = min(best, _flow(rows, 1, 1 << v, limit=best)[0])
+    for v in range(n):
+        best = min(best, _flow(D.succ, 1 << v, 1 << (v + 1) % n, limit=best)[0])
     return best
 
 

@@ -224,12 +224,12 @@ class Digraph:
         Built straight from the code's packed word: succ and pred are its
         two halves as decode_code reads them, and the arcs are read off succ
         in sorted order.  A trit code cannot encode a loop, a repeated arc
-        or a digon, so the checks of __init__ are not run; only the code's
-        range is checked.
+        or a digon, so the checks of __init__ are not run; decode_code
+        checks only the order (CapExceeded above _kernels.CODE_MAX_ORDER)
+        and the code's range.
         """
         if n < 0:
             raise InvalidVertex(f"vertex count must be non-negative, got {n}")
-        _kernels.check_codes(n, code, code)
         succ, pred = _kernels.decode_code(n, code)
         D = object.__new__(cls)
         D._set(n, tuple([(v, u) for v in range(n) for u in _bits(succ[v])]), succ, pred)

@@ -65,8 +65,9 @@ class InvalidParams(ArcConnError):
 
 class CapExceeded(ArcConnError):
     """Requested work exceeds an order limit: an exhaustive sweep above
-    verify.EXHAUSTIVE_MAX_ORDER (random mode covers those orders), or a
-    lambda' vertex-set walk above its limit."""
+    verify.EXHAUSTIVE_MAX_ORDER (random mode covers those orders), a trit
+    code of an order above _kernels.CODE_MAX_ORDER (its decode, filter or
+    sampled sweep), or a lambda' vertex-set walk above its limit."""
 
 
 class ParseError(ArcConnError):

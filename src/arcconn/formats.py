@@ -2,9 +2,10 @@
 
 Edge list is the human format: a header line "n m", then one "tail head"
 line per arc, with '#' comments and blank lines ignored.  digraph6 is the
-machine format used by standard graph-generation tools: '&', then chr(63+n)
-for n <= 62, then the n*n row-major adjacency bits in 6-bit chunks, each
-chunk offset by 63, zero-padded at the end.
+machine format used by standard graph-generation tools: '&', then the order
+(chr(63+n) for n <= 62; '~' and n in three 6-bit bytes, each offset by 63,
+for 63 <= n <= 258047), then the n*n row-major adjacency bits in 6-bit
+chunks, each chunk offset by 63, zero-padded at the end.
 
 Malformed documents raise ParseError with the offending line (edge list) or
 byte (digraph6); documents that decode cleanly but violate the oriented-graph
@@ -61,10 +62,18 @@ def parse_edge_list(text: str) -> Digraph:
         raise InvariantViolation(str(exc), line=line) from exc
 
 
+# The largest order of digraph6's long size header: '~' and 18 bits.
+_D6_MAX_ORDER = 258047
+
+
 def emit_digraph6(D: Digraph) -> str:
-    if D.n > 62:
-        raise ParseError("digraph6 emitter handles n <= 62 only")
     n = D.n
+    if n > _D6_MAX_ORDER:
+        raise ParseError(f"digraph6 handles n <= {_D6_MAX_ORDER} only")
+    if n <= 62:
+        order = chr(63 + n)
+    else:
+        order = "~" + "".join(chr(63 + (n >> shift & 0x3F)) for shift in (12, 6, 0))
     bits = 0
     nbits = n * n
     for t, h in D.arcs:
@@ -74,7 +83,7 @@ def emit_digraph6(D: Digraph) -> str:
     chars = []
     for shift in range(padded - 6, -1, -6):
         chars.append(chr(63 + (bits >> shift & 0x3F)))
-    return "&" + chr(63 + n) + "".join(chars)
+    return "&" + order + "".join(chars)
 
 
 def parse_digraph6(text: str) -> Digraph:
@@ -83,10 +92,20 @@ def parse_digraph6(text: str) -> Digraph:
         raise ParseError("digraph6 must start with '&'")
     if len(s) < 2:
         raise ParseError("digraph6 is missing the order byte")
-    n = ord(s[1]) - 63
-    if not 0 <= n <= 62:
-        raise ParseError(f"unsupported order byte at position 1 (n={n})")
-    body = s[2:]
+    if s[1] != "~":
+        n, start = ord(s[1]) - 63, 2
+        if not 0 <= n <= 62:
+            raise ParseError(f"unsupported order byte at position 1 (n={n})")
+    else:
+        digits = [ord(ch) - 63 for ch in s[2:5]]
+        if len(digits) < 3 or not all(0 <= d < 64 for d in digits):
+            raise ParseError("the order header '~' must be followed by three bytes '?'..'~'")
+        n, start = digits[0] << 12 | digits[1] << 6 | digits[2], 5
+        if n > _D6_MAX_ORDER:
+            raise ParseError(f"digraph6 handles n <= {_D6_MAX_ORDER} only")
+        if n <= 62:
+            raise ParseError(f"order n={n} takes the one-byte header, not '~'")
+    body = s[start:]
     need = (n * n + 5) // 6
     if len(body) != need:
         raise ParseError(f"expected {need} payload bytes for n={n}, got {len(body)}")
@@ -94,7 +113,7 @@ def parse_digraph6(text: str) -> Digraph:
     for i, ch in enumerate(body):
         val = ord(ch) - 63
         if not 0 <= val < 64:
-            raise ParseError(f"payload byte {ch!r} out of range at position {i + 2}")
+            raise ParseError(f"payload byte {ch!r} out of range at position {i + start}")
         bits = bits << 6 | val
     padded = need * 6
     pad = bits & ((1 << (padded - n * n)) - 1) if padded > n * n else 0

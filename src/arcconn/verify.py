@@ -71,7 +71,7 @@ from .formats import emit_digraph6
 
 # Above this order SweepSpec.validate refuses an exhaustive sweep: n = 7 has
 # 3**21 = 10,460,353,203 labeled codes, over 2 h of work, so random mode is
-# the labeled route from n = 7 up.
+# the labeled route from n = 7 up to _kernels.CODE_MAX_ORDER.
 EXHAUSTIVE_MAX_ORDER = 6
 
 CLAUSE_FIELDS = ("theorem1_ok", "bounds_ok", "family_consistency_ok", "proof_ok")
@@ -283,6 +283,7 @@ class SweepSpec:
                 f"exhaustive enumeration at n={self.n_hi} is above order "
                 f"{EXHAUSTIVE_MAX_ORDER}; sweep it with --mode random"
             )
+        _kernels.check_codes(self.n_hi)  # random mode: codes stop at CODE_MAX_ORDER
 
     def fingerprint(self) -> dict[str, object]:
         """Every field in order but jobs, the one that changes neither chunk

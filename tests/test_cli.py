@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from arcconn import Digraph, emit_edge_list
+from arcconn import Digraph, emit_edge_list, parse_digraph6
 from arcconn.cli import main
 
 L8_ARCS = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 1), (5, 6), (6, 7), (7, 4)]
@@ -72,6 +72,21 @@ def test_check_exit_zero_and_clause_lines(l8_file, capsys):
     out = capsys.readouterr().out
     for clause in ("theorem1_ok", "bounds_ok", "family_consistency_ok", "proof_ok"):
         assert clause in out
+
+
+def test_check_past_the_one_byte_digraph6_order(tmp_path, capsys):
+    # a 4-cycle on a 60-arc cycle through vertex 3: lambda' = 1 by {3->4};
+    # the record's graph_id takes digraph6's long order header from n = 63
+    n = 63
+    arcs = [(0, 1), (1, 2), (2, 3), (3, 0)] + [(v, v + 1) for v in range(3, n - 1)] + [(n - 1, 3)]
+    D = Digraph(n, arcs)
+    path = tmp_path / "c63.edges"
+    path.write_text(emit_edge_list(D))
+    assert main(["check", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["graph_id"].startswith("&~")
+    assert parse_digraph6(payload["graph_id"]) == D
+    assert (payload["lambda_prime"], payload["theorem1_ok"]) == ("1", "pass")
 
 
 def test_check_json(l8_file, capsys):
@@ -145,6 +160,15 @@ def test_sweep_cli_cap_is_usage_error(capsys):
     assert "above order 6; sweep it with --mode random" in capsys.readouterr().err
     assert main(["sweep", "--n", "7", "--mode", "random", "--samples", "1000", "--quiet"]) == 0
     assert "codes seen 1000" in capsys.readouterr().out
+
+
+def test_sweep_cli_random_above_the_code_cap_is_usage_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    argv = ["sweep", "--n", "19", "--mode", "random", "--samples", "10", "--out", str(out_dir)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "trit codes are read up to order 18, not n=19" in captured.err
+    assert captured.out == "" and not out_dir.exists()  # refused before any chunk
 
 
 @pytest.mark.parametrize("text", ["6..", "..6", "six", "5..6..7", ""])

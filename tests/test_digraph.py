@@ -7,7 +7,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from arcconn import Digraph, InvalidDigraph, InvalidVertex, UnknownArc, _kernels, is_restricted_arc_cut
+from arcconn import (
+    CapExceeded,
+    Digraph,
+    InvalidDigraph,
+    InvalidVertex,
+    UnknownArc,
+    _kernels,
+    is_restricted_arc_cut,
+)
 
 from .conftest import digraphs, oracle_closure_size, oracle_sccs, oracle_strong
 
@@ -211,10 +219,12 @@ def test_from_code_matches_init_on_every_code(n):
 
 @pytest.mark.parametrize("n", range(5, 22))
 def test_from_code_matches_init_on_seeded_codes(n):
-    """Orders whose word tables fit the budget decode through them (5..18),
-    the others by rows (19..21)."""
-    fits = _kernels._word_table_bytes(n) <= _kernels._WORD_TABLE_BUDGET
-    assert bool(_kernels._layout(n).words) == fits
+    """Orders up to CODE_MAX_ORDER decode through the word tables (5..18);
+    the orders above it are refused (19..21)."""
+    if n > _kernels.CODE_MAX_ORDER:
+        with pytest.raises(CapExceeded, match=f"up to order 18, not n={n}"):
+            Digraph.from_code(n, 0)
+        return
     rng = random.Random(n)
     size = 3 ** (n * (n - 1) // 2)
     for code in [0, size - 1] + [rng.randrange(size) for _ in range(40)]:

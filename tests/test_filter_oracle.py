@@ -15,7 +15,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from arcconn import Digraph, _kernels
+from arcconn import CapExceeded, Digraph, _kernels
 
 from .conftest import oracle_girth, oracle_girth_bfs, oracle_strong
 
@@ -109,11 +109,11 @@ def test_filters_match_oracles_on_unaligned_windows(window):
     check_window(*window)
 
 
-def test_filters_match_oracles_at_order_70():
-    # H = D - 0 is the cycle 1 -> 2 -> ... -> 69 -> 1; the window crosses
+def test_filters_match_oracles_at_order_18():
+    # H = D - 0 is the cycle 1 -> 2 -> ... -> 17 -> 1; the window crosses
     # the 3**6 boundary where vertex 0's trit towards vertex 7 turns over,
     # so cycles through vertex 0 of several lengths come and go.
-    n = 70
+    n = _kernels.CODE_MAX_ORDER
     position = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
     base = sum(3 ** position[(v, v + 1)] for v in range(1, n - 1))
     base += 2 * 3 ** position[(1, n - 1)]
@@ -122,14 +122,30 @@ def test_filters_match_oracles_at_order_70():
     assert kept  # the window holds strong girth-4 graphs
 
 
+@pytest.mark.parametrize("n", [19, 70])
+def test_filters_refuse_orders_above_the_cap(n):
+    # codes are read up to CODE_MAX_ORDER; an empty window or batch is
+    # refused too, before any table is built
+    _kernels._layout.cache_clear()
+    for call in (
+        lambda: _kernels.filter_range(n, 0, 1, 4),
+        lambda: _kernels.filter_range(n, 5, 5),
+        lambda: _kernels.filter_codes(n, [0], 4),
+        lambda: _kernels.filter_codes(n, []),
+    ):
+        with pytest.raises(CapExceeded, match=f"up to order 18, not n={n}"):
+            call()
+    assert _kernels._layout.cache_info().currsize == 0
+
+
 def test_decode_matches_trit_reading():
-    """Word tables up to the largest order within their budget, rows above:
-    both halves of the packed word (succ and pred) against the trit reading,
-    on the first and last code of each order and on seeded random codes."""
-    top = max(n for n in range(2, 40) if _kernels._word_table_bytes(n) <= _kernels._WORD_TABLE_BUDGET)
-    assert _kernels._layout(top).words and not _kernels._layout(top + 1).words
+    """Word tables at every order up to CODE_MAX_ORDER: both halves of the
+    packed word (succ and pred) against the trit reading, on the first and
+    last code of each order and on seeded random codes.  The two orders
+    above it are refused."""
+    top = _kernels.CODE_MAX_ORDER
     rng = random.Random(11)
-    for n in range(2, top + 3):
+    for n in range(2, top + 1):
         size = 3 ** (n * (n - 1) // 2)
         layout = _kernels._layout(n)
         for code in [0, size - 1] + [rng.randrange(size) for _ in range(20)]:
@@ -138,22 +154,30 @@ def test_decode_matches_trit_reading():
             assert list(succ) == list(D.succ), (n, code)
             assert list(pred) == list(D.pred), (n, code)
             assert _kernels.decode_code(n, code) == (list(D.succ), list(D.pred)), (n, code)
+    for n in (top + 1, top + 2):
+        with pytest.raises(CapExceeded, match=f"up to order {top}, not n={n}"):
+            _kernels.decode_code(n, 0)
 
 
 # The last and first order of each field width of the packed word: 1 byte
-# up to n = 8, 2 up to 16, 4 up to 32, 8 up to 64, then n bits rounded up
-# to whole bytes, read by shifts.
-WIDTH_EDGES = (8, 9, 16, 17, 32, 33, 64, 65, 70)
+# up to n = 8, 2 up to 16, 4 up to CODE_MAX_ORDER = 18.  Past it, where the
+# fields would widen to 8 bytes and then to n bits, codes are refused.
+WIDTH_EDGES = (8, 9, 16, 17, 18)
+REFUSED_WIDTH_EDGES = (32, 33, 64, 65, 70)
 
 
 def test_field_widths_change_at_the_width_edges():
     widths = [_kernels._field_bytes(n) for n in WIDTH_EDGES]
-    assert widths == [1, 2, 2, 4, 4, 8, 8, 9, 9]
-    assert [bool(_kernels._layout(n).unpack) for n in WIDTH_EDGES] == [True] * 7 + [False] * 2
+    assert widths == [1, 2, 2, 4, 4]
 
 
-@pytest.mark.parametrize("n", WIDTH_EDGES)
+@pytest.mark.parametrize("n", WIDTH_EDGES + REFUSED_WIDTH_EDGES)
 def test_decode_matches_trit_reading_at_width_edges(n):
+    if n > _kernels.CODE_MAX_ORDER:  # the trit reading is refused up front
+        for call in (_kernels.decode_code, Digraph.from_code):
+            with pytest.raises(CapExceeded, match=f"up to order 18, not n={n}"):
+                call(n, 0)
+        return
     size = 3 ** (n * (n - 1) // 2)
     rng = random.Random(n)
     for code in [0, size - 1] + [rng.randrange(size) for _ in range(10)]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -101,9 +103,46 @@ def test_digraph6_loop_is_invariant_violation():
         parse_digraph6("&" + chr(63 + 2) + chr(63 + 36))
 
 
-def test_digraph6_rejects_orders_above_62():
-    with pytest.raises(ParseError):
-        emit_digraph6(Digraph(63, []))
+def seeded_digraph(n: int, seed: int) -> Digraph:
+    """A Hamilton cycle and about 2n more arcs of a seeded draw, each pair
+    oriented at most once."""
+    rng = random.Random(seed)
+    arcs = {(v, (v + 1) % n) for v in range(n)}
+    for _ in range(2 * n):
+        t, h = rng.sample(range(n), 2)
+        if (h, t) not in arcs:
+            arcs.add((t, h))
+    return Digraph(n, sorted(arcs))
+
+
+@pytest.mark.parametrize("n", [62, 63, 70])
+def test_digraph6_round_trips_across_the_long_order_header(n):
+    D = seeded_digraph(n, n)
+    token = emit_digraph6(D)
+    # n <= 62 is one order byte; from 63 it is '~' and n in three 6-bit bytes
+    head = chr(63 + n) if n <= 62 else "~" + chr(63) + chr(63 + (n >> 6)) + chr(63 + (n & 0x3F))
+    assert token == "&" + head + token[len(head) + 1 :]
+    assert len(token) == 1 + len(head) + (n * n + 5) // 6
+    assert parse_digraph6(token) == D
+    assert parse(token) == D
+    assert emit_digraph6(parse(token)) == token
+
+
+def test_digraph6_rejects_orders_above_258047():
+    with pytest.raises(ParseError, match="n <= 258047"):
+        emit_digraph6(Digraph(258048, []))
+    # '~~' opens the 8-byte header of larger orders
+    with pytest.raises(ParseError, match="n <= 258047"):
+        parse_digraph6("&~~??????")
+
+
+def test_digraph6_long_order_header_is_checked():
+    for bad in ("&~", "&~??", "&~?" + chr(62) + "?", "&~??" + chr(63 + 5)):
+        with pytest.raises(ParseError):
+            parse_digraph6(bad)
+    # orders up to 62 take the one-byte header only
+    with pytest.raises(ParseError, match="one-byte header"):
+        parse_digraph6("&~??" + chr(63 + 2) + chr(63))
 
 
 def test_save_load_auto_detect(tmp_path, l8):

@@ -410,6 +410,10 @@ def test_sweep_spec_validation():
             SweepSpec(n_lo=n_lo, n_hi=7).validate()
     SweepSpec(n_lo=7, n_hi=7, mode="random", samples=1000).validate()
     SweepSpec(n_lo=4, n_hi=9, mode="random", samples=1).validate()
+    SweepSpec(n_lo=18, n_hi=18, mode="random", samples=1).validate()
+    for n_lo in (4, 19):
+        with pytest.raises(CapExceeded, match="up to order 18, not n=19"):
+            SweepSpec(n_lo=n_lo, n_hi=19, mode="random", samples=1).validate()
     for extra in ({"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}):
         with pytest.raises(ValueError, match="only to a sweep with --mode random"):
             SweepSpec(n_lo=4, n_hi=4, **extra).validate()
