@@ -31,11 +31,12 @@ and strongness are computed before the clock starts, as a Digraph memoises
 them and every caller of lambda' has them already.
 
 Each row is printed as one JSON line and, with --out, appended to the rows
-of that file (created if absent).  --tree labels the rows, e.g. with the
-commit they time.
+of that file (created if absent).  --orders picks the orders to time (all
+of the above by default).  --tree labels the rows, e.g. with the commit
+they time.
 
 Usage:
-    PYTHONPATH=src python benchmarks/bench_lambda_prime.py
+    PYTHONPATH=src python benchmarks/bench_lambda_prime.py [--orders 6,7,8,9]
         [--tree LABEL] [--out BENCH_lambda_prime.json]
 """
 
@@ -161,15 +162,21 @@ def bench_order(n: int, meter: Meter) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--orders", default=",".join(map(str, ORDERS)),
+                        help=f"comma-separated orders out of {', '.join(map(str, ORDERS))} (default all)")
     parser.add_argument("--tree", default="", help="label stored in each row")
     parser.add_argument("--out", help="JSON file whose rows the new rows are appended to")
     args = parser.parse_args()
+    orders = args.orders.split(",")
+    unknown = [order for order in orders if order not in map(str, ORDERS)]
+    if unknown:
+        parser.error(f"unknown order(s) {', '.join(unknown)}")
     print(f"passes from order {connectivity._HOST_PREPASS_MIN_ORDER} (one arc) and "
           f"{getattr(connectivity, '_PAIR_PREPASS_MIN_ORDER', 'none')} (pairs) in the library",
           file=sys.stderr)
     meter = Meter(SHORT_ROUNDS)
     rows = []
-    for n in ORDERS:
+    for n in map(int, orders):
         row = {"tree": args.tree, **bench_order(n, meter)}
         print(json.dumps(row), flush=True)
         rows.append(row)

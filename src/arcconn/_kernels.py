@@ -542,11 +542,11 @@ def _judge_lanes(n: int, block: Sequence[int], girth_target: int) -> tuple[int, 
             r = nxt
         return r
 
-    live = top
+    live = top if n else 0  # the graph with no vertices is not strong
     for x in fields:
         live &= (x & low) + low | x
     start = live >> (w - 1) & every  # vertex 0 in each live lane
-    strong = top & ~(nonzero(every ^ closure(succ, start)) | nonzero(every ^ closure(pred, start)))
+    strong = live & ~(nonzero(every ^ closure(succ, start)) | nonzero(every ^ closure(pred, start)))
     keep = strong
     if girth_target and not 3 <= girth_target <= n:
         keep = 0  # the girth is 0 or 3..n

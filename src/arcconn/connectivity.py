@@ -23,25 +23,31 @@ residue, those with an arc wholly outside them, read in D or in the residue
 as the reading says.  The witness of a cut, the one-arc pass and the pair
 pass all apply it.
 
+The surviving component holds a cycle, so it has at least g = girth(D)
+vertices, and a girth cycle spans it if it has g; two vertices are left for
+the outside arc.  So the candidate vertex sets are the girth cycles' (the
+seeds), then every set of g+1..n-2 vertices: on the n=6 stratum, the seeds.
+
 Both lambda and lambda_prime_exact stop at a lower bound.  A strong digraph
 needs at least one arc removed to lose strongness, so a vertex of degree 1
-settles lambda before any flow.  lambda_prime_exact walks candidate vertex
-sets and stops at the first cut of the floor's size, no cut being smaller.
-Up to two passes over the arcs set the floor and the masks walked, and then
-one walk runs:
+settles lambda before any flow.  lambda_prime_exact walks the candidates
+and stops at the first cut of the floor's size, no cut being smaller.  Up
+to two passes over the arcs, each run only from the order where it was
+measured to cost less than the walk it saves, set the floor and the masks
+walked, and then one walk runs:
 
-* Below order 7 no pass runs: the floor is 1 (a restricted cut is never
-  empty) and the walk takes every candidate, girth-cycle seeds first.
-* From order 7 up, the one-arc pass lists the hosts of D - a over the
-  strong bridges a: exactly the candidate sets whose contraction flow is 1.
-* If it finds none and the order is 8 or more, the pair pass lists the
-  hosts of D - {a, b}, starting from the strong bridges and components the
-  one-arc pass stored.  With no set of flow 1, these are exactly the
-  candidate sets whose flow is 2.
+* Below order _HOST_PREPASS_MIN_ORDER = 8 no pass runs: the floor is 1 (a
+  restricted cut is never empty) and the walk takes every candidate.
+* From there up, the one-arc pass (_unit_cut_hosts) lists the hosts of
+  D - a over the strong bridges a: exactly the candidate sets of flow 1.
+* If it finds none and the order is _PAIR_PREPASS_MIN_ORDER = 10 or more,
+  the pair pass (_pair_cut_hosts) lists the hosts of D - {a, b}, starting
+  from the strong bridges and components the one-arc pass stored.  With no
+  set of flow 1, these are exactly the candidate sets whose flow is 2.
 * If the last pass run found hosts, the floor is its flow and the walk
   takes the first host in candidate order alone.  Otherwise the floor is
   one more than that flow, and the walk takes every candidate, or above
-  order 20 the girth-cycle seeds only and then raises CapExceeded.
+  order _WALK_MAX_ORDER = 20 the seeds only and then raises CapExceeded.
 
 The certificate (cut, component, outside arc) is the one the full search
 over all candidates would return: a flow that ends below its limit runs
@@ -368,36 +374,32 @@ def lambda_prime_bruteforce(
     )
 
 
+def _cycle_vertices(C: Cycle) -> int:
+    """The vertex set of cycle C as a mask (its vertices are distinct)."""
+    return sum(1 << v for v in C)
+
+
 def _seed_masks(D: Digraph) -> dict[int, None]:
     """The vertex sets of D's girth cycles with at most n - 2 vertices, in
     girth-cycle order, as an insertion-ordered set of masks."""
-    n = D.n
-    cycles = girth_cycles(D) if girth(D) is not None else []
-    seeds: dict[int, None] = {}
-    for C in cycles:
-        m = 0
-        for v in C:
-            m |= 1 << v
-        if m.bit_count() <= n - 2:
-            seeds[m] = None
-    return seeds
+    g = girth(D)
+    if g is None or g > D.n - 2:
+        return {}
+    return dict.fromkeys(_cycle_vertices(C) for C in girth_cycles(D))
 
 
-def _candidate_masks(D: Digraph) -> Iterator[int]:
-    """Component-host candidates: girth-cycle vertex sets first, then all
-    vertex sets with 2..n-2 vertices in (size, value) order.
-
-    The masks are generated lazily, so a search that stops early never
-    builds all 2^n of them.
+def _candidate_masks(D: Digraph, seeds: Iterable[int]) -> Iterator[int]:
+    """Component-host candidates (see the module docstring): the seeds,
+    then every vertex set with g+1..n-2 vertices in (size, value) order;
+    nothing when D is acyclic.  The masks are generated lazily, so a search
+    that stops early never builds all 2^n of them.
     """
     n = D.n
-    seeds = _seed_masks(D)
     yield from seeds
-    for k in range(2, n - 1):
+    for k in range((girth(D) or n) + 1, n - 1):  # no size when D is acyclic
         m = (1 << k) - 1
         while not m >> n:
-            if m not in seeds:
-                yield m
+            yield m
             # Gosper's hack: the next larger mask with the same popcount.
             low = m & -m
             ripple = m + low
@@ -405,20 +407,20 @@ def _candidate_masks(D: Digraph) -> Iterator[int]:
 
 
 # From this order up, lambda_prime_exact looks for cuts of size 1 arc by arc
-# before it walks any vertex set.  Measured end to end with perfbench
-# (alternating runs against the walk alone): at n=6 the pre-pass costs more
-# than it saves (census-n6 wall_s +18%, p50 latency +25%), at n=7 it already
-# saves (sample-n7 p50 -6%, p95 -9%).
-_HOST_PREPASS_MIN_ORDER = 7
+# before it walks any vertex set.  Set from round 2 of BENCH_lambda_prime.json
+# (benchmarks/bench_lambda_prime.py; reference us per graph, median [quartiles]
+# of 9 runs; the one-arc pass against the walk alone): it loses at n=7 (71
+# [69, 73] against 58 [49, 60] us) and wins from n=8 up (79 [77, 81] against
+# 88 [85, 89] us at n=8, 99 against 189 at n=9).
+_HOST_PREPASS_MIN_ORDER = 8
 
 # From this order up, when the one-arc pass finds no host, lambda_prime_exact
 # looks for cuts of size 2 by arc pairs before it walks any vertex set.  Set
-# from the rows of BENCH_lambda_prime.json (benchmarks/bench_lambda_prime.py,
-# reference us per graph with no cut of size 1, one-arc pass alone against
-# both passes, median and quartiles of 9 runs): the pair pass loses at n=7
-# (218 [214, 221] against 147 [144, 151] us) and wins from n=8 up (267
-# [267, 272] against 283 [276, 289] us at n=8, 362 against 507 at n=9).
-_PAIR_PREPASS_MIN_ORDER = 8
+# from the same rows, on the graphs with no cut of size 1 (the only ones it
+# changes), both passes against the one-arc pass alone: the pair pass loses
+# at n=9 (344 [338, 345] against 310 [308, 316] us) and wins from n=10 up
+# (423 [390, 471] against 923 [875, 954] us).
+_PAIR_PREPASS_MIN_ORDER = 10
 
 # Above this order lambda_prime_exact runs both passes and walks no vertex set
 # past the girth-cycle seeds: when the passes find no host and no seed gives
@@ -557,10 +559,10 @@ def _pair_cut_hosts(
     return hosts
 
 
-def _seeds_then_refuse(D: Digraph) -> Iterator[int]:
+def _seeds_then_refuse(D: Digraph, seeds: Iterable[int]) -> Iterator[int]:
     """The girth-cycle seeds, then CapExceeded in place of the 2^n other
     vertex sets (the walk's masks above order _WALK_MAX_ORDER)."""
-    yield from _seed_masks(D)
+    yield from seeds
     raise CapExceeded(
         f"lambda' at n={D.n} has no cut of size 1 or 2 and no girth cycle "
         f"gives one of size 3; walking the 2^{D.n} vertex sets is refused "
@@ -569,7 +571,8 @@ def _seeds_then_refuse(D: Digraph) -> Iterator[int]:
 
 
 def _walk(
-    D: Digraph, reading: DefinitionReading, masks: Iterable[int], floor: int, best: Optional[int]
+    D: Digraph, reading: DefinitionReading, masks: Iterable[int], seeds: dict[int, None], floor: int,
+    best: Optional[int],
 ) -> RestrictedCutCertificate:
     """The certificate of the first cut of least contraction flow over
     masks, in their order, counting only flows below best (any flow when
@@ -577,14 +580,16 @@ def _walk(
 
     Each mask X runs _flow from X into X on D's successor masks, and the
     cut is _cut of its side.  No cut is smaller than floor, so the walk
-    stops at the first cut of that size.
+    stops at the first cut of that size.  Masks among seeds are strong.
     """
     succ, pred = D.succ, D.pred
     full = (1 << D.n) - 1
     kept: Optional[RestrictedCutCertificate] = None
     for mask in masks:
         start = (mask & -mask).bit_length() - 1
-        if _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask:
+        if mask not in seeds and (
+            _kernels.reach(succ, start, mask) != mask or _kernels.reach(pred, start, mask) != mask
+        ):
             continue
         if _kernels.arc_within(succ, full & ~mask) is None:
             continue  # no arc wholly outside X
@@ -602,7 +607,7 @@ def _walk(
                 continue
             cut = _cut(succ, side, mask)
             assert len(cut) == flow, "min cut must match the flow value"
-            witness = is_restricted_arc_cut(D, cut, reading)
+            witness = _witness_scan(D, *_residue(D, cut), reading)
             assert witness is not None, "flow cut must certify as restricted"
             best = flow
             kept = _found(reading, cut, witness)
@@ -622,30 +627,24 @@ def lambda_prime_exact(
 
     For each X inducing a strong subdigraph with an arc wholly outside it,
     the cheapest arc set whose removal leaves X as its own strong component
-    is the min cut between the contracted halves of X.  X is strong when
-    its lowest vertex reaches all of X forwards and backwards (two
-    _kernels.reach calls).  Each X gets one _flow from X into X on D's
-    successor masks; the cut is read off the least source side of a
-    minimum cut, which every maximum flow shares.  Under ResidualHost the
-    witness arc must additionally survive the cut, so the flow runs once
-    per choice of protected outside arc, which _flow keeps at infinite
-    capacity.
+    is the min cut between the contracted halves of X, one of the
+    _candidate_masks.  X is strong when it is a seed or when its lowest
+    vertex reaches all of X forwards and backwards (two _kernels.reach
+    calls).  Each X gets one _flow from X into X on D's successor masks;
+    the cut is read off the least source side of a minimum cut, which
+    every maximum flow shares.  Under ResidualHost the witness arc must
+    additionally survive the cut, so the flow runs once per choice of
+    protected outside arc, which _flow keeps at infinite capacity.
 
-    The passes set the floor and the masks, and then _walk runs once (see
-    the module docstring for why the certificate is the full walk's).  From
-    order _HOST_PREPASS_MIN_ORDER up, _unit_cut_hosts lists the sets of
-    flow 1; when there are none, from order _PAIR_PREPASS_MIN_ORDER up,
-    _pair_cut_hosts lists those of flow 2.  If the last pass run finds any,
-    the floor is its flow and the mask is the first of them in candidate
-    order; otherwise the floor is one more, and the masks are every
-    candidate, or above order _WALK_MAX_ORDER the girth-cycle seeds and
-    then CapExceeded.  With no pass the floor is 1.  This relies on
+    _unit_cut_hosts and _pair_cut_hosts set the floor and the masks, and
+    then _walk runs once, as the module docstring says.  This relies on
     _HOST_PREPASS_MIN_ORDER <= _PAIR_PREPASS_MIN_ORDER <= _WALK_MAX_ORDER,
     so that both passes run wherever the walk may be refused.
     """
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda' is defined on strong digraphs with >= 2 vertices")
-    floor, best, masks = 1, None, _candidate_masks(D)
+    seeds = _seed_masks(D)
+    floor, best, masks = 1, None, _candidate_masks(D, seeds)
     if D.n >= _HOST_PREPASS_MIN_ORDER:
         hosts, bridges = _unit_cut_hosts(D, reading)
         if not hosts and D.n >= _PAIR_PREPASS_MIN_ORDER:
@@ -654,14 +653,13 @@ def lambda_prime_exact(
         if hosts:
             # lambda' = floor, and the walk would keep the first host in
             # candidate order: walk that one alone, below floor + 1.
-            seeds = [m for m in _seed_masks(D) if m in hosts]
-            masks = seeds[:1] or [min(hosts, key=lambda m: (m.bit_count(), m))]
+            masks = [m for m in seeds if m in hosts][:1] or [min(hosts, key=lambda m: (m.bit_count(), m))]
             best = floor + 1
         else:
             floor += 1
             if D.n > _WALK_MAX_ORDER:
-                masks = _seeds_then_refuse(D)
-    return _walk(D, reading, masks, floor, best)
+                masks = _seeds_then_refuse(D, seeds)
+    return _walk(D, reading, masks, seeds, floor, best)
 
 
 def lambda_prime_existence_witness(D: Digraph) -> Optional[tuple[Cycle, Arc]]:
@@ -672,7 +670,7 @@ def lambda_prime_existence_witness(D: Digraph) -> Optional[tuple[Cycle, Arc]]:
     if D.n < 2 or not D.is_strong():
         raise NotStrong("lambda'-connectedness is defined on strong digraphs")
     for C in girth_cycles(D):
-        arc = D.arc_outside(C)
+        arc = _kernels.arc_within(D.succ, (1 << D.n) - 1 & ~_cycle_vertices(C))
         if arc is not None:
             return C, arc
     return None
@@ -704,14 +702,13 @@ def _mask_arcs(mask: int, n: int) -> tuple[Arc, ...]:
 
 def _patterns(
     succ: Sequence[int], pred: Sequence[int], C: Cycle, cmask: int, flip: bool
-) -> list[tuple[Arc, ...]]:
+) -> Iterator[tuple[Arc, ...]]:
     """The three-arc and two-arc patterns of every rotation of C.
 
     succ/pred are the masks of the orientation the patterns are built in,
     and cmask is C's vertex set.  With flip, that orientation is the
     reversed digraph, and each pattern is flipped back into D.
     """
-    cand: list[tuple[Arc, ...]] = []
     off = ~cmask
     for i in range(4):
         u, v, w, z = C[i], C[i - 3], C[i - 2], C[i - 1]
@@ -724,11 +721,43 @@ def _patterns(
                 for x in _bits(xs):
                     S = [(a1, u), (w, v), (x, w)] if flip else [(u, a1), (v, w), (w, x)]
                     S.sort()
-                    cand.append(tuple(S))
+                    yield tuple(S)
         for a in _bits(succ[w] & pred[z] & pred[u] & off):
             first, second = (z, a) if z < a else (a, z)
-            cand.append(((u, first), (u, second)) if flip else ((first, u), (second, u)))
-    return cand
+            yield ((u, first), (u, second)) if flip else ((first, u), (second, u))
+
+
+def _proof_cuts(D: Digraph, C: Cycle) -> Iterator[tuple[Arc, ...]]:
+    """The candidates of proof_cut_constructions around the 4-cycle C, one
+    at a time, in its order but with repeats and empty sets left in."""
+    # On girth 4, the paper's case, the 4-cycles are the memoised girth cycles.
+    fours = girth_cycles(D) if girth(D) == 4 else cycles_of_length(D, 4)
+    n = D.n
+    succ, pred = D.succ, D.pred
+    carcs = _arc_mask(n, C)
+    # A 4-cycle shares as many arcs with C as its reversal does with C's
+    # reversal, so one arc mask per 4-cycle serves both orientations: its
+    # out-cut here, and its in-cut, which is its out-cut in the reversed
+    # digraph.  That digraph lists its 4-cycles read backwards from the
+    # same smallest vertex, in sorted order.
+    mirrored = []
+    for C2 in fours:
+        if (_arc_mask(n, C2) & carcs).bit_count() < 2:
+            continue
+        x2 = _cycle_vertices(C2)
+        leaving = entering = 0
+        for t in range(n):
+            if x2 >> t & 1:
+                leaving |= (succ[t] & ~x2) << t * n
+            else:
+                entering |= (succ[t] & x2) << t * n
+        yield _mask_arcs(leaving, n)
+        mirrored.append(((C2[0], C2[3], C2[2], C2[1]), entering))
+    cmask = _cycle_vertices(C)
+    yield from _patterns(succ, pred, C, cmask, False)
+    mirrored.sort()
+    yield from (_mask_arcs(entering, n) for _, entering in mirrored)
+    yield from _patterns(pred, succ, (C[0], C[3], C[2], C[1]), cmask, True)
 
 
 def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
@@ -744,41 +773,9 @@ def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
 
     Built on masks: arc sets are n*n-bit masks with bit t * n + h for the
     arc t -> h, so "shares at least two arcs" is one popcount, and a cut
-    mask lists its arcs in sorted order.
+    mask lists its arcs in sorted order.  The candidates come from
+    _proof_cuts, which the proof clause of verify draws from one at a time.
     """
     if not (is_cycle(D, C) and len(C) == 4):
         raise NotAFourCycle(f"{tuple(C)} is not a 4-cycle of the digraph")
-    # On girth 4, the paper's case, the 4-cycles are the memoised girth cycles.
-    fours = girth_cycles(D) if girth(D) == 4 else cycles_of_length(D, 4)
-    n = D.n
-    succ, pred = D.succ, D.pred
-    carcs = _arc_mask(n, C)
-    cand: list[tuple[Arc, ...]] = []
-    # A 4-cycle shares as many arcs with C as its reversal does with C's
-    # reversal, so one arc mask per 4-cycle serves both orientations: its
-    # out-cut here, and its in-cut, which is its out-cut in the reversed
-    # digraph.  That digraph lists its 4-cycles read backwards from the
-    # same smallest vertex, in sorted order.
-    mirrored = []
-    for C2 in fours:
-        if (_arc_mask(n, C2) & carcs).bit_count() < 2:
-            continue
-        x2 = 0
-        for v in C2:
-            x2 |= 1 << v
-        leaving = entering = 0
-        for t in range(n):
-            if x2 >> t & 1:
-                leaving |= (succ[t] & ~x2) << t * n
-            else:
-                entering |= (succ[t] & x2) << t * n
-        cand.append(_mask_arcs(leaving, n))
-        mirrored.append(((C2[0], C2[3], C2[2], C2[1]), entering))
-    cmask = 0
-    for v in C:
-        cmask |= 1 << v
-    cand += _patterns(succ, pred, C, cmask, False)
-    mirrored.sort()
-    cand += [_mask_arcs(entering, n) for _, entering in mirrored]
-    cand += _patterns(pred, succ, (C[0], C[3], C[2], C[1]), cmask, True)
-    return [S for S in dict.fromkeys(cand) if S]
+    return [S for S in dict.fromkeys(_proof_cuts(D, C)) if S]

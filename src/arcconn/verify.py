@@ -57,11 +57,12 @@ from .connectivity import (
     RESIDUAL_HOST,
     RestrictedCutCertificate,
     XiResult,
+    _hosts,
+    _proof_cuts,
+    _residue,
     arc_connectivity,
-    is_restricted_arc_cut,
     lambda_prime_exact,
     lambda_prime_existence_witness,
-    proof_cut_constructions,
     xi,
 )
 from .cycles import Cycle, girth, girth_cycles
@@ -249,15 +250,17 @@ def check_graph(
 
 def _proof_clause(D: Digraph, reading: DefinitionReading, xi_val: Optional[int]) -> bool:
     """Some proof candidate around a girth cycle (a 4-cycle in the stratum)
-    is a restricted cut of size at most xi."""
+    is a restricted cut of size at most xi: some strong part of its residue
+    is one of the _hosts.  The candidates are built one at a time, up to
+    the first such cut."""
     if xi_val is None:
         return False
     for C in girth_cycles(D):
-        for S in proof_cut_constructions(D, C):
-            if len(S) > xi_val:
-                continue
-            if is_restricted_arc_cut(D, S, reading=reading) is not None:
-                return True
+        for S in _proof_cuts(D, C):
+            if len(S) <= xi_val:
+                succ, pred = _residue(D, S)
+                if _hosts(D, succ, _kernels.strong_parts(succ, pred, (1 << D.n) - 1), reading):
+                    return True
     return False
 
 

@@ -46,9 +46,22 @@ def test_bench_kernels_runs_and_prints_a_full_row():
 def test_bench_sweep_runs_and_prints_a_full_row():
     row = _last_row("bench_sweep.py", "--runs", "n5")
     committed = _committed_rows("BENCH_sweep.json")
-    keys = set().union(*committed)
+    keys = set().union(*committed) - {"round"}  # set when a row is committed
     assert keys <= row.keys(), sorted(keys - row.keys())
     for nested in ("layers_s_ref", "counts"):
         inner = set().union(*(r[nested] for r in committed))
         assert inner <= row[nested].keys(), (nested, sorted(inner - row[nested].keys()))
     assert row["run"] == "n5" and row["stratum"] == 300 and row["ok"] is True
+
+
+def test_bench_lambda_prime_runs_and_prints_a_full_row():
+    row = _last_row("bench_lambda_prime.py", "--orders", "6")
+    committed = _committed_rows("BENCH_lambda_prime.json")
+    keys = set().union(*committed) - {"round"}  # set when a row is committed
+    assert keys <= row.keys(), sorted(keys - row.keys())
+    for timed in ("us_per_graph_ref", "hard_us_per_graph_ref"):
+        for stat in ("median", "quartiles"):
+            columns = set().union(*(r[timed][stat] for r in committed if r["n"] == 6))
+            assert columns <= row[timed][stat].keys(), (timed, stat, sorted(columns - row[timed][stat].keys()))
+    assert row["n"] == 6 and sum(row["lambda_prime_mix"].values()) == row["graphs"]
+    assert sum(row["hard_lambda_prime_mix"].values()) == row["hard_graphs"]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import random
 import sys
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -33,6 +34,7 @@ from arcconn import (
     xi_of_cycle,
 )
 from arcconn import _kernels, connectivity, families
+from arcconn.digraph import _bits
 
 from .conftest import (
     stratum_codes,
@@ -163,14 +165,15 @@ def outside_arcs(D: Digraph, X: int) -> list[tuple[int, int]]:
 
 
 def test_contraction_flow_matches_the_dense_oracle_exhaustively():
-    """Every candidate set of every strong graph with n <= 5, unprotected
-    and with each arc outside it protected: the value and the least
-    source side of a minimum cut."""
+    """Every vertex set of 2..n-2 vertices of every strong graph with
+    n <= 5, unprotected and with each arc outside it protected: the value
+    and the least source side of a minimum cut."""
     for n in range(2, 6):
         _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2))
+        sets = [X for X in range(1 << n) if 2 <= X.bit_count() <= n - 2]
         for code in codes:
             D = Digraph.from_code(n, code)
-            for X in connectivity._candidate_masks(D):
+            for X in sets:
                 for keep in [None, *outside_arcs(D, X)]:
                     assert connectivity._flow(D.succ, X, X, keep=keep) == oracle_flow(D, X, X, keep)
 
@@ -592,21 +595,62 @@ def test_walk_limit_applies_only_above_its_order(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_candidate_order_is_size_then_value(n):
-    from arcconn.connectivity import _candidate_masks
+    """A directed triangle and n - 3 lone vertices: the triangle's vertex
+    set when it leaves two vertices out, then every set of 4..n-2 vertices
+    by size, then value.  With no cycle nothing is a candidate."""
+    from arcconn.connectivity import _candidate_masks, _seed_masks
 
+    D = Digraph(n, [(0, 1), (1, 2), (2, 0)] if n >= 3 else [])
     expected = sorted(
-        (m for m in range(1 << n) if 2 <= m.bit_count() <= n - 2),
+        (m for m in range(1 << n) if 4 <= m.bit_count() <= n - 2),
         key=lambda m: (m.bit_count(), m),
     )
-    assert list(_candidate_masks(Digraph(n))) == expected
+    if n >= 5:
+        expected.insert(0, 0b111)
+    assert list(_candidate_masks(D, _seed_masks(D))) == expected
+    assert list(_candidate_masks(Digraph(n), _seed_masks(Digraph(n)))) == []
 
 
 def test_candidate_order_puts_girth_cycle_seeds_first(l8):
-    from arcconn.connectivity import _candidate_masks
+    from arcconn.connectivity import _candidate_masks, _seed_masks
 
-    masks = list(_candidate_masks(l8))
+    masks = list(_candidate_masks(l8, _seed_masks(l8)))
     assert masks[:2] == [0b1111, 0b11110000]
-    assert sorted(masks) == [m for m in range(1 << 8) if 2 <= m.bit_count() <= 6]
+    rest = sorted((m for m in range(1 << 8) if 5 <= m.bit_count() <= 6), key=lambda m: (m.bit_count(), m))
+    assert masks[2:] == rest
+
+
+@lru_cache(maxsize=None)
+def oracle_induces_strong(n: int, X: int, arcs: int) -> bool:
+    """Whether the vertex set X is one strong component of the digraph of
+    the arcs t -> h at the bits t * n + h of arcs, all inside X."""
+    vs = {v for v in range(n) if X >> v & 1}
+    return vs in oracle_sccs(n, [divmod(b, n) for b in range(n * n) if arcs >> b & 1])
+
+
+def test_candidates_hold_every_strong_vertex_set():
+    """Every strong graph with n <= 5 and the whole n = 6 stratum: the sets
+    of 2..n-2 vertices that induce a strong subdigraph, by the Kosaraju
+    oracle, are all candidates, the girth-cycle seeds first and then the
+    rest in (size, value) order.  Only sets that are not strong are left
+    out."""
+    from arcconn.connectivity import _candidate_masks, _seed_masks
+
+    graphs = [(n, 0) for n in range(2, 6)] + [(6, 4)]
+    for n, girth_target in graphs:
+        _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), girth_target)
+        sets = [X for X in range(1 << n) if 2 <= X.bit_count() <= n - 2]
+        sets.sort(key=lambda X: (X.bit_count(), X))
+        # The n*n-bit mask of the vertex pairs inside each set.
+        pairs = {X: sum(X << v * n for v in _bits(X)) for X in sets}
+        for code in codes:
+            D = Digraph.from_code(n, code)
+            arcs = sum(row << v * n for v, row in enumerate(D.succ))
+            strong = {X for X in sets if oracle_induces_strong(n, X, arcs & pairs[X])}
+            seeds = _seed_masks(D)
+            assert strong.issuperset(seeds)
+            expected = [*seeds, *(X for X in sets if X in strong and X not in seeds)]
+            assert [X for X in _candidate_masks(D, seeds) if X in strong] == expected
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +701,8 @@ def test_exact_is_minimum_after_the_host_prepass(D):
     from unittest import mock
 
     for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
-        with mock.patch.object(connectivity, "_PAIR_PREPASS_MIN_ORDER", D.n):
+        with mock.patch.object(connectivity, "_HOST_PREPASS_MIN_ORDER", D.n), \
+                mock.patch.object(connectivity, "_PAIR_PREPASS_MIN_ORDER", D.n):
             cert = lambda_prime_exact(D, reading=reading)
         if not cert.found:
             continue

@@ -79,6 +79,20 @@ def test_lone_vertex_is_not_strong(girth_target):
     assert _kernels.filter_codes(1, [0], girth_target) == (1, 0, [])
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_filters_follow_is_strong_below_two_vertices(n):
+    """The filters count a code strong when is_strong calls its graph
+    strong and every vertex has an out- and an in-arc.  The graph with no
+    vertices is not strong; the lone vertex is, but it has no arc."""
+    succ, pred = _kernels.decode_code(n, 0)
+    assert _kernels.is_strong(succ, pred, n) is (n == 1)
+    strong = _kernels.is_strong(succ, pred, n) and all(succ) and all(pred)
+    for girth_target in TARGETS:
+        want = (1, int(strong), [0] if strong and not girth_target else [])
+        assert _kernels.filter_range(n, 0, 1, girth_target) == want
+        assert _kernels.filter_codes(n, [0], girth_target) == want
+
+
 def test_filter_codes_matches_oracles_on_a_seeded_n7_batch():
     # The filter's word tables cover n = 7 in three lookups of 7 trits; the
     # batch holds both ends of the code range and is not sorted.

@@ -18,16 +18,43 @@ from arcconn import (
     SweepSpec,
     check_graph,
     generate,
+    girth_cycles,
+    is_restricted_arc_cut,
+    proof_cut_constructions,
     run_sweep,
+    xi,
 )
-from arcconn import _kernels, cli
-from arcconn.connectivity import RESIDUAL_HOST
+from arcconn import _kernels, cli, verify
+from arcconn.connectivity import ORIGINAL_HOST, RESIDUAL_HOST
 from arcconn.verify import (
     RECORD_FIELDS,
     VerificationRecord,
     read_records_csv,
     sample_codes,
 )
+
+from .conftest import stratum_codes
+
+
+@pytest.mark.parametrize("reading", [ORIGINAL_HOST, RESIDUAL_HOST])
+def test_proof_clause_matches_the_listed_candidates(reading):
+    """The proof clause builds candidates one at a time and asks only
+    whether a cut exists; it must say what trying every listed candidate
+    of size at most xi with is_restricted_arc_cut says, on the n = 6
+    stratum slice (family members, where it fails, included) with xi and
+    with xi - 1 as the bound."""
+    verdicts = set()
+    for code in stratum_codes(6):
+        D = Digraph.from_code(6, code)
+        for bound in (xi(D).value - 1, xi(D).value):
+            listed = any(
+                len(S) <= bound and is_restricted_arc_cut(D, S, reading) is not None
+                for C in girth_cycles(D)
+                for S in proof_cut_constructions(D, C)
+            )
+            assert verify._proof_clause(D, reading, bound) is listed
+            verdicts.add(listed)
+    assert verdicts == {False, True}
 
 
 def test_sampler_is_deterministic_and_seed_sensitive():
