@@ -10,7 +10,7 @@ work.
 from __future__ import annotations
 
 import operator
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
@@ -19,7 +19,6 @@ from .errors import (
     InvalidVertex,
     LoopArc,
     SymmetricPair,
-    UnknownArc,
     VertexOutOfRange,
 )
 
@@ -61,11 +60,12 @@ class Digraph:
         succ: per-vertex successor bitmasks (bit u of succ[v] iff v->u).
         pred: per-vertex predecessor bitmasks.
 
-    is_strong(), cycles.girth and cycles.girth_cycles memoise their answers
-    in _strong, _girth (0 when acyclic) and _girth_cycles.
+    is_strong(), canonical_form(), cycles.girth and cycles.girth_cycles
+    memoise their answers in _strong, _canonical, _girth (0 when acyclic)
+    and _girth_cycles.
     """
 
-    __slots__ = ("n", "arcs", "succ", "pred", "_strong", "_girth", "_girth_cycles")
+    __slots__ = ("n", "arcs", "succ", "pred", "_strong", "_canonical", "_girth", "_girth_cycles")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()) -> None:
         if n < 0:
@@ -101,7 +101,7 @@ class Digraph:
         init(self, "arcs", arcs)
         init(self, "succ", tuple(succ))
         init(self, "pred", tuple(pred))
-        for memo in ("_strong", "_girth", "_girth_cycles"):
+        for memo in ("_strong", "_canonical", "_girth", "_girth_cycles"):
             init(self, memo, None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -163,48 +163,7 @@ class Digraph:
         comps.sort(key=lambda comp: _kernels.topological_key(self.succ, comp, full))
         return tuple(tuple(_bits(m)) for m in comps)
 
-    # -- cuts and arc scans --------------------------------------------
-
-    def out_cut(self, X: Iterable[int]) -> list[Arc]:
-        """Arcs leaving X: tail in X, head outside."""
-        mask = _vertex_mask(self.n, X)
-        return [a for a in self.arcs if mask >> a[0] & 1 and not mask >> a[1] & 1]
-
-    def in_cut(self, X: Iterable[int]) -> list[Arc]:
-        """Arcs entering X: tail outside, head in X."""
-        mask = _vertex_mask(self.n, X)
-        return [a for a in self.arcs if not mask >> a[0] & 1 and mask >> a[1] & 1]
-
-    def arc_outside(self, X: Iterable[int]) -> Optional[Arc]:
-        """Lexicographically smallest arc with both endpoints outside X."""
-        outside = (1 << self.n) - 1 & ~_vertex_mask(self.n, X)
-        return _kernels.arc_within(self.succ, outside)
-
     # -- derived digraphs ----------------------------------------------
-
-    def delete_arcs(self, S: Iterable[Arc]) -> "Digraph":
-        removed = set()
-        for raw in S:
-            arc = _arc(raw)
-            if not self.has_arc(*arc):
-                raise UnknownArc("arc not in the digraph", arc=arc)
-            removed.add(arc)
-        return Digraph(self.n, [a for a in self.arcs if a not in removed])
-
-    def induced(self, X: Iterable[int]) -> tuple["Digraph", tuple[int, ...]]:
-        """Subdigraph induced by X, relabeled to 0..|X|-1.
-
-        Returns (H, vmap) with vmap[new_label] = original vertex, so witnesses
-        computed on H can be mapped back.
-        """
-        verts = sorted(set(_check_vertices(self.n, X)))
-        index = {v: i for i, v in enumerate(verts)}
-        arcs = [
-            (index[t], index[h])
-            for t, h in self.arcs
-            if t in index and h in index
-        ]
-        return Digraph(len(verts), arcs), tuple(verts)
 
     def reverse(self) -> "Digraph":
         return Digraph(self.n, [(h, t) for t, h in self.arcs])
@@ -253,38 +212,52 @@ class Digraph:
     def canonical_form(self) -> tuple[Arc, ...]:
         """Arc tuple minimized over relabelings; equal iff isomorphic.
 
-        Brute-force over permutations, restricted to degree-class-preserving
-        maps (an isomorphism cannot mix degree pairs, and classes are ordered
-        by their degree pair, so the restriction loses nothing).  Intended for
-        desk-scale graphs; cost grows with the factorials of class sizes.
+        One refinement round orders the vertices before the search: a
+        vertex's signature is its (out, in) degree pair, then the sorted
+        degree pairs of its out-neighbours and of its in-neighbours.  The
+        vertices of equal signature form a cell, the cells are laid out in
+        signature order, and only the relabelings that permute vertices
+        within their cells are tried.  An isomorphism maps every vertex to
+        one of the same signature, so isomorphic graphs try the same set of
+        relabeled arc tuples and reach the same minimum.  The cost grows
+        with the factorials of the cell sizes (n! relabelings when every
+        vertex has one signature, as in a vertex-transitive graph), so this
+        is meant for desk-scale graphs.  Memoised in _canonical.
         """
-        n = self.n
-        if n == 0:
-            return ()
-        pairs = [(self.succ[v].bit_count(), self.pred[v].bit_count()) for v in range(n)]
-        groups: dict[tuple[int, int], list[int]] = {}
-        for v in range(n):
-            groups.setdefault(pairs[v], []).append(v)
-        ordered = sorted(groups)
-        blocks = [groups[k] for k in ordered]
-        starts = []
-        base = 0
-        for b in blocks:
-            starts.append(base)
-            base += len(b)
-        best: Optional[tuple[Arc, ...]] = None
-        for choice in product(*map(permutations, blocks)):
-            perm = [0] * n
-            for block, start, order in zip(blocks, starts, choice):
-                for offset, v in enumerate(order):
-                    perm[v] = start + offset
-            cand = tuple(sorted((perm[t], perm[h]) for t, h in self.arcs))
-            if best is None or cand < best:
-                best = cand
-        return best or ()
+        if self._canonical is None:
+            object.__setattr__(self, "_canonical", _canonical_form(self.n, self.arcs, self.succ, self.pred))
+        return self._canonical
 
     def canonical(self) -> "Digraph":
         return Digraph(self.n, self.canonical_form())
+
+
+def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> tuple[Arc, ...]:
+    pairs = [(out.bit_count(), into.bit_count()) for out, into in zip(succ, pred)]
+    outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for t, h in arcs:
+        outs[t].append(pairs[h])
+        ins[h].append(pairs[t])
+    cells: dict[tuple, list[int]] = {}
+    for v in range(n):
+        outs[v].sort()
+        ins[v].sort()
+        cells.setdefault((pairs[v], tuple(outs[v]), tuple(ins[v])), []).append(v)
+    blocks = [cells[key] for key in sorted(cells)]
+    if len(blocks) == n:  # single-vertex cells leave one order to try
+        orders: Iterable[Iterable[int]] = [[v for v, in blocks]]
+    else:
+        orders = map(chain.from_iterable, product(*map(permutations, blocks)))
+    best: Optional[list[Arc]] = None
+    perm = [0] * n
+    for order in orders:
+        for new, v in enumerate(order):
+            perm[v] = new
+        cand = sorted([(perm[t], perm[h]) for t, h in arcs])
+        if best is None or cand < best:
+            best = cand
+    return tuple(best or ())
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -293,9 +266,3 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
         yield b.bit_length() - 1
 
-
-def _vertex_mask(n: int, X: Iterable[int]) -> int:
-    mask = 0
-    for v in _check_vertices(n, X):
-        mask |= 1 << v
-    return mask

@@ -25,6 +25,23 @@ directory it checkpoints per chunk (JSONL, resumable) and writes
 records.csv, counterexamples.d6, summary.json, and, when the
 definitional-reading audit is on, audit.json.
 
+An exhaustive sweep judges each isomorphism class once.  Every field of a
+record but ``graph_id`` and ``family_params`` is an invariant of the class:
+the girth, strongness, lambda, lambda' and xi, the family, and every clause
+verdict.  So ``run_sweep`` hands its exhaustive (range) chunks one class
+memo, keyed by the order, ``Digraph.canonical_form`` and the reading, and
+``check_graph`` measures only a graph whose class the memo lacks.  A graph
+of a known class still goes through ``check_graph``, which takes its key
+and copies the class's record with the graph's own digraph6 and, for a
+family member, the parameters ``match_family`` reports for this labeling.
+The memo holds one record per class met and reading: at most 71 at the
+n = 6 stratum, and the strong classes of orders up to 6 with the girth
+filter off.  With jobs = 1 it spans the whole sweep; a pool worker gets its
+own empty copy with each chunk, so with jobs > 1 it spans one chunk.  A
+random chunk computes no key: a sample of 50,000 codes at n = 7 holds
+about 80 stratum graphs among 3,307 classes, so a key would almost never
+find its class.  Nothing of the memo outlives a ``run_sweep`` call.
+
 Each file format is stated in one place:
 
 * a row of records.csv or of the checkpoint: the fields of
@@ -194,16 +211,45 @@ def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measureme
     )
 
 
+# A sweep's class memo: the record of the first graph judged in each
+# isomorphism class under each reading, keyed by _class_key.  One memo
+# serves one sweep, so check_proof is the same for every record in it.
+ClassKey = tuple[int, tuple[Arc, ...], DefinitionReading]
+ClassMemo = dict[ClassKey, VerificationRecord]
+
+
+def _class_key(D: Digraph, reading: DefinitionReading) -> ClassKey:
+    return D.n, D.canonical_form(), reading
+
+
+def _relabeled(rec: VerificationRecord, D: Digraph) -> VerificationRecord:
+    """rec, a record of D's class, with the two fields that depend on the
+    labeling read off D: its digraph6, and a family member's parameters
+    (the family is an invariant, but which parameters match_family reports
+    is not: one H1 class holds labelings it reads as p=0,s=2 and as p=2,s=0)."""
+    params = match_family(D).params.describe() if rec.family is not None else None
+    return replace(rec, graph_id=emit_digraph6(D), family_params=params)
+
+
 def check_graph(
     D: Digraph,
     reading: DefinitionReading = ORIGINAL_HOST,
     check_proof: bool = False,
     meas: Optional[Measurement] = None,
+    memo: Optional[ClassMemo] = None,
 ) -> VerificationRecord:
     """Measure one graph and judge every theorem clause that applies to it.
 
     meas, when given, must be ``measure(D, reading)``; it is not taken again.
+    memo, when given, is a sweep's class memo (see ``ClassMemo``): a graph
+    whose class it holds under reading is not measured, and its record is
+    the class's with the labeling's own graph_id and family_params.
     """
+    if memo is not None:
+        key = _class_key(D, reading)
+        known = memo.get(key)
+        if known is not None:
+            return _relabeled(known, D)
     if meas is None:
         meas = measure(D, reading)
     family = meas.match.family.value if meas.match else None
@@ -228,7 +274,7 @@ def check_graph(
         if check_proof:
             proof = "pass" if _proof_clause(D, reading, xi_val) else "fail"
 
-    return VerificationRecord(
+    rec = VerificationRecord(
         graph_id=emit_digraph6(D),
         n=D.n,
         m=D.m,
@@ -246,6 +292,9 @@ def check_graph(
         proof_ok=proof,
         reading=reading.value,
     )
+    if memo is not None:
+        memo[key] = rec
+    return rec
 
 
 def _proof_clause(D: Digraph, reading: DefinitionReading, xi_val: Optional[int]) -> bool:
@@ -403,8 +452,8 @@ class _Chunk(NamedTuple):
         return entry["key"], cls(chunk["n"], chunk["seen"], chunk["strong"], records, others)
 
 
-def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, _Chunk]:
-    spec, (key, n, kind, payload) = args
+def _run_chunk(args: tuple[SweepSpec, Task, Optional[ClassMemo]]) -> tuple[str, _Chunk]:
+    spec, (key, n, kind, payload), memo = args
     target = 0 if spec.girth is None else spec.girth
     if kind == "range":
         lo, hi = payload
@@ -417,14 +466,18 @@ def _run_chunk(args: tuple[SweepSpec, Task]) -> tuple[str, _Chunk]:
     for code in codes:
         D = Digraph.from_code(n, code)
         if not spec.audit_readings:
-            records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts))
+            records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, memo=memo))
             continue
-        # Only lambda' and the proof clause depend on the reading.
-        meas = measure(D, spec.reading)
-        records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas))
-        if meas.certificate is not None:
+        # Only lambda' and the proof clause depend on the reading.  Both
+        # readings' records of a class enter the memo together, so D is
+        # measured only when its class is new.
+        meas = None
+        if memo is None or _class_key(D, spec.reading) not in memo:
+            meas = measure(D, spec.reading)
+        records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))
+        if meas is not None and meas.certificate is not None:
             meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
-        others.append(check_graph(D, reading=other, check_proof=spec.check_proof_cuts, meas=meas))
+        others.append(check_graph(D, reading=other, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))
     return key, _Chunk(n, seen, strong, records, others)
 
 
@@ -611,7 +664,11 @@ def run_sweep(
             with open(ck_path, "w", encoding="ascii") as fh:
                 fh.write(json.dumps({"spec": spec.fingerprint()}) + "\n")
 
-    args = [(spec, task) for task in tasks if task[0] not in chunks]
+    # One class memo per sweep, for the exhaustive chunks only: a sample
+    # meets few graphs of one class twice.  Chunks run here share it; a
+    # pool worker gets a copy of it with each chunk.
+    memo: ClassMemo = {}
+    args = [(spec, task, memo if task[2] == "range" else None) for task in tasks if task[0] not in chunks]
     total = len(tasks)
     with ExitStack() as stack:
         ck_handle = stack.enter_context(open(ck_path, "a", encoding="ascii")) if ck_path else None

@@ -4,20 +4,22 @@ The oracles here deliberately avoid the package's bitmask kernels.  They
 work on plain adjacency dicts with textbook algorithms (Kosaraju for strong
 components, permutation scans for cycles, subset enumeration for cuts) so
 that agreement with the library is meaningful evidence.  The flow oracle
-is the dense Edmonds-Karp that connectivity._flow replaced.
+is the dense Edmonds-Karp that connectivity._flow replaced, and the
+canonical-form oracle is the brute search that Digraph.canonical_form
+refined.  induced and delete_arcs build derived digraphs from arc lists.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Optional
 
 import pytest
 from hypothesis import settings, strategies as st
 
-from arcconn import Digraph, _kernels
+from arcconn import Digraph, UnknownArc, _kernels
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -83,6 +85,53 @@ def oracle_sccs(n: int, arcs: Iterable[Arc]) -> list[set[int]]:
 
 def oracle_strong(D: Digraph) -> bool:
     return D.n > 0 and len(oracle_sccs(D.n, D.arcs)) == 1
+
+
+# ---------------------------------------------------------------------------
+# derived digraphs, from arc lists
+
+
+def induced(D: Digraph, X: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
+    """The subdigraph induced by X, relabeled to 0..|X|-1, and vmap with
+    vmap[new label] = original vertex."""
+    verts = sorted(set(X))
+    index = {v: i for i, v in enumerate(verts)}
+    arcs = [(index[t], index[h]) for t, h in D.arcs if t in index and h in index]
+    return Digraph(len(verts), arcs), tuple(verts)
+
+
+def delete_arcs(D: Digraph, S: Iterable[Arc]) -> Digraph:
+    """D less the arcs S; UnknownArc for an arc D lacks."""
+    gone = set(S)
+    for arc in gone:
+        if not D.has_arc(*arc):
+            raise UnknownArc("arc not in the digraph", arc=arc)
+    return Digraph(D.n, [a for a in D.arcs if a not in gone])
+
+
+# ---------------------------------------------------------------------------
+# canonical-form oracle (permutations within degree classes)
+
+
+def oracle_canonical_form(D: Digraph) -> tuple[Arc, ...]:
+    """The arc tuple minimized over the relabelings that keep the vertices
+    sorted by (out, in) degree pair; equal iff isomorphic."""
+    outs = {v: 0 for v in range(D.n)}
+    ins = {v: 0 for v in range(D.n)}
+    for t, h in D.arcs:
+        outs[t] += 1
+        ins[h] += 1
+    groups: dict[tuple[int, int], list[int]] = {}
+    for v in range(D.n):
+        groups.setdefault((outs[v], ins[v]), []).append(v)
+    blocks = [groups[k] for k in sorted(groups)]
+    best: Optional[tuple[Arc, ...]] = None
+    for choice in product(*map(permutations, blocks)):
+        perm = {v: new for new, v in enumerate(v for order in choice for v in order)}
+        cand = tuple(sorted((perm[t], perm[h]) for t, h in D.arcs))
+        if best is None or cand < best:
+            best = cand
+    return best or ()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from arcconn import AcyclicDigraph, Digraph, cycles_of_length, girth, girth_cycles, is_cycle
 
-from .conftest import digraphs, oracle_cycles_of_length, oracle_girth
+from .conftest import delete_arcs, digraphs, oracle_cycles_of_length, oracle_girth
 
 
 def test_girth_known_instances(l8, four_cycle):
@@ -75,7 +75,7 @@ def test_derived_digraphs_have_their_own_girth_cycles(D, rng):
     perm = list(range(D.n))
     rng.shuffle(perm)
     dropped = [a for a in D.arcs if rng.random() < 0.3]
-    for E in (D.reverse(), D.relabel(perm), D.delete_arcs(dropped)):
+    for E in (D.reverse(), D.relabel(perm), delete_arcs(D, dropped)):
         g = girth(E)
         assert g == oracle_girth(E)
         if g is not None:

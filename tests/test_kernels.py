@@ -16,7 +16,7 @@ from arcconn import _kernels
 from arcconn.digraph import Digraph
 from arcconn.errors import InvalidDigraph
 
-from .conftest import digraphs, oracle_girth, oracle_sccs, oracle_strong, sparse_strong_digraphs
+from .conftest import digraphs, induced, oracle_girth, oracle_sccs, oracle_strong, sparse_strong_digraphs
 
 
 def codes(n: int):
@@ -90,7 +90,7 @@ def _reach_covers(D: Digraph, mask: int) -> bool:
 def _agrees_with_oracle(D: Digraph) -> None:
     for mask in range(1, 1 << D.n):
         X = [v for v in range(D.n) if mask >> v & 1]
-        assert _reach_covers(D, mask) == oracle_strong(D.induced(X)[0]), (D, X)
+        assert _reach_covers(D, mask) == oracle_strong(induced(D, X)[0]), (D, X)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

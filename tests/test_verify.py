@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +21,7 @@ from arcconn import (
     generate,
     girth_cycles,
     is_restricted_arc_cut,
+    parse_digraph6,
     proof_cut_constructions,
     run_sweep,
     xi,
@@ -33,7 +35,7 @@ from arcconn.verify import (
     sample_codes,
 )
 
-from .conftest import stratum_codes
+from .conftest import oracle_canonical_form, stratum_codes
 
 
 @pytest.mark.parametrize("reading", [ORIGINAL_HOST, RESIDUAL_HOST])
@@ -241,7 +243,9 @@ def test_sweep_parses_rows_only_when_resuming(tmp_path, monkeypatch):
 
 
 def test_reading_audit_measures_each_graph_once(monkeypatch):
-    """With the audit on, only lambda' is taken again for the other reading."""
+    """With the audit on, only lambda' is taken again for the other reading,
+    and only the first graph of each class is measured.  A later family
+    member has its parameters read again under each reading."""
     import arcconn.verify as verify
 
     calls = {}
@@ -257,20 +261,26 @@ def test_reading_audit_measures_each_graph_once(monkeypatch):
     res = run_sweep(SweepSpec(n_lo=5, n_hi=5, audit_readings=True, check_proof_cuts=True))
     graphs = res.stratum
     assert graphs == res.audit["graphs"] == 300
+    classes = len({oracle_canonical_form(parse_digraph6(rec.graph_id)) for rec in res.records})
+    assert classes == 3 and res.family_total == graphs
     assert calls == {
-        "girth": graphs,
-        "match_family": graphs,
-        "arc_connectivity": graphs,
-        "xi": graphs,
-        "lambda_prime_existence_witness": graphs,
-        "lambda_prime_exact": 2 * graphs,
+        "girth": classes,
+        "match_family": classes + 2 * (graphs - classes),
+        "arc_connectivity": classes,
+        "xi": classes,
+        "lambda_prime_existence_witness": classes,
+        "lambda_prime_exact": 2 * classes,
     }
 
 
 def test_measure_lists_girth_cycles_once(monkeypatch, l8):
     """The girth kernel, the cycle enumeration and the strongness kernel run
-    once per graph: on the sweep path (H1 recognition and the proof clause
-    included) and on the direct calls the params command makes."""
+    once per graph measured: on the sweep path (H1 recognition and the proof
+    clause included) and on the direct calls the params command makes.  An
+    exhaustive sweep measures one graph per class; a later graph of a class
+    takes no strongness run, and takes one girth run and one enumeration
+    only when it is a family member with 2n-4 arcs, whose parameters
+    match_family's H1 pass reads again for its labeling."""
     import arcconn
     import arcconn._kernels as kernels
     import arcconn.connectivity as connectivity
@@ -304,8 +314,13 @@ def test_measure_lists_girth_cycles_once(monkeypatch, l8):
     res6 = run_sweep(SweepSpec(n_lo=6, n_hi=6, mode="random", samples=20_000,
                                seed=5, check_proof_cuts=True))
     assert res6.clause_tallies["proof_ok"]["pass"] > 0
-    graphs = res.stratum + res6.stratum
-    assert calls == {"girth": graphs, "enumerations": graphs, "is_strong": graphs}
+    classes = {oracle_canonical_form(parse_digraph6(rec.graph_id)) for rec in res.records}
+    h1_pass = [rec for rec in res.records if rec.family is not None and rec.m == 2 * rec.n - 4]
+    h1_pass_classes = {oracle_canonical_form(parse_digraph6(rec.graph_id)) for rec in h1_pass}
+    assert len(classes) == 3 and len(h1_pass) == 180 and len(h1_pass_classes) == 2
+    measured = len(classes) + res6.stratum
+    rematched = len(h1_pass) - len(h1_pass_classes)
+    assert calls == {"girth": measured + rematched, "enumerations": measured + rematched, "is_strong": measured}
 
     h1 = generate(FamilyParams(Family.H1, (1, 1, 0, 0)))
     # generate has taken h1's girth and strongness, so measure a fresh copy.
@@ -317,6 +332,57 @@ def test_measure_lists_girth_cycles_once(monkeypatch, l8):
         arcconn.xi(D)
         arcconn.lambda_prime_existence_witness(D)
         assert calls == {"girth": 1, "enumerations": 1, "is_strong": 1}
+
+
+def _sweep_files(spec: SweepSpec, out) -> dict[str, bytes]:
+    """The files a completed sweep writes, summary.json without its runtime."""
+    res = run_sweep(spec, out_dir=str(out))
+    assert res.completed
+    files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "checkpoint.jsonl"}
+    summary = json.loads(files["summary.json"])
+    summary.pop("runtime_seconds")
+    files["summary.json"] = json.dumps(summary).encode()
+    return files
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec(n_lo=3, n_hi=5, girth=None, check_proof_cuts=True, chunk_size=9_000),
+        SweepSpec(n_lo=3, n_hi=5, girth=None, check_proof_cuts=True, chunk_size=9_000, reading=RESIDUAL_HOST),
+        SweepSpec(n_lo=4, n_hi=5, girth=None, check_proof_cuts=True, chunk_size=9_000, audit_readings=True),
+    ],
+    ids=["original", "residual", "audit"],
+)
+def test_class_memo_writes_the_files_of_a_sweep_without_it(tmp_path, monkeypatch, spec):
+    """Records, summary and audit come out byte for byte as when every graph
+    is measured, with one job (one memo across the chunks) and with two
+    (each chunk its own memo)."""
+    memo_on = _sweep_files(spec, tmp_path / "memo")
+    two_jobs = _sweep_files(replace(spec, jobs=2), tmp_path / "jobs")
+    real = verify.check_graph
+    monkeypatch.setattr(verify, "check_graph", lambda *args, memo=None, **kwargs: real(*args, **kwargs))
+    memo_off = _sweep_files(spec, tmp_path / "plain")
+    assert memo_on == memo_off
+    assert two_jobs == {**memo_off, "summary.json": two_jobs["summary.json"]}
+    assert json.loads(two_jobs["summary.json"]) == {**json.loads(memo_off["summary.json"]), "jobs": 2}
+    assert ("audit.json" in memo_on) == spec.audit_readings
+
+
+def test_class_memo_reads_each_labelings_family_params():
+    """Codes 110009 and 110010 of order 6 are one H1 class, which
+    match_family reads with different parameters; a chunk holding both
+    judges the class once and keeps each labeling's digraph6 and parameters."""
+    codes = (110009, 110010)
+    direct = [check_graph(Digraph.from_code(6, code), check_proof=True) for code in codes]
+    assert [rec.family_params for rec in direct] == ["H1(p=0,q=0,r=1,s=1)", "H1(p=1,q=1,r=0,s=0)"]
+    memo = {}
+    spec = SweepSpec(n_lo=6, n_hi=6, check_proof_cuts=True)
+    _, chunk = verify._run_chunk((spec, ("x:6:110009:110011", 6, "range", (110009, 110011)), memo))
+    assert chunk.records == direct
+    assert len(memo) == 1
+    labeled = ("graph_id", "family_params")
+    assert replace(direct[0], **{name: getattr(direct[1], name) for name in labeled}) == direct[1]
 
 
 def test_sweep_resume_rejects_other_spec(tmp_path):
@@ -475,8 +541,8 @@ def test_sweep_counterexample_channel(tmp_path, monkeypatch):
 
     real = verify.check_graph
 
-    def sabotage(D, reading=None, check_proof=False):
-        rec = real(D, reading=reading or verify.ORIGINAL_HOST, check_proof=check_proof)
+    def sabotage(D, reading=None, check_proof=False, memo=None):
+        rec = real(D, reading=reading or verify.ORIGINAL_HOST, check_proof=check_proof, memo=memo)
         if D.n == 4:
             rec = VerificationRecord(**{**rec.__dict__, "theorem1_ok": "fail"})
         return rec
