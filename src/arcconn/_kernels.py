@@ -54,11 +54,18 @@ from H alone:
   in H, and a shortest one through it is 0 -> a ~> b -> 0 with a in O and
   b in I.  This holds for every girth target.
 
-Unions over O and I are memoised per block as codes meet them.  Vertex 0's
-sets come from a fixed table for vertices 1..6 and, for the rest, from one
-decode per run of 3**6 codes.  So no table grows as 2**(n-1) or 3**(n-1): a
-window costs one decode and closure of H per block it touches, plus bounded
-work per code.
+Each block builds tables over vertex 0's 2**(n-1) possible vertex sets by
+subset doubling: the unions of the forward closures in H and of the
+backward closures, and, when the block holds strong codes and the girth
+target is in play, of H's successor rows.  A code's strongness is then two
+lookups, and its girth test at most girth_target - 2 lookups out from O.  The
+(value, O, I) of vertex 0's trits come from one ascending list per pair of
+must-sets (the vertices of H with no in-arc or no out-arc, which a strong D
+joins to vertex 0), cut to the block's window by bisection.  The tables
+grow as 2**(n-1) and the list as 3**(n-1), so filter_range takes orders up
+to RANGE_MAX_ORDER = 7 and refuses larger ones with CapExceeded before it
+builds any table: exhaustive sweeps stop at order 6, and sampled codes of
+every order up to CODE_MAX_ORDER go through filter_codes.
 """
 
 from __future__ import annotations
@@ -74,7 +81,6 @@ from .errors import CapExceeded, InvalidDigraph
 
 BACKEND = "pure"
 
-_GROUP = 6  # vertex 0's trits per _low_choices table (see _judge_block)
 _choice_value = itemgetter(0)
 
 # Codes per block of filter_codes, one lane each.  At n = 7 and 9 the time
@@ -91,6 +97,11 @@ _LANES = 4096
 # 13 ms); they grow as n**4 within one field width, and the 4-byte fields
 # of n = 17 double them.
 CODE_MAX_ORDER = 18
+
+# The highest order whose code ranges filter_range judges, with tables of
+# 2**(n-1) vertex sets and a choice list of 3**(n-1) trit values per block
+# (module doc).  No exhaustive sweep runs above order 6.
+RANGE_MAX_ORDER = 7
 
 
 def backend_name() -> str:
@@ -311,55 +322,36 @@ def girth(succ: Sequence[int], pred: Sequence[int], n: int, target: int = 0) -> 
     return best
 
 
-def _union(rows: Sequence[int], s: int) -> int:
-    """OR of rows[v] over the members v of bit set s."""
-    u = 0
-    while s:
-        b = s & -s
-        s ^= b
-        u |= rows[b.bit_length() - 1]
-    return u
-
-
-class _Memo(dict):
-    """Values of fn, computed for each key the first time it is asked for."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 @lru_cache(maxsize=None)
-def _low_choices(m: int, must_out: int, must_in: int) -> list[tuple[int, int, int]]:
-    """(value, O, I) for each value of vertex 0's trits towards vertices 1..m
-    whose O contains must_out and whose I contains must_in, ascending.
+def _low_choices(must_out: int, must_in: int) -> list[tuple[int, int, int]]:
+    """(value, O, I) for each value of vertex 0's RANGE_MAX_ORDER - 1 trits
+    whose out-set O contains must_out and whose in-set I contains must_in,
+    ascending, with O and I in H's labels (_trit_sets).  The values below
+    3**(n-1) are those of order n.
 
-    Keys are disjoint masks over vertices 1..m <= 6, so all entries over all
-    keys number at most 5**m.
+    Keys are disjoint masks, so all entries over all keys number at most
+    5**(RANGE_MAX_ORDER - 1).
     """
     if must_out or must_in:
         return [
             choice
-            for choice in _low_choices(m, 0, 0)
+            for choice in _low_choices(0, 0)
             if not (must_out & ~choice[1] or must_in & ~choice[2])
         ]
-    return [(value, *_trit_sets(value, 1)) for value in range(3**m)]
+    return [(value, *_trit_sets(value)) for value in range(3 ** (RANGE_MAX_ORDER - 1))]
 
 
-def _trit_sets(value: int, v: int) -> tuple[int, int]:
-    """Vertex 0's out- and in-set from its trits towards vertices v, v+1, ..."""
+def _trit_sets(value: int) -> tuple[int, int]:
+    """Vertex 0's out- and in-set in H's labels (v -> v-1) from its trits."""
     out = into = 0
+    bit = 1
     while value:
         value, t = divmod(value, 3)
         if t == 1:
-            out |= 1 << v
+            out |= bit
         elif t == 2:
-            into |= 1 << v
-        v += 1
+            into |= bit
+        bit <<= 1
     return out, into
 
 
@@ -369,69 +361,53 @@ def _judge_block(n, base, first, last, girth_target, survivors):
     Appends the survivors in ascending order and returns the strong count.
     """
     layout = _layout(n)
-    succ, pred = _split(layout, _pack(layout, base))  # vertex 0 is isolated: this is H
-    rest = (1 << n) - 2  # V(H)
+    succ, pred = _split(layout, _pack(layout, base))  # vertex 0 is isolated
+    succ = [x >> 1 for x in succ[1:]]  # H, relabelled v -> v-1
+    pred = [x >> 1 for x in pred[1:]]
+    full = (1 << n - 1) - 1  # V(H)
     # A strong D gives vertex 0 every vertex of H with no in-arc as an
     # out-neighbour and every one with no out-arc as an in-neighbour.
     must_out = must_in = 0
-    for v in range(1, n):
+    for v in range(n - 1):
         if not pred[v]:
             must_out |= 1 << v
         if not succ[v]:
             must_in |= 1 << v
     if must_out & must_in:
         return 0
-    ahead = [reach(succ, v, rest) for v in range(n)]
-    behind = [reach(pred, v, rest) for v in range(n)]
-    spans_out = _Memo(lambda o: _union(ahead, o) == rest)
-    spans_in = _Memo(lambda i: _union(behind, i) == rest)
-    keep = True  # whether a strong code of this block can have the target girth
-    if girth_target:
-        # Below the target g_h need not be girth(H), but girth(H) is below it
-        # too; otherwise g_h is girth(H).
-        g_h = girth(succ, pred, n, girth_target)
-        # girth(D) <= girth(H), and an oriented graph has no cycle shorter than 3
-        keep = girth_target >= 3 and not 0 < g_h < girth_target
+    # Entry s of a table is a union over the members of vertex set s: of the
+    # vertices that each reaches in H, and of those that reach each.
+    ahead, behind = [0], [0]
+    for v in range(n - 1):
+        fwd, back = reach(succ, v, full), reach(pred, v, full)
+        ahead += [x | fwd for x in ahead]
+        behind += [x | back for x in behind]
+    choices = _low_choices(must_out, must_in)
+    window = choices[bisect_left(choices, first, key=_choice_value) : bisect_left(choices, last, key=_choice_value)]
+    strong = [(value, o, i) for value, o, i in window if ahead[o] == full and behind[i] == full]
+    if not (girth_target and strong):
+        survivors += [base + value for value, _, _ in strong]
+        return len(strong)
+    # Below the target g_h need not be girth(H), but girth(H) is below it
+    # too; otherwise g_h is girth(H).  girth(D) <= girth(H), and an oriented
+    # graph has no cycle shorter than 3.
+    g_h = girth(succ, pred, n - 1, girth_target)
+    if girth_target < 3 or 0 < g_h < girth_target:
+        return len(strong)
+    exact = g_h != girth_target
+    # The third table: entry s is the union of H's successor rows over s.
+    heads = [0]
+    for row in succ:
+        heads += [x | row for x in heads]
+    for value, o, i in strong:
         # dist_H(O, I) >= k + 1 iff the k-ball around O misses I
-        exact = g_h != girth_target
-        step = _Memo(lambda s: s | _union(succ, s))
-
-        def balls(o):
-            near = o
-            for _ in range(girth_target - 3):
-                near = step[near]
-            return near, step[near]
-
-        balls_of = _Memo(balls)
-
-    strong = 0
-    m = min(n - 1, _GROUP)
-    span = 3**m
-    low = (2 << m) - 2  # vertices 1..m
-    choices = _low_choices(m, must_out & low, must_in & low)
-    for high in range(first // span, (last - 1) // span + 1):
-        o_high, i_high = _trit_sets(high, m + 1)
-        if (must_out & ~o_high | must_in & ~i_high) & ~low:
+        near = o
+        for _ in range(girth_target - 3):
+            near |= heads[near]
+        if near & i or (exact and not (near | heads[near]) & i):
             continue
-        offset = base + high * span
-        part = choices[
-            bisect_left(choices, first - high * span, key=_choice_value) :
-            bisect_left(choices, last - high * span, key=_choice_value)
-        ]
-        if high:
-            part = [(value, o | o_high, i | i_high) for value, o, i in part]
-        for value, o, i in part:
-            if not (spans_out[o] and spans_in[i]):
-                continue
-            strong += 1
-            if girth_target:
-                if not keep:
-                    continue
-                near, far = balls_of[o]
-                if near & i or (exact and not far & i):
-                    continue
-            survivors.append(offset + value)
-    return strong
+        survivors.append(base + value)
+    return len(strong)
 
 
 def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, int, list[int]]:
@@ -439,10 +415,13 @@ def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, 
     girth_target when it is nonzero.
 
     Returns (seen, strong_count, survivor_codes), survivors ascending.
-    Raises as check_codes does, and InvalidDigraph when the range ends
+    Raises as check_codes does, then CapExceeded above RANGE_MAX_ORDER
+    before any table is built, and InvalidDigraph when the range ends
     before it starts.
     """
     check_codes(n, lo, hi - 1)
+    if n > RANGE_MAX_ORDER:
+        raise CapExceeded(f"code ranges are filtered up to order {RANGE_MAX_ORDER}, not n={n}")
     if lo > hi:
         raise InvalidDigraph(f"code range {lo}..{hi} for n={n} ends before it starts")
     if n < 2:

@@ -41,16 +41,6 @@ def _arc(raw: Iterable[object]) -> Arc:
     return _vertex(t), _vertex(h)
 
 
-def _check_vertices(n: int, xs: Iterable[int]) -> list[int]:
-    out = []
-    for x in xs:
-        v = _vertex(x)
-        if not 0 <= v < n:
-            raise InvalidVertex(f"vertex {v} not in 0..{n - 1}")
-        out.append(v)
-    return out
-
-
 class Digraph:
     """Immutable oriented graph.
 
@@ -116,22 +106,6 @@ class Digraph:
 
     def has_arc(self, tail: int, head: int) -> bool:
         return 0 <= tail < self.n and 0 <= head < self.n and bool(self.succ[tail] >> head & 1)
-
-    def out_degree(self, v: int) -> int:
-        (v,) = _check_vertices(self.n, (v,))
-        return self.succ[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        (v,) = _check_vertices(self.n, (v,))
-        return self.pred[v].bit_count()
-
-    def out_neighbors(self, v: int) -> tuple[int, ...]:
-        (v,) = _check_vertices(self.n, (v,))
-        return tuple(_bits(self.succ[v]))
-
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        (v,) = _check_vertices(self.n, (v,))
-        return tuple(_bits(self.pred[v]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):

@@ -67,7 +67,9 @@ class CapExceeded(ArcConnError):
     """Requested work exceeds an order limit: an exhaustive sweep above
     verify.EXHAUSTIVE_MAX_ORDER (random mode covers those orders), a trit
     code of an order above _kernels.CODE_MAX_ORDER (its decode, filter or
-    sampled sweep), or a lambda' vertex-set walk above its limit."""
+    sampled sweep), a code range filtered above _kernels.RANGE_MAX_ORDER
+    (filter_codes reads explicit codes up to CODE_MAX_ORDER), or a lambda'
+    vertex-set walk above its limit."""
 
 
 class ParseError(ArcConnError):

@@ -33,14 +33,16 @@ memo, keyed by the order, ``Digraph.canonical_form`` and the reading, and
 ``check_graph`` measures only a graph whose class the memo lacks.  A graph
 of a known class still goes through ``check_graph``, which takes its key
 and copies the class's record with the graph's own digraph6 and, for a
-family member, the parameters ``match_family`` reports for this labeling.
-The memo holds one record per class met and reading: at most 71 at the
-n = 6 stratum, and the strong classes of orders up to 6 with the girth
-filter off.  With jobs = 1 it spans the whole sweep; a pool worker gets its
-own empty copy with each chunk, so with jobs > 1 it spans one chunk.  A
-random chunk computes no key: a sample of 50,000 codes at n = 7 holds
-about 80 stratum graphs among 3,307 classes, so a key would almost never
-find its class.  Nothing of the memo outlives a ``run_sweep`` call.
+family member, the parameters ``match_family`` reports for this labeling;
+an audit sweep reads these two fields once and copies both readings'
+records of the class in ``_run_chunk``.  The memo holds one record per
+class met and reading: at most 71 at the n = 6 stratum, and the strong
+classes of orders up to 6 with the girth filter off.  With jobs = 1 it
+spans the whole sweep; a pool worker gets its own empty copy with each
+chunk, so with jobs > 1 it spans one chunk.  A random chunk computes no
+key: a sample of 50,000 codes at n = 7 holds about 80 stratum graphs among
+3,307 classes, so a key would almost never find its class.  Nothing of the
+memo outlives a ``run_sweep`` call.
 
 Each file format is stated in one place:
 
@@ -470,12 +472,18 @@ def _run_chunk(args: tuple[SweepSpec, Task, Optional[ClassMemo]]) -> tuple[str, 
             continue
         # Only lambda' and the proof clause depend on the reading.  Both
         # readings' records of a class enter the memo together, so D is
-        # measured only when its class is new.
-        meas = None
-        if memo is None or _class_key(D, spec.reading) not in memo:
-            meas = measure(D, spec.reading)
+        # measured only when its class is new, and a known class is
+        # relabelled once: graph_id and family_params do not depend on the
+        # reading.
+        known = memo.get(_class_key(D, spec.reading)) if memo is not None else None
+        if known is not None:
+            rec = _relabeled(known, D)
+            records.append(rec)
+            others.append(replace(memo[_class_key(D, other)], graph_id=rec.graph_id, family_params=rec.family_params))
+            continue
+        meas = measure(D, spec.reading)
         records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))
-        if meas is not None and meas.certificate is not None:
+        if meas.certificate is not None:
             meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
         others.append(check_graph(D, reading=other, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))
     return key, _Chunk(n, seen, strong, records, others)

@@ -43,6 +43,12 @@ def test_bench_kernels_runs_and_prints_a_full_row():
     assert row["n"] == 5 and row["codes"] == 2000 and row["batch"] == 50
 
 
+def test_bench_kernels_skips_filter_range_above_its_cap():
+    row = _last_row("bench_kernels.py", "--n", "8", "--codes", "2000", "--batch", "50")
+    assert row["filter_range_ns_per_code"] is None and row["filter_range_ns_per_code_ref"] is None
+    assert row["filter_codes_ns_per_code"] > 0 and row["n"] == 8
+
+
 def test_bench_sweep_runs_and_prints_a_full_row():
     row = _last_row("bench_sweep.py", "--runs", "n5")
     committed = _committed_rows("BENCH_sweep.json")

@@ -124,17 +124,59 @@ def test_filters_match_oracles_on_unaligned_windows(window):
     check_window(*window)
 
 
-def test_filters_match_oracles_at_order_18():
-    # H = D - 0 is the cycle 1 -> 2 -> ... -> 17 -> 1; the window crosses
-    # the 3**6 boundary where vertex 0's trit towards vertex 7 turns over,
-    # so cycles through vertex 0 of several lengths come and go.
+# D - 0 of one whole n = 7 block per girth target, as arcs among vertices
+# 1..6: a census chunk is whole blocks, and unaligned_windows draws at most
+# 48 codes.  The 6-cycle has girth 6, so vertex 0 closes cycles of 3..7
+# arcs; the other two have the target's girth themselves.
+SIX_CYCLE = [(v, v % 6 + 1) for v in range(1, 7)]
+WHOLE_N7_BLOCKS = {
+    0: SIX_CYCLE,
+    3: [(1, 2), (2, 3), (3, 1), (3, 4), (4, 5), (5, 6), (6, 1)],
+    4: [(1, 2), (2, 3), (3, 4), (4, 1), (4, 5), (5, 6), (6, 2)],
+    5: SIX_CYCLE,
+}
+
+
+@pytest.mark.parametrize("girth_target", TARGETS)
+def test_filter_range_matches_oracles_on_a_whole_n7_block(girth_target):
+    n = 7
+    block = 3 ** (n - 1)
+    base = Digraph(n, WHOLE_N7_BLOCKS[girth_target]).code
+    assert base % block == 0
+    want = expected(n, range(base, base + block), girth_target)
+    assert want[2]  # the block holds survivors
+    assert _kernels.filter_range(n, base, base + block, girth_target) == want
+
+
+def test_filter_codes_matches_oracles_at_order_18():
+    # H = D - 0 is the cycle 1 -> 2 -> ... -> 17 -> 1, and the window runs
+    # over vertex 0's trits towards vertices 1..7, so cycles through vertex
+    # 0 of several lengths come and go.  filter_range does not take this
+    # order (test_filter_range_refuses_orders_above_its_cap).
     n = _kernels.CODE_MAX_ORDER
     position = {pair: k for k, pair in enumerate(combinations(range(n), 2))}
     base = sum(3 ** position[(v, v + 1)] for v in range(1, n - 1))
     base += 2 * 3 ** position[(1, n - 1)]
-    check_window(n, base + 3**6 - 40, base + 3**6 + 25)
-    kept = _kernels.filter_range(n, base + 3**6 - 40, base + 3**6 + 25, 4)[2]
-    assert kept  # the window holds strong girth-4 graphs
+    codes = range(base + 3**6 - 40, base + 3**6 + 25)
+    for girth_target in TARGETS:
+        assert _kernels.filter_codes(n, codes, girth_target) == expected(n, codes, girth_target)
+    assert _kernels.filter_codes(n, codes, 4)[2]  # the window holds strong girth-4 graphs
+
+
+@pytest.mark.parametrize("n", [8, 18])
+def test_filter_range_refuses_orders_above_its_cap(n):
+    # filter_range takes code ranges up to RANGE_MAX_ORDER = 7 and refuses
+    # larger orders, an empty window too, before it builds a decode layout
+    # or a choice list; filter_codes still reads these orders.
+    assert _kernels.RANGE_MAX_ORDER == 7
+    _kernels._layout.cache_clear()
+    _kernels._low_choices.cache_clear()
+    for lo, hi in ((0, 1), (5, 5)):
+        with pytest.raises(CapExceeded, match=f"up to order 7, not n={n}"):
+            _kernels.filter_range(n, lo, hi, 4)
+    assert _kernels._layout.cache_info().currsize == 0
+    assert _kernels._low_choices.cache_info().currsize == 0
+    assert _kernels.filter_codes(n, [0], 4) == (1, 0, [])
 
 
 @pytest.mark.parametrize("n", [19, 70])
