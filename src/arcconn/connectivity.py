@@ -40,6 +40,8 @@ walked, and then one walk runs:
   restricted cut is never empty) and the walk takes every candidate.
 * From there up, the one-arc pass (_unit_cut_hosts) lists the hosts of
   D - a over the strong bridges a: exactly the candidate sets of flow 1.
+  An arc is a strong bridge when its tail no longer reaches its head, and
+  that search stops at the head, so only a bridge's runs to the end.
 * If it finds none and the order is _PAIR_PREPASS_MIN_ORDER = 10 or more,
   the pair pass (_pair_cut_hosts) lists the hosts of D - {a, b}, starting
   from the strong bridges and components the one-arc pass stored.  With no
@@ -409,17 +411,18 @@ def _candidate_masks(D: Digraph, seeds: Iterable[int]) -> Iterator[int]:
 # From this order up, lambda_prime_exact looks for cuts of size 1 arc by arc
 # before it walks any vertex set.  Set from round 2 of BENCH_lambda_prime.json
 # (benchmarks/bench_lambda_prime.py; reference us per graph, median [quartiles]
-# of 9 runs; the one-arc pass against the walk alone): it loses at n=7 (71
-# [69, 73] against 58 [49, 60] us) and wins from n=8 up (79 [77, 81] against
-# 88 [85, 89] us at n=8, 99 against 189 at n=9).
+# of 9 runs; the one-arc pass against the walk alone) and held by round 3,
+# since the pass stops each tail search at the head: it loses at n=7 (73
+# [68, 76] against 53 [50, 56] us) and wins from n=8 up (73 [70, 75] against
+# 83 [81, 91] us at n=8, 88 against 182 at n=9).
 _HOST_PREPASS_MIN_ORDER = 8
 
 # From this order up, when the one-arc pass finds no host, lambda_prime_exact
 # looks for cuts of size 2 by arc pairs before it walks any vertex set.  Set
 # from the same rows, on the graphs with no cut of size 1 (the only ones it
 # changes), both passes against the one-arc pass alone: the pair pass loses
-# at n=9 (344 [338, 345] against 310 [308, 316] us) and wins from n=10 up
-# (423 [390, 471] against 923 [875, 954] us).
+# at n=9 (328 [316, 346] against 296 [278, 299] us in round 3) and wins from
+# n=10 up (392 [379, 400] against 835 [819, 877] us).
 _PAIR_PREPASS_MIN_ORDER = 10
 
 # Above this order lambda_prime_exact runs both passes and walks no vertex set
@@ -441,8 +444,10 @@ def _unit_cut_hosts(
     A vertex set X has flow 1 exactly when, for some arc a, X is one of the
     _hosts among the strong components of D - a.  D - a is not strong
     exactly when the tail of a no longer reaches its head (a is a strong
-    bridge), which one reach call decides; only then are its components
-    listed.  _pair_cut_hosts starts from those lists.
+    bridge), which a breadth-first search from the tail decides; it stops
+    at the first layer that holds the head, so only a strong bridge's
+    search runs to exhaustion.  Only then are its components listed.
+    _pair_cut_hosts starts from those lists.
     """
     n = D.n
     full = (1 << n) - 1
@@ -451,7 +456,18 @@ def _unit_cut_hosts(
     bridges: dict[Arc, list[int]] = {}
     for t, h in D.arcs:
         succ[t] &= ~(1 << h)
-        if not _kernels.reach(succ, t, full) >> h & 1:
+        seen = frontier = 1 << t
+        while frontier:
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                nxt |= succ[b.bit_length() - 1]
+            if nxt >> h & 1:
+                break
+            frontier = nxt & ~seen
+            seen |= frontier
+        else:
             pred[h] &= ~(1 << t)
             comps = bridges[t, h] = _kernels.strong_parts(succ, pred, full)
             for comp, _ in _hosts(D, succ, comps, reading):

@@ -3,7 +3,10 @@
 Cycles are vertex tuples in canonical rotation: the smallest vertex comes
 first, and the tuple lists the cycle in arc direction.  Enumeration explores,
 from each root r, only paths through vertices larger than r, so every cycle
-is produced exactly once and already canonically rotated.
+is produced exactly once and already canonically rotated.  The last vertex
+of a cycle is an in-neighbour of r, so it is taken from one mask (the
+successors of the path's end among r's in-neighbours above r, off the
+path), and a root with no in-neighbour above it starts no search.
 """
 
 from __future__ import annotations
@@ -34,26 +37,34 @@ def cycles_of_length(D: Digraph, g: int) -> list[Cycle]:
     succ = D.succ
     out: list[Cycle] = []
     path = [0] * g
-    for root in range(D.n):
-        path[0] = root
-        _extend(succ, root, root, 1, g, 1 << root, path, out)
+    for root, into in enumerate(D.pred):
+        free = -2 << root  # the vertices above root
+        if into & free:  # a cycle rooted here ends with an arc from above root
+            path[0] = root
+            _extend(succ, into & free, root, 1, g, free, path, out)
     out.sort()
     return out
 
 
-def _extend(succ, root, v, depth, g, onpath, path, out):
-    if depth == g:
-        if succ[v] >> root & 1:
+def _extend(succ, closing, v, depth, g, free, path, out):
+    """Extend path[:depth], which ends at v, by the vertices in free (those
+    above the root, off the path) to cycles of g vertices; the last vertex
+    is one of closing (the root's in-neighbours above it), taken by one mask."""
+    if depth == g - 1:
+        m = succ[v] & free & closing
+        while m:
+            b = m & -m
+            m ^= b
+            path[depth] = b.bit_length() - 1
             out.append(tuple(path))
         return
-    m = succ[v]
+    m = succ[v] & free
     while m:
         b = m & -m
         m ^= b
         u = b.bit_length() - 1
-        if u > root and not onpath >> u & 1:
-            path[depth] = u
-            _extend(succ, root, u, depth + 1, g, onpath | b, path, out)
+        path[depth] = u
+        _extend(succ, closing, u, depth + 1, g, free ^ b, path, out)
 
 
 def girth_cycles(D: Digraph) -> list[Cycle]:

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import _kernels
 from .errors import (
     DuplicateArc,
+    InvalidDigraph,
     InvalidVertex,
     LoopArc,
     SymmetricPair,
@@ -71,18 +72,25 @@ class Digraph:
                     f"arc endpoint outside 0..{n - 1}", arc=arc
                 )
             if t == h:
-                raise LoopArc("loops are not allowed", arc=arc)
+                raise _orientation_fault(t, h)
             if arc in seen:
                 raise DuplicateArc("arc listed twice", arc=arc)
             if (h, t) in seen:
-                raise SymmetricPair(
-                    "opposite arc already present (digons are not allowed)",
-                    arc=arc,
-                )
+                raise _orientation_fault(t, h)
             seen.add(arc)
             succ[t] |= 1 << h
             pred[h] |= 1 << t
         self._set(n, tuple(sorted(seen)), succ, pred)
+
+    @classmethod
+    def _from_masks(cls, n: int, succ: Sequence[int], pred: Sequence[int]) -> "Digraph":
+        """The graph with successor masks succ and predecessor masks pred,
+        built unchecked: the caller vouches that the two describe one
+        oriented graph on 0..n-1.  The arcs are read off succ in sorted
+        order."""
+        D = object.__new__(cls)
+        D._set(n, tuple([(v, u) for v in range(n) for u in _bits(succ[v])]), succ, pred)
+        return D
 
     def _set(self, n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> None:
         """Fill the slots of a new graph; the memos start empty."""
@@ -128,19 +136,7 @@ class Digraph:
             object.__setattr__(self, "_strong", _kernels.is_strong(self.succ, self.pred, self.n))
         return self._strong
 
-    def strong_components(self) -> tuple[tuple[int, ...], ...]:
-        """SCCs as sorted vertex tuples, topologically ordered (sources
-        first, by _kernels.topological_key)."""
-        full = (1 << self.n) - 1
-        comps = _kernels.strong_parts(self.succ, self.pred, full)
-        comps += [1 << v for v in _bits(full & ~sum(comps))]  # disjoint: sum is union
-        comps.sort(key=lambda comp: _kernels.topological_key(self.succ, comp, full))
-        return tuple(tuple(_bits(m)) for m in comps)
-
     # -- derived digraphs ----------------------------------------------
-
-    def reverse(self) -> "Digraph":
-        return Digraph(self.n, [(h, t) for t, h in self.arcs])
 
     def relabel(self, perm: Sequence[int]) -> "Digraph":
         """Relabel vertices; perm[old] = new, a permutation of 0..n-1."""
@@ -154,32 +150,15 @@ class Digraph:
     def from_code(cls, n: int, code: int) -> "Digraph":
         """Graph with the given trit enumeration code (see _kernels).
 
-        Built straight from the code's packed word: succ and pred are its
-        two halves as decode_code reads them, and the arcs are read off succ
-        in sorted order.  A trit code cannot encode a loop, a repeated arc
-        or a digon, so the checks of __init__ are not run; decode_code
-        checks only the order (CapExceeded above _kernels.CODE_MAX_ORDER)
-        and the code's range.
+        Built straight from the code's packed word by _from_masks: succ and
+        pred are its two halves as decode_code reads them.  A trit code
+        cannot encode a loop, a repeated arc or a digon, so the checks of
+        __init__ are not run; decode_code checks only the order
+        (CapExceeded above _kernels.CODE_MAX_ORDER) and the code's range.
         """
         if n < 0:
             raise InvalidVertex(f"vertex count must be non-negative, got {n}")
-        succ, pred = _kernels.decode_code(n, code)
-        D = object.__new__(cls)
-        D._set(n, tuple([(v, u) for v in range(n) for u in _bits(succ[v])]), succ, pred)
-        return D
-
-    @property
-    def code(self) -> int:
-        """Trit enumeration code of this labeled graph."""
-        code = 0
-        power = 1
-        for i, j in _kernels.pair_table(self.n):
-            if self.succ[i] >> j & 1:
-                code += power
-            elif self.succ[j] >> i & 1:
-                code += 2 * power
-            power *= 3
-        return code
+        return cls._from_masks(n, *_kernels.decode_code(n, code))
 
     # -- isomorphism-invariant form ------------------------------------
 
@@ -201,9 +180,6 @@ class Digraph:
         if self._canonical is None:
             object.__setattr__(self, "_canonical", _canonical_form(self.n, self.arcs, self.succ, self.pred))
         return self._canonical
-
-    def canonical(self) -> "Digraph":
-        return Digraph(self.n, self.canonical_form())
 
 
 def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> tuple[Arc, ...]:
@@ -232,6 +208,14 @@ def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Se
         if best is None or cand < best:
             best = cand
     return tuple(best or ())
+
+
+def _orientation_fault(t: int, h: int) -> InvalidDigraph:
+    """The error for the arc t -> h of a graph that holds it: a loop when
+    t == h, else an arc whose opposite the graph already holds (a digon)."""
+    if t == h:
+        return LoopArc("loops are not allowed", arc=(t, h))
+    return SymmetricPair("opposite arc already present (digons are not allowed)", arc=(t, h))
 
 
 def _bits(mask: int) -> Iterator[int]:

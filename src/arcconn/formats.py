@@ -7,9 +7,18 @@ machine format used by standard graph-generation tools: '&', then the order
 for 63 <= n <= 258047), then the n*n row-major adjacency bits in 6-bit
 chunks, each chunk offset by 63, zero-padded at the end.
 
+A digraph6 payload is read straight into the graph's masks: the payload
+bits, read backwards, are one integer whose n-bit fields are the successor
+rows, and each column of the matrix is a predecessor mask.  Loops and digons
+are found by one mask test per row, and the graph is built unchecked from
+the masks (Digraph._from_masks), as Digraph.from_code builds it from a code.
+
 Malformed documents raise ParseError with the offending line (edge list) or
 byte (digraph6); documents that decode cleanly but violate the oriented-graph
-invariants (loops, digons, duplicates) raise InvariantViolation.
+invariants (loops, digons, duplicates) raise InvariantViolation.  In
+digraph6 it names the first offending arc in row-major order, the loop or
+the later arc of the digon, as the LoopArc or SymmetricPair it is raised
+from, whose .arc holds that arc.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ import os
 import re
 from typing import Iterator
 
-from .digraph import Digraph
+from .digraph import Digraph, _orientation_fault
 from .errors import InvalidDigraph, InvariantViolation, ParseError
 
 
@@ -65,6 +74,9 @@ def parse_edge_list(text: str) -> Digraph:
 # The largest order of digraph6's long size header: '~' and 18 bits.
 _D6_MAX_ORDER = 258047
 
+# Each payload byte's six bits as text, for str.translate.
+_D6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+
 
 def emit_digraph6(D: Digraph) -> str:
     n = D.n
@@ -109,25 +121,26 @@ def parse_digraph6(text: str) -> Digraph:
     need = (n * n + 5) // 6
     if len(body) != need:
         raise ParseError(f"expected {need} payload bytes for n={n}, got {len(body)}")
-    bits = 0
-    for i, ch in enumerate(body):
-        val = ord(ch) - 63
-        if not 0 <= val < 64:
-            raise ParseError(f"payload byte {ch!r} out of range at position {i + start}")
-        bits = bits << 6 | val
-    padded = need * 6
-    pad = bits & ((1 << (padded - n * n)) - 1) if padded > n * n else 0
-    if pad:
+    if body and not ("?" <= min(body) and max(body) <= "~"):
+        i = next(i for i, ch in enumerate(body) if not "?" <= ch <= "~")
+        raise ParseError(f"payload byte {body[i]!r} out of range at position {i + start}")
+    nn = n * n
+    bits = body.translate(_D6_BITS)  # the matrix row by row, then the padding
+    if "1" in bits[nn:]:
         raise ParseError("nonzero padding bits")
-    arcs = []
-    for t in range(n):
-        for h in range(n):
-            if bits >> (padded - 1 - (t * n + h)) & 1:
-                arcs.append((t, h))
-    try:
-        return Digraph(n, arcs)
-    except InvalidDigraph as exc:
-        raise InvariantViolation(f"digraph6 payload violates invariants: {exc}") from exc
+    # Row t is one n-bit field of the matrix read backwards (bit t * n + h
+    # is the arc t -> h), and column h, read backwards, is h's in-arcs.
+    word = int(bits[nn - 1 :: -1], 2) if nn else 0
+    full = (1 << n) - 1
+    succ = [word >> t * n & full for t in range(n)]
+    pred = [int(bits[h:nn:n][::-1], 2) for h in range(n)]
+    for v in range(n):
+        # a loop at v, or an arc of row v closing a digon with an earlier row
+        bad = succ[v] & pred[v] & ((2 << v) - 1)
+        if bad:
+            exc = _orientation_fault(v, (bad & -bad).bit_length() - 1)
+            raise InvariantViolation(f"digraph6 payload violates invariants: {exc}") from exc
+    return Digraph._from_masks(n, succ, pred)
 
 
 def parse(text: str) -> Digraph:

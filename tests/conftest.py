@@ -6,7 +6,9 @@ components, permutation scans for cycles, subset enumeration for cuts) so
 that agreement with the library is meaningful evidence.  The flow oracle
 is the dense Edmonds-Karp that connectivity._flow replaced, and the
 canonical-form oracle is the brute search that Digraph.canonical_form
-refined.  induced and delete_arcs build derived digraphs from arc lists.
+refined.  induced, reverse and delete_arcs build derived digraphs from arc
+lists; trit_code and strong_components are readings of a digraph that only
+the tests take.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ def induced(D: Digraph, X: Iterable[int]) -> tuple[Digraph, tuple[int, ...]]:
     return Digraph(len(verts), arcs), tuple(verts)
 
 
+def reverse(D: Digraph) -> Digraph:
+    """D with every arc turned around."""
+    return Digraph(D.n, [(h, t) for t, h in D.arcs])
+
+
 def delete_arcs(D: Digraph, S: Iterable[Arc]) -> Digraph:
     """D less the arcs S; UnknownArc for an arc D lacks."""
     gone = set(S)
@@ -107,6 +114,37 @@ def delete_arcs(D: Digraph, S: Iterable[Arc]) -> Digraph:
         if not D.has_arc(*arc):
             raise UnknownArc("arc not in the digraph", arc=arc)
     return Digraph(D.n, [a for a in D.arcs if a not in gone])
+
+
+# ---------------------------------------------------------------------------
+# readings of a digraph that only the tests take
+
+
+def trit_code(D: Digraph) -> int:
+    """The trit enumeration code of D, pair by pair in _kernels.pair_table
+    order (digit 1 for i -> j, 2 for j -> i), apart from the word tables
+    that decode it."""
+    code = 0
+    power = 1
+    for i, j in _kernels.pair_table(D.n):
+        if D.has_arc(i, j):
+            code += power
+        elif D.has_arc(j, i):
+            code += 2 * power
+        power *= 3
+    return code
+
+
+def strong_components(D: Digraph) -> tuple[tuple[int, ...], ...]:
+    """D's strong components as _kernels.strong_parts finds them, with the
+    single vertices it leaves out, as sorted vertex tuples in topological
+    order (sources first, by _kernels.topological_key).  This reads the
+    kernel; oracle_sccs is the independent route it is checked against."""
+    full = (1 << D.n) - 1
+    comps = _kernels.strong_parts(D.succ, D.pred, full)
+    comps += [1 << v for v in range(D.n) if not sum(comps) >> v & 1]  # disjoint: sum is union
+    comps.sort(key=lambda comp: _kernels.topological_key(D.succ, comp, full))
+    return tuple(tuple(v for v in range(D.n) if comp >> v & 1) for comp in comps)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +184,31 @@ def oracle_cycles_of_length(D: Digraph, length: int) -> set[tuple[int, ...]]:
             continue  # canonical rotation starts at the smallest vertex
         if all(D.has_arc(verts[i], verts[(i + 1) % length]) for i in range(length)):
             found.add(verts)
+    return found
+
+
+def oracle_cycles_by_paths(D: Digraph, length: int) -> set[tuple[int, ...]]:
+    """oracle_cycles_of_length by depth-first search over simple paths on
+    dict adjacency, from every start vertex; for orders too large for the
+    permutation scan."""
+    fwd: dict[int, list[int]] = {v: [] for v in range(D.n)}
+    for t, h in D.arcs:
+        fwd[t].append(h)
+    found: set[tuple[int, ...]] = set()
+
+    def walk(path: list[int]) -> None:
+        if len(path) == length:
+            if path[0] in fwd[path[-1]]:
+                low = path.index(min(path))
+                found.add(tuple(path[low:] + path[:low]))
+            return
+        for w in fwd[path[-1]]:
+            if w not in path:
+                walk(path + [w])
+
+    if length >= 1:
+        for v in range(D.n):
+            walk([v])
     return found
 
 

@@ -48,6 +48,8 @@ from .conftest import (
     oracle_restricted_witness,
     oracle_sccs,
     oracle_witness_choice,
+    oracle_strong,
+    reverse,
     sparse_strong_digraphs,
     strong_digraphs,
 )
@@ -124,7 +126,7 @@ def test_arc_connectivity_relabel_invariant(D, rnd):
     perm = list(range(D.n))
     rnd.shuffle(perm)
     assert arc_connectivity(D.relabel(perm)) == arc_connectivity(D)
-    assert arc_connectivity(D.reverse()) == arc_connectivity(D)
+    assert arc_connectivity(reverse(D)) == arc_connectivity(D)
 
 
 def seeded_strong(rng: random.Random, n: int, density: float) -> Digraph:
@@ -412,7 +414,7 @@ def test_lambda_prime_relabel_and_reverse_invariant(D, rnd):
     perm = list(range(D.n))
     rnd.shuffle(perm)
     base = lambda_prime_exact(D)
-    for other in (D.relabel(perm), D.reverse()):
+    for other in (D.relabel(perm), reverse(D)):
         cert = lambda_prime_exact(other)
         assert cert.found == base.found
         assert cert.value == base.value
@@ -687,6 +689,41 @@ def test_unit_cut_hosts_match_the_definition(D):
 
     for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
         assert _unit_cut_hosts(D, reading)[0] == oracle_unit_cut_hosts(D, residual)
+
+
+def assert_bridges_match_the_definition(D: Digraph) -> None:
+    """The strong bridges _unit_cut_hosts returns, under both readings, are
+    exactly the arcs a with D - a not strong, each with the non-trivial
+    strong components of D - a."""
+    from arcconn.connectivity import _unit_cut_hosts
+
+    expected = {}
+    for a in D.arcs:
+        rest = [b for b in D.arcs if b != a]
+        if not oracle_strong(Digraph(D.n, rest)):
+            expected[a] = {frozenset(comp) for comp in oracle_sccs(D.n, rest) if len(comp) > 1}
+    for reading in (ORIGINAL_HOST, RESIDUAL_HOST):
+        bridges = _unit_cut_hosts(D, reading)[1]
+        assert set(bridges) == set(expected)
+        for a, comps in bridges.items():
+            assert len(comps) == len(expected[a])
+            assert {frozenset(_bits(comp)) for comp in comps} == expected[a]
+
+
+def test_strong_bridges_match_the_definition_exhaustively():
+    for n in range(2, 6):
+        _, _, codes = _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2), 0)
+        for code in codes:
+            assert_bridges_match_the_definition(Digraph.from_code(n, code))
+
+
+@given(st.one_of(
+    strong_digraphs(min_n=8, max_n=11),
+    sparse_strong_digraphs(min_n=8, max_n=11),
+    linked_cycle_digraphs(min_n=8, max_n=11),
+))
+def test_strong_bridges_match_the_definition(D):
+    assert_bridges_match_the_definition(D)
 
 
 @given(st.one_of(

@@ -3,11 +3,20 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from arcconn import AcyclicDigraph, Digraph, cycles_of_length, girth, girth_cycles, is_cycle
 
-from .conftest import delete_arcs, digraphs, oracle_cycles_of_length, oracle_girth
+from .conftest import (
+    delete_arcs,
+    digraphs,
+    oracle_cycles_by_paths,
+    oracle_cycles_of_length,
+    oracle_girth,
+    reverse,
+    sparse_strong_digraphs,
+    strong_digraphs,
+)
 
 
 def test_girth_known_instances(l8, four_cycle):
@@ -46,12 +55,27 @@ def test_girth_matches_oracle(D):
     assert girth(D) == oracle_girth(D)
 
 
-@given(digraphs(min_n=2, max_n=6))
+@given(st.one_of(digraphs(min_n=2, max_n=6), sparse_strong_digraphs(min_n=7, max_n=9)))
+# Two triangles through vertex 0 make no 6-cycle: a path may not pass its root.
+@example(Digraph(6, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]))
 def test_cycle_enumeration_matches_oracle(D):
+    """Every length from 2 to n; from n = 7 up the graphs are sparse strong
+    ones, whose longer cycles the path oracle still lists quickly."""
     for length in range(2, D.n + 1):
         ours = cycles_of_length(D, length)
         assert sorted(ours) == ours  # deterministic order
-        assert set(ours) == oracle_cycles_of_length(D, length)
+        if D.n <= 6:
+            assert set(ours) == oracle_cycles_of_length(D, length) == oracle_cycles_by_paths(D, length)
+        else:
+            assert set(ours) == oracle_cycles_by_paths(D, length)
+
+
+@given(strong_digraphs(min_n=12, max_n=16))
+def test_short_cycles_of_large_dense_graphs_match_oracle(D):
+    """Lengths 3 and 4 on orders 12..16, where lambda' and xi list girth
+    cycles of large graphs."""
+    for length in (3, 4):
+        assert set(cycles_of_length(D, length)) == oracle_cycles_by_paths(D, length)
 
 
 @given(digraphs(min_n=2, max_n=6))
@@ -75,7 +99,7 @@ def test_derived_digraphs_have_their_own_girth_cycles(D, rng):
     perm = list(range(D.n))
     rng.shuffle(perm)
     dropped = [a for a in D.arcs if rng.random() < 0.3]
-    for E in (D.reverse(), D.relabel(perm), delete_arcs(D, dropped)):
+    for E in (reverse(D), D.relabel(perm), delete_arcs(D, dropped)):
         g = girth(E)
         assert g == oracle_girth(E)
         if g is not None:

@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from arcconn import CapExceeded, Digraph, _kernels
 
-from .conftest import oracle_girth, oracle_girth_bfs, oracle_strong
+from .conftest import oracle_girth, oracle_girth_bfs, oracle_strong, trit_code
 
 TARGETS = (0, 3, 4, 5)
 
@@ -141,7 +141,7 @@ WHOLE_N7_BLOCKS = {
 def test_filter_range_matches_oracles_on_a_whole_n7_block(girth_target):
     n = 7
     block = 3 ** (n - 1)
-    base = Digraph(n, WHOLE_N7_BLOCKS[girth_target]).code
+    base = trit_code(Digraph(n, WHOLE_N7_BLOCKS[girth_target]))
     assert base % block == 0
     want = expected(n, range(base, base + block), girth_target)
     assert want[2]  # the block holds survivors
@@ -251,7 +251,7 @@ def layered_code(rng: random.Random, n: int, k: int) -> int:
     for i, v in enumerate(rng.sample(range(n), n)):
         cls[v] = i % k
     arcs = [(u, v) for u in range(n) for v in range(n) if cls[v] == (cls[u] + 1) % k and rng.random() < 0.8]
-    return Digraph(n, arcs).code
+    return trit_code(Digraph(n, arcs))
 
 
 @pytest.mark.parametrize("n", [8, 9])

@@ -5,10 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from arcconn import (
     Digraph,
+    InvalidDigraph,
     InvariantViolation,
     ParseError,
     emit_digraph6,
@@ -20,6 +21,7 @@ from arcconn import (
     parse_edge_list,
     save,
 )
+from arcconn.errors import LoopArc, SymmetricPair
 
 from .conftest import digraphs
 
@@ -35,10 +37,36 @@ def test_edge_list_with_comments_and_blanks():
     assert D == Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 
-@given(digraphs(min_n=1, max_n=8))
+def test_digraph6_round_trips_every_small_digraph():
+    """Every oriented graph with n <= 4, masks included: the parser builds
+    them from the payload, not from the arcs."""
+    for n in range(5):
+        for code in range(3 ** (n * (n - 1) // 2)):
+            D = Digraph.from_code(n, code)
+            E = parse_digraph6(emit_digraph6(D))
+            assert E == D and (E.succ, E.pred) == (D.succ, D.pred)
+
+
+@st.composite
+def oriented_graphs(draw, min_n: int, max_n: int) -> Digraph:
+    """An oriented graph of any order up to max_n from a drawn arc list,
+    each pair kept in the orientation drawn first; not capped at the trit
+    codes' orders, so it reaches digraph6's long header (n >= 63)."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    arcs: set[tuple[int, int]] = set()
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for t, h in draw(st.lists(pairs, max_size=3 * n)):
+            if t != h and (h, t) not in arcs:
+                arcs.add((t, h))
+    return Digraph(n, sorted(arcs))
+
+
+@given(st.one_of(digraphs(min_n=1, max_n=8), oriented_graphs(9, 20), oriented_graphs(60, 70)))
 def test_round_trips(D):
     assert parse_edge_list(emit_edge_list(D)) == D
-    assert parse_digraph6(emit_digraph6(D)) == D
+    E = parse_digraph6(emit_digraph6(D))
+    assert E == D and (E.succ, E.pred) == (D.succ, D.pred)
     assert parse(emit_edge_list(D)) == D
     assert parse(emit_digraph6(D)) == D
 
@@ -93,14 +121,73 @@ def test_digraph6_malformed_documents():
 
 def test_digraph6_digon_is_invariant_violation():
     # n=2, adjacency bits 0110 -> chunk 011000 -> chr(63 + 24)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as err:
         parse_digraph6("&" + chr(63 + 2) + chr(63 + 24))
+    assert str(err.value) == (
+        "digraph6 payload violates invariants: opposite arc already present (digons are not allowed)"
+    )
+    assert type(err.value.__cause__) is SymmetricPair and err.value.__cause__.arc == (1, 0)
 
 
 def test_digraph6_loop_is_invariant_violation():
     # n=2, adjacency bits 1001 -> chunk 100100 -> chr(63 + 36)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(InvariantViolation) as err:
         parse_digraph6("&" + chr(63 + 2) + chr(63 + 36))
+    assert str(err.value) == "digraph6 payload violates invariants: loops are not allowed"
+    assert type(err.value.__cause__) is LoopArc and err.value.__cause__.arc == (0, 0)
+
+
+def payload_token(n: int, bits: int) -> str:
+    """The digraph6 token of an n*n-bit adjacency matrix, row-major with
+    bit n*n - 1 first, loops and digons allowed; n <= 62."""
+    need = (n * n + 5) // 6
+    bits <<= need * 6 - n * n
+    return "&" + chr(63 + n) + "".join(chr(63 + (bits >> 6 * k & 0x3F)) for k in reversed(range(need)))
+
+
+def assert_parsed_as_init_builds(n: int, bits: int) -> None:
+    """The token parses to the graph Digraph(n, arcs) builds from its arcs
+    in row-major order, or raises InvariantViolation from the very error
+    that call raises: same type, message and arc."""
+    arcs = [(t, h) for t in range(n) for h in range(n) if bits >> (n * n - 1 - (t * n + h)) & 1]
+    token = payload_token(n, bits)
+    try:
+        D = Digraph(n, arcs)
+    except InvalidDigraph as exc:
+        with pytest.raises(InvariantViolation) as err:
+            parse_digraph6(token)
+        cause = err.value.__cause__
+        assert (type(cause), str(cause), cause.arc) == (type(exc), str(exc), exc.arc)
+        assert str(err.value) == f"digraph6 payload violates invariants: {exc}"
+        return
+    E = parse_digraph6(token)
+    assert (E.n, E.arcs, E.succ, E.pred) == (D.n, D.arcs, D.succ, D.pred)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_every_payload_parses_as_init_builds_it(n):
+    """All 2^(n*n) adjacency matrices, loops and digons included."""
+    for bits in range(1 << n * n):
+        assert_parsed_as_init_builds(n, bits)
+
+
+@given(st.integers(min_value=4, max_value=12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(min_value=0, max_value=(1 << n * n) - 1))
+))
+def test_drawn_payloads_parse_as_init_builds_them(case):
+    assert_parsed_as_init_builds(*case)
+
+
+def test_first_offending_arc_in_row_major_order_is_named():
+    # row 1 holds the loop (1, 1), which comes before the digon's later arc (2, 0)
+    loop_first = [(0, 2), (1, 1), (2, 0)]
+    # row 2 holds the digon's later arc (2, 1), which comes before the loop (2, 2)
+    digon_first = [(1, 2), (2, 1), (2, 2)]
+    for arcs, kind, arc in ((loop_first, LoopArc, (1, 1)), (digon_first, SymmetricPair, (2, 1))):
+        bits = sum(1 << (8 - (t * 3 + h)) for t, h in arcs)
+        with pytest.raises(InvariantViolation) as err:
+            parse_digraph6(payload_token(3, bits))
+        assert type(err.value.__cause__) is kind and err.value.__cause__.arc == arc
 
 
 def seeded_digraph(n: int, seed: int) -> Digraph:
