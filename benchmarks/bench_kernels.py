@@ -1,6 +1,8 @@
 """Time the bitmask enumeration kernels.
 
-Times the strong/girth filter over a contiguous code range (filter_range) and
+Times the strong/girth filter over seeded whole vertex-0 blocks of
+3**(n-1) consecutive codes (filter_range; the blocks are drawn at random,
+about --codes codes in all, so that D - 0 is as varied as in a census) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path,
 which judges 4,096 codes at a time in bit lanes), each in ns/code, the
 per-graph primitives on the same batch, one graph at a time (decode_code,
@@ -69,6 +71,27 @@ def bench_filter(run) -> tuple[Times, tuple[int, int, list[int]]]:
     return took, out["res"]
 
 
+def range_blocks(rng: random.Random, n: int, codes: int) -> list[int]:
+    """The first codes of whole vertex-0 blocks drawn at random without
+    repeats, ascending: round(codes / 3**(n-1)) blocks, at least one."""
+    size = 3 ** (n - 1)
+    blocks = _kernels.universe_size(n) // size
+    count = min(blocks, max(1, round(codes / size)))
+    return [size * b for b in sorted(rng.sample(range(blocks), count))]
+
+
+def filter_blocks(n: int, bases: list[int]) -> tuple[int, int, list[int]]:
+    """filter_range, girth 4, over each whole block from bases, summed."""
+    size = 3 ** (n - 1)
+    seen = strong = 0
+    kept: list[int] = []
+    for base in bases:
+        s, k, survivors = _kernels.filter_range(n, base, base + size, 4)
+        seen, strong = seen + s, strong + k
+        kept += survivors
+    return seen, strong, kept
+
+
 def bench_primitives(n: int, batch: list[int]) -> dict[str, Times]:
     paired = [_kernels.decode_code(n, code) for code in batch]
     times = {}
@@ -111,7 +134,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=6, help="vertex count (default 6)")
     parser.add_argument("--codes", type=int, default=200_000,
-                        help="filter this many codes from 0 (default 200000)")
+                        help="filter about this many codes, in whole random blocks (default 200000)")
     parser.add_argument("--batch", type=int, default=2_000,
                         help="random graphs for the per-primitive timings")
     parser.add_argument("--seed", type=int, default=2024)
@@ -123,13 +146,14 @@ def main() -> None:
 
     filters = {}
     if args.n <= _kernels.RANGE_MAX_ORDER:
-        filters["range"] = bench_filter(lambda: _kernels.filter_range(args.n, 0, args.codes, 4))
+        bases = range_blocks(rng, args.n, args.codes)
+        filters["range"] = bench_filter(lambda: filter_blocks(args.n, bases))
     else:
         print(f"filter_range skipped: n={args.n} is above RANGE_MAX_ORDER = {_kernels.RANGE_MAX_ORDER}")
     filters["codes"] = bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4))
-    ns_per_code = {"range": (None, None)}
+    ns_per_code, seen_codes = {"range": (None, None)}, {"range": None}
     for op, ((raw, ref), (seen, strong, kept)) in filters.items():
-        ns_per_code[op] = (raw / seen * 1e9, ref / seen * 1e9)
+        ns_per_code[op], seen_codes[op] = (raw / seen * 1e9, ref / seen * 1e9), seen
         print(f"filter_{op} {seen} codes at n={args.n}: {raw:8.3f}s raw {ref:8.3f}s ref "
               f"({ns_per_code[op][0]:7.0f} raw {ns_per_code[op][1]:7.0f} ref ns/code; "
               f"strong={strong}, girth-4={len(kept)})")
@@ -152,6 +176,7 @@ def main() -> None:
         "python": platform.python_version(),
         "codes": args.codes,
         "batch": args.batch,
+        "range_codes": seen_codes["range"],
         "filter_range_ns_per_code": _round(ns_per_code["range"][0], 1),
         "filter_codes_ns_per_code": round(ns_per_code["codes"][0], 1),
         "decode_us_per_code": round(us_per_graph["decode"][0], 2),

@@ -16,7 +16,9 @@ and the test suite holds them to that.
 Every flow, for lambda and for lambda', is one _flow on successor masks:
 its paths run from a source set into a sink set, so the contraction of X is
 the flow from X into X, and _cut reads the arcs of a minimum cut off the
-least source side.  No capacity matrix is built.
+least source side.  No capacity matrix is built.  Each augmenting path,
+each strong-bridge test and each partner path of the pair pass comes from
+one _kernels.layers search; this module runs no search loop of its own.
 
 The restricted-cut rule is stated once, in _hosts: of the strong parts of a
 residue, those with an arc wholly outside them, read in D or in the residue
@@ -40,11 +42,14 @@ walked, and then one walk runs:
   restricted cut is never empty) and the walk takes every candidate.
 * From there up, the one-arc pass (_unit_cut_hosts) lists the hosts of
   D - a over the strong bridges a: exactly the candidate sets of flow 1.
-  An arc is a strong bridge when its tail no longer reaches its head, and
-  that search stops at the head, so only a bridge's runs to the end.
+  An arc is a strong bridge when it is its head's only in-arc, or when its
+  tail no longer reaches its head; that search stops at the head, so only
+  a bridge's runs to the end, and the pass keeps the layers of the others.
+  Each arc is searched at most once per lambda_prime_exact call.
 * If it finds none and the order is _PAIR_PREPASS_MIN_ORDER = 10 or more,
   the pair pass (_pair_cut_hosts) lists the hosts of D - {a, b}, starting
-  from the strong bridges and components the one-arc pass stored.  With no
+  from the strong bridges and components the one-arc pass stored and from
+  the tail -> head paths it walks back through the kept layers.  With no
   set of flow 1, these are exactly the candidate sets whose flow is 2.
 * If the last pass run found hosts, the floor is its flow and the walk
   takes the first host in candidate order alone.  Otherwise the floor is
@@ -176,9 +181,11 @@ def _flow(
     arcs.  keep, an arc between inner vertices, has infinite capacity: it
     stays in its row, its reversal there while a path uses it.
 
-    With a limit, augmenting stops there, and the value is then a lower
-    bound and side 0.  Below it, side is sources and what the last search
-    reached, which every maximum flow shares.
+    Each augmenting path is walked back through the _kernels.layers of
+    one search from sources.  With a limit, augmenting stops there, and the
+    value is then a lower bound and side 0.  Below it, side is the union of
+    the last search's layers, sources and what it reached, which every
+    maximum flow shares.
     """
     res = list(rows)
     for x in _bits(sources):
@@ -186,24 +193,12 @@ def _flow(
     kt, kh = keep or (-1, -1)
     value = used = 0  # used: the paths through keep
     while limit is None or value < limit:
-        seen, layer, layers = sources | sinks, sources, []
-        while layer:
-            layers.append(layer)
-            reached = 0
-            while layer:
-                b = layer & -layer
-                layer ^= b
-                reached |= res[b.bit_length() - 1]
-            if reached & sinks:
-                break
-            layer = reached & ~seen
-            seen |= layer
-        else:
-            return value, seen & ~sinks | sources
+        layers, heads = _kernels.layers(res, sources, sources | sinks, sinks)
+        if not heads:
+            return value, sum(layers)  # the layers are disjoint
         # Walk the layers back from the sinks, flipping one arc per layer;
         # no path may run an arc back into sources or out of sinks, so those
         # get no reversal.
-        heads = sinks
         for layer in reversed(layers):
             while not res[(layer & -layer).bit_length() - 1] & heads:
                 layer &= layer - 1
@@ -411,18 +406,18 @@ def _candidate_masks(D: Digraph, seeds: Iterable[int]) -> Iterator[int]:
 # From this order up, lambda_prime_exact looks for cuts of size 1 arc by arc
 # before it walks any vertex set.  Set from round 2 of BENCH_lambda_prime.json
 # (benchmarks/bench_lambda_prime.py; reference us per graph, median [quartiles]
-# of 9 runs; the one-arc pass against the walk alone) and held by round 3,
-# since the pass stops each tail search at the head: it loses at n=7 (73
-# [68, 76] against 53 [50, 56] us) and wins from n=8 up (73 [70, 75] against
-# 83 [81, 91] us at n=8, 88 against 182 at n=9).
+# of 9 runs; the one-arc pass against the walk alone) and held by round 4,
+# where each arc is searched once by _kernels.layers: it loses at n=7 (67
+# [66, 68] against 52 [51, 53] us) and wins from n=8 up (74 [73, 76] against
+# 88 [86, 90] us at n=8, 95 against 190 at n=9).
 _HOST_PREPASS_MIN_ORDER = 8
 
 # From this order up, when the one-arc pass finds no host, lambda_prime_exact
 # looks for cuts of size 2 by arc pairs before it walks any vertex set.  Set
 # from the same rows, on the graphs with no cut of size 1 (the only ones it
 # changes), both passes against the one-arc pass alone: the pair pass loses
-# at n=9 (328 [316, 346] against 296 [278, 299] us in round 3) and wins from
-# n=10 up (392 [379, 400] against 835 [819, 877] us).
+# at n=9 (319 [314, 324] against 310 [303, 321] us in round 4) and wins from
+# n=10 up (383 [342, 402] against 856 [819, 924] us).
 _PAIR_PREPASS_MIN_ORDER = 10
 
 # Above this order lambda_prime_exact runs both passes and walks no vertex set
@@ -436,88 +431,51 @@ _WALK_MAX_ORDER = 20
 
 def _unit_cut_hosts(
     D: Digraph, reading: DefinitionReading
-) -> tuple[set[int], dict[Arc, list[int]]]:
-    """The candidate sets whose contraction flow is 1, as vertex masks, and
-    the strong bridges of D, each with the non-trivial strong components of
-    D with it removed.
+) -> tuple[set[int], dict[Arc, list[int]], dict[Arc, list[int]]]:
+    """The candidate sets whose contraction flow is 1, as vertex masks; the
+    strong bridges of D, each with the non-trivial strong components of D
+    with it removed; and every other arc with the layers of its search.
 
     A vertex set X has flow 1 exactly when, for some arc a, X is one of the
     _hosts among the strong components of D - a.  D - a is not strong
     exactly when the tail of a no longer reaches its head (a is a strong
-    bridge), which a breadth-first search from the tail decides; it stops
-    at the first layer that holds the head, so only a strong bridge's
-    search runs to exhaustion.  Only then are its components listed.
-    _pair_cut_hosts starts from those lists.
+    bridge).  An arc that is its head's only in-arc is one; any other is
+    searched once, by _kernels.layers from the tail's other out-neighbours,
+    never entering the tail, up to the first layer with the head as a
+    successor.  Only a strong bridge's search runs to exhaustion, and only
+    then are its components listed.  _pair_cut_hosts starts from the
+    bridges and the layers.
     """
-    n = D.n
-    full = (1 << n) - 1
-    succ, pred = list(D.succ), list(D.pred)
+    full = (1 << D.n) - 1
+    succ, pred = D.succ, D.pred
     hosts: set[int] = set()
     bridges: dict[Arc, list[int]] = {}
+    searches: dict[Arc, list[int]] = {}
     for t, h in D.arcs:
-        succ[t] &= ~(1 << h)
-        seen = frontier = 1 << t
-        while frontier:
-            nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                frontier ^= b
-                nxt |= succ[b.bit_length() - 1]
-            if nxt >> h & 1:
-                break
-            frontier = nxt & ~seen
-            seen |= frontier
-        else:
-            pred[h] &= ~(1 << t)
-            comps = bridges[t, h] = _kernels.strong_parts(succ, pred, full)
-            for comp, _ in _hosts(D, succ, comps, reading):
-                hosts.add(comp)
-            pred[h] |= 1 << t
-        succ[t] |= 1 << h
-    return hosts, bridges
-
-
-def _tail_head_path(succ: Sequence[int], pred: Sequence[int], t: int, h: int, n: int) -> Optional[int]:
-    """One shortest t -> h path in D - (t, h), as an n*n-bit arc mask.
-
-    succ must hold D's successor masks with the arc t -> h taken out, and
-    pred D's own predecessor masks.  None when the path does not exist,
-    that is, when the arc is a strong bridge of D.
-    """
-    layers = []
-    seen = frontier = 1 << t
-    while not frontier >> h & 1:
-        layers.append(frontier)
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= succ[b.bit_length() - 1]
-        frontier = nxt & ~seen
-        if not frontier:
-            return None
-        seen |= frontier
-    # Walk back one layer at a time; the path has at least two arcs, so the
-    # removed arc, which ends at h and leaves layer 0, is never taken.
-    path, v = 0, h
-    for layer in reversed(layers):
-        back = pred[v] & layer
-        u = (back & -back).bit_length() - 1
-        path |= 1 << (u * n + v)
-        v = u
-    return path
+        tail, head = 1 << t, 1 << h
+        if pred[h] != tail:
+            layers, hit = _kernels.layers(succ, succ[t] ^ head, tail, head)
+            if hit:
+                searches[t, h] = layers
+                continue
+        rest, back = _residue(D, [(t, h)])
+        comps = bridges[t, h] = _kernels.strong_parts(rest, back, full)
+        for comp, _ in _hosts(D, rest, comps, reading):
+            hosts.add(comp)
+    return hosts, bridges, searches
 
 
 def _pair_cut_hosts(
-    D: Digraph, reading: DefinitionReading, bridges: dict[Arc, list[int]]
+    D: Digraph, reading: DefinitionReading, bridges: dict[Arc, list[int]], searches: dict[Arc, list[int]]
 ) -> set[int]:
     """The candidate sets that two arcs cut off, as vertex masks.
 
-    bridges is what _unit_cut_hosts returns beside its hosts: the strong
-    bridges of D (the arcs whose removal breaks strongness), each with the
-    non-trivial strong components of D without it.  The sets returned here
-    and the hosts of _unit_cut_hosts together are the candidate sets whose
-    contraction flow is at most 2.
+    bridges and searches are what _unit_cut_hosts returns beside its hosts:
+    the strong bridges of D (the arcs whose removal breaks strongness),
+    each with the non-trivial strong components of D without it, and every
+    other arc with the layers of its search from tail to head.  The sets
+    returned here and the hosts of _unit_cut_hosts together are the
+    candidate sets whose contraction flow is at most 2.
 
     A vertex set X is one of those exactly when, for some two arcs a and b,
     X is one of the _hosts among the strong components of D - {a, b}.
@@ -526,23 +484,27 @@ def _pair_cut_hosts(
     the tail of a does not reach its head in D - {a, b}.  Hence b lies on
     every tail -> head path of a in D - a if a is not a strong bridge, and
     inside a non-trivial strong component of D - a if it is.  A pair is
-    tried only when b is among a's partners (the arcs of one stored path,
-    or of those components) and a among b's, and its components are
-    searched for only inside the intersection of the two components.
+    tried only when b is among a's partners (the arcs of one shortest such
+    path, walked back through a's layers, or of those components) and a
+    among b's, and its components are searched for only inside the
+    intersection of the two components.
     """
     n = D.n
     full = (1 << n) - 1
-    succ, pred = list(D.succ), list(D.pred)
     hosts: set[int] = set()
     partners: dict[Arc, int] = {}  # n*n-bit arc masks
     homes: dict[Arc, list[int]] = {}  # a strong bridge's components by vertex
-    for t, h in D.arcs:
-        comps = bridges.get((t, h))
-        if comps is None:
-            succ[t] &= ~(1 << h)
-            partners[t, h] = _tail_head_path(succ, D.pred, t, h, n)
-            succ[t] |= 1 << h
-            continue
+    for (t, h), layers in searches.items():
+        # One arc per layer, back from the head; the layers never hold the
+        # tail, so the path ends with an arc out of it other than (t, h).
+        path, v = 0, h
+        for layer in reversed(layers):
+            back = D.pred[v] & layer
+            u = (back & -back).bit_length() - 1
+            path |= 1 << (u * n + v)
+            v = u
+        partners[t, h] = path | 1 << (t * n + v)
+    for a, comps in bridges.items():
         # The tail and head of a bridge lie in different components, so
         # D's own rows give each component's arcs.
         home = [full] * n
@@ -551,7 +513,7 @@ def _pair_cut_hosts(
             for v in _bits(comp):
                 home[v] = comp
                 inside |= (D.succ[v] & comp) << v * n
-        partners[t, h], homes[t, h] = inside, home
+        partners[a], homes[a] = inside, home
     for a, mask in partners.items():
         ta, ha = a
         bit_a = 1 << (ta * n + ha)
@@ -562,16 +524,9 @@ def _pair_cut_hosts(
                 continue
             home_b = homes.get((tb, hb))
             within = (home_a[tb] if home_a else full) & (home_b[ta] if home_b else full)
-            succ[ta] &= ~(1 << ha)
-            succ[tb] &= ~(1 << hb)
-            pred[ha] &= ~(1 << ta)
-            pred[hb] &= ~(1 << tb)
+            succ, pred = _residue(D, (a, (tb, hb)))
             for comp, _ in _hosts(D, succ, _kernels.strong_parts(succ, pred, within), reading):
                 hosts.add(comp)
-            succ[ta] |= 1 << ha
-            succ[tb] |= 1 << hb
-            pred[ha] |= 1 << ta
-            pred[hb] |= 1 << tb
     return hosts
 
 
@@ -662,10 +617,10 @@ def lambda_prime_exact(
     seeds = _seed_masks(D)
     floor, best, masks = 1, None, _candidate_masks(D, seeds)
     if D.n >= _HOST_PREPASS_MIN_ORDER:
-        hosts, bridges = _unit_cut_hosts(D, reading)
+        hosts, bridges, searches = _unit_cut_hosts(D, reading)
         if not hosts and D.n >= _PAIR_PREPASS_MIN_ORDER:
             # No set has flow 1, so the sets two arcs cut off have flow 2.
-            floor, hosts = 2, _pair_cut_hosts(D, reading, bridges)
+            floor, hosts = 2, _pair_cut_hosts(D, reading, bridges, searches)
         if hosts:
             # lambda' = floor, and the walk would keep the first host in
             # candidate order: walk that one alone, below floor + 1.

@@ -88,8 +88,15 @@ class Digraph:
         built unchecked: the caller vouches that the two describe one
         oriented graph on 0..n-1.  The arcs are read off succ in sorted
         order."""
+        arcs = []
+        for v in range(n):
+            m = succ[v]
+            while m:
+                b = m & -m
+                m ^= b
+                arcs.append((v, b.bit_length() - 1))
         D = object.__new__(cls)
-        D._set(n, tuple([(v, u) for v in range(n) for u in _bits(succ[v])]), succ, pred)
+        D._set(n, tuple(arcs), succ, pred)
         return D
 
     def _set(self, n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> None:

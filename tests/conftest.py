@@ -241,6 +241,25 @@ def oracle_girth_bfs(D: Digraph) -> Optional[int]:
     return best
 
 
+def oracle_distances(n: int, arcs: Iterable[Arc], start: Iterable[int], avoid: Iterable[int]) -> dict[int, int]:
+    """Breadth-first distances on dict adjacency from the vertex set start
+    (each at distance 0) to every vertex reached without passing through
+    avoid; start itself is not avoided."""
+    fwd: dict[int, list[int]] = {v: [] for v in range(n)}
+    for t, h in arcs:
+        fwd[t].append(h)
+    blocked = set(avoid)
+    dist = {v: 0 for v in start}
+    queue = deque(dist)
+    while queue:
+        x = queue.popleft()
+        for y in fwd[x]:
+            if y not in dist and y not in blocked:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # cut oracles (subset enumeration against the literal definitions)
 

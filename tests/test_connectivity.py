@@ -43,6 +43,7 @@ from .conftest import (
     brute_lambda_prime,
     double_cycle_digraphs,
     linked_cycle_digraphs,
+    oracle_distances,
     oracle_flow,
     oracle_proof_cut_constructions,
     oracle_restricted_witness,
@@ -804,8 +805,8 @@ def test_pair_cut_hosts_match_the_definition_exhaustively():
             D = Digraph.from_code(n, code)
             oracle = oracle_pair_cut_hosts(D)
             for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
-                hosts, bridges = _unit_cut_hosts(D, reading)
-                assert hosts | _pair_cut_hosts(D, reading, bridges) == oracle[residual]
+                hosts, bridges, searches = _unit_cut_hosts(D, reading)
+                assert hosts | _pair_cut_hosts(D, reading, bridges, searches) == oracle[residual]
 
 
 @given(st.one_of(
@@ -824,5 +825,56 @@ def test_pair_cut_hosts_match_the_definition(D):
 
     oracle = oracle_pair_cut_hosts(D)
     for reading, residual in ((ORIGINAL_HOST, False), (RESIDUAL_HOST, True)):
-        hosts, bridges = _unit_cut_hosts(D, reading)
-        assert hosts | _pair_cut_hosts(D, reading, bridges) == oracle[residual]
+        hosts, bridges, searches = _unit_cut_hosts(D, reading)
+        assert hosts | _pair_cut_hosts(D, reading, bridges, searches) == oracle[residual]
+
+
+def assert_partner_paths_walk_back_the_layers(D: Digraph) -> None:
+    """Every partner path the pair pass walks back through an arc's layers
+    is a shortest t -> h path in D - (t, h), with one arc out of each layer
+    of the arc's search."""
+    from arcconn.connectivity import _pair_cut_hosts, _unit_cut_hosts
+
+    _, bridges, searches = _unit_cut_hosts(D, ORIGINAL_HOST)
+    assert set(bridges).isdisjoint(searches) and set(bridges) | set(searches) == set(D.arcs)
+    partners, code = {}, _pair_cut_hosts.__code__
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        frame.f_trace_lines = False
+        if event == "return":
+            partners.update(frame.f_locals["partners"])
+        return trace
+
+    sys.settrace(trace)
+    try:
+        _pair_cut_hosts(D, ORIGINAL_HOST, bridges, searches)
+    finally:
+        sys.settrace(None)
+    for (t, h), layers in searches.items():
+        step = dict(divmod(b, D.n) for b in _bits(partners[t, h]))  # tail -> head
+        walk = [t]
+        while walk[-1] != h and walk[-1] in step:
+            walk.append(step.pop(walk[-1]))
+        assert walk[-1] == h and not step, (D, (t, h), walk)
+        assert all(D.has_arc(u, v) for u, v in zip(walk, walk[1:])) and walk[1] != h
+        assert len(walk) == len(layers) + 2
+        assert all(layer >> v & 1 for v, layer in zip(walk[1:], layers))
+        rest = [a for a in D.arcs if a != (t, h)]
+        assert oracle_distances(D.n, rest, [t], [])[h] == len(layers) + 1
+
+
+def test_partner_paths_walk_back_the_layers_exhaustively():
+    for n in range(2, 6):
+        for code in _kernels.filter_range(n, 0, 3 ** (n * (n - 1) // 2))[2]:
+            assert_partner_paths_walk_back_the_layers(Digraph.from_code(n, code))
+
+
+@given(st.one_of(
+    strong_digraphs(min_n=6, max_n=11),
+    sparse_strong_digraphs(min_n=6, max_n=11),
+    linked_cycle_digraphs(min_n=6, max_n=11),
+))
+def test_partner_paths_walk_back_the_layers(D):
+    assert_partner_paths_walk_back_the_layers(D)

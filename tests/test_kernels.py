@@ -1,6 +1,7 @@
 """The bitmask kernel module: backend label, range checks, large orders,
-decode, the reach search behind every strongness test, the strong-component
-split, and the arc-in-mask scan behind every restricted-cut witness.
+decode, the reach search behind every strongness test, the layered search
+behind the flows and the lambda' passes, the strong-component split, and
+the arc-in-mask scan behind every restricted-cut witness.
 
 ``filter_range`` and ``filter_codes`` are checked against independent
 oracles in ``test_filter_oracle.py``.
@@ -13,12 +14,13 @@ from hypothesis import given, strategies as st
 
 import arcconn
 from arcconn import _kernels
-from arcconn.digraph import Digraph
+from arcconn.digraph import Digraph, _bits
 from arcconn.errors import InvalidDigraph
 
 from .conftest import (
     digraphs,
     induced,
+    oracle_distances,
     oracle_girth,
     oracle_sccs,
     oracle_strong,
@@ -120,6 +122,73 @@ def test_reach_stays_within_the_mask():
     assert _kernels.reach(succ, 0, 0b111) == 0b111
     assert _kernels.reach(succ, 0, 0b101) == 0b001  # 0 -> 1 is cut off
     assert _kernels.reach(succ, 1, 0b101) == 0  # start outside the mask
+
+
+def _mask(vertices) -> int:
+    return sum(1 << v for v in set(vertices))
+
+
+def _oracle_rings(D: Digraph, start: int, seen: int) -> list[tuple[int, int]]:
+    """Each breadth-first distance class from start avoiding seen, as a
+    vertex mask, with the heads of its arcs."""
+    dist = oracle_distances(D.n, D.arcs, _bits(start), _bits(seen))
+    rings = [0] * (max(dist.values(), default=-1) + 1)
+    for v, d in dist.items():
+        rings[d] |= 1 << v
+    return [(ring, _mask(h for t, h in D.arcs if ring >> t & 1)) for ring in rings]
+
+
+def _assert_layers(D: Digraph, start: int, seen: int, sinks: int, rings: list[tuple[int, int]]) -> None:
+    """layers against the oracle's rings: the rings up to and including the
+    first with an arc into sinks, and the heads in sinks of that ring's
+    arcs; every ring and 0 when none has one.  Past layer 0 no layer meets
+    seen, and no two layers meet."""
+    expected, hit = [], 0
+    for ring, heads in rings:
+        expected.append(ring)
+        if heads & sinks:
+            hit = heads & sinks
+            break
+    layers, got = _kernels.layers(D.succ, start, seen, sinks)
+    assert (layers, got) == (expected, hit), (D, start, seen, sinks)
+    union = 0
+    for layer in layers[1:]:
+        assert not layer & (seen | start | union)
+        union |= layer
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_layers_match_breadth_first_distances_exhaustively(n):
+    """Every graph with n <= 4, every start set, every seen set outside it
+    and every sink set."""
+    full = (1 << n) - 1
+    for code in range(3 ** (n * (n - 1) // 2)):
+        D = Digraph.from_code(n, code)
+        for start in range(1 << n):
+            rest = full & ~start
+            seen = rest
+            while True:  # every subset of rest, rest itself first
+                rings = _oracle_rings(D, start, seen)
+                for sinks in range(1 << n):
+                    _assert_layers(D, start, seen, sinks, rings)
+                if not seen:
+                    break
+                seen = (seen - 1) & rest
+
+
+@given(st.one_of(digraphs(min_n=1, max_n=7), sparse_strong_digraphs(min_n=3, max_n=12)), st.data())
+def test_layers_match_breadth_first_distances(D, data):
+    masks = st.integers(min_value=0, max_value=(1 << D.n) - 1)
+    start, seen, sinks = data.draw(masks), data.draw(masks), data.draw(masks)
+    _assert_layers(D, start, seen, sinks, _oracle_rings(D, start, seen))
+
+
+def test_layers_stop_after_the_first_layer_with_a_sink_successor():
+    succ = (0b0010, 0b0100, 0b1000, 0b0001)  # the 4-cycle 0 -> 1 -> 2 -> 3 -> 0
+    assert _kernels.layers(succ, 0b0001, 0, 0b1000) == ([0b0001, 0b0010, 0b0100], 0b1000)
+    assert _kernels.layers(succ, 0b0001, 0b0100, 0b1000) == ([0b0001, 0b0010], 0)  # 2 is seen
+    assert _kernels.layers(succ, 0b0001, 0, 0b0001) == ([0b0001, 0b0010, 0b0100, 0b1000], 0b0001)
+    assert _kernels.layers(succ, 0, 0, 0b1111) == ([], 0)
 
 
 def test_strongness_of_the_smallest_digraphs():
