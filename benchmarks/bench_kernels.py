@@ -1,8 +1,10 @@
 """Time the bitmask enumeration kernels.
 
-Times the strong/girth filter over seeded whole vertex-0 blocks of
-3**(n-1) consecutive codes (filter_range; the blocks are drawn at random,
-about --codes codes in all, so that D - 0 is as varied as in a census) and
+Times the strong/girth filter over seeded whole vertex-1 groups of
+3**(2n-3) consecutive codes, the 3**(n-2) blocks that share D - {0, 1}
+(filter_range; the groups are drawn at random, about --codes codes in all,
+so that D - {0, 1} is as varied as in a census, whose chunks hold whole
+groups; single blocks would mostly time each group's setup) and
 over a fixed random batch of codes (filter_codes, the sampled-sweep path,
 which judges 4,096 codes at a time in bit lanes), each in ns/code, the
 per-graph primitives on the same batch, one graph at a time (decode_code,
@@ -71,18 +73,18 @@ def bench_filter(run) -> tuple[Times, tuple[int, int, list[int]]]:
     return took, out["res"]
 
 
-def range_blocks(rng: random.Random, n: int, codes: int) -> list[int]:
-    """The first codes of whole vertex-0 blocks drawn at random without
-    repeats, ascending: round(codes / 3**(n-1)) blocks, at least one."""
-    size = 3 ** (n - 1)
-    blocks = _kernels.universe_size(n) // size
-    count = min(blocks, max(1, round(codes / size)))
-    return [size * b for b in sorted(rng.sample(range(blocks), count))]
+def range_groups(rng: random.Random, n: int, codes: int) -> list[int]:
+    """The first codes of whole vertex-1 groups drawn at random without
+    repeats, ascending: round(codes / 3**(2n-3)) groups, at least one."""
+    size = 3 ** (2 * n - 3)
+    groups = _kernels.universe_size(n) // size
+    count = min(groups, max(1, round(codes / size)))
+    return [size * g for g in sorted(rng.sample(range(groups), count))]
 
 
-def filter_blocks(n: int, bases: list[int]) -> tuple[int, int, list[int]]:
-    """filter_range, girth 4, over each whole block from bases, summed."""
-    size = 3 ** (n - 1)
+def filter_groups(n: int, bases: list[int]) -> tuple[int, int, list[int]]:
+    """filter_range, girth 4, over each whole group from bases, summed."""
+    size = 3 ** (2 * n - 3)
     seen = strong = 0
     kept: list[int] = []
     for base in bases:
@@ -134,7 +136,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--n", type=int, default=6, help="vertex count (default 6)")
     parser.add_argument("--codes", type=int, default=200_000,
-                        help="filter about this many codes, in whole random blocks (default 200000)")
+                        help="filter about this many codes, in whole random groups (default 200000)")
     parser.add_argument("--batch", type=int, default=2_000,
                         help="random graphs for the per-primitive timings")
     parser.add_argument("--seed", type=int, default=2024)
@@ -146,8 +148,8 @@ def main() -> None:
 
     filters = {}
     if args.n <= _kernels.RANGE_MAX_ORDER:
-        bases = range_blocks(rng, args.n, args.codes)
-        filters["range"] = bench_filter(lambda: filter_blocks(args.n, bases))
+        bases = range_groups(rng, args.n, args.codes)
+        filters["range"] = bench_filter(lambda: filter_groups(args.n, bases))
     else:
         print(f"filter_range skipped: n={args.n} is above RANGE_MAX_ORDER = {_kernels.RANGE_MAX_ORDER}")
     filters["codes"] = bench_filter(lambda: _kernels.filter_codes(args.n, batch, 4))

@@ -7,11 +7,11 @@ strongness/SCC/girth queries and the exhaustive enumeration filter.
 ``reach`` is the one reachability search of a single graph: the vertices of
 a mask that one vertex reaches, forwards along succ or backwards along pred.
 Strongness of a digraph (``is_strong``) and of an induced subgraph (lambda'
-candidates in ``connectivity``) is two such searches from one vertex,
+candidates in ``connectivity``) is two such searches from one vertex, and
 ``strong_parts`` lists strong components by two such searches per
-component, and the vertex-0 split below takes every vertex's closures by one
-search each way per vertex.  Sampled codes are judged by the lane filter
-below, which runs the same two searches on many codes at once.
+component.  Sampled codes are judged by the lane filter below, which runs
+the same two searches on many codes at once.  The vertex-0 split below
+searches nothing: it grows every closure it reads by the extension step.
 
 ``layers`` is the one layered search: breadth-first from a vertex set, never
 entering a seen mask, up to the first layer with a successor in a sink mask;
@@ -51,31 +51,49 @@ about two thirds, against 1.8 us when each code was decoded and searched
 alone (round 6 of BENCH_kernels.json).
 
 Vertex-0 split (``filter_range``).  The lowest n-1 trits are vertex 0's pairs,
-so ``code = low + 3**(n-1) * code(H)`` where H = D - 0 relabelled v -> v-1.
-Each aligned block of 3**(n-1) consecutive codes therefore shares one H, and
-``low`` only picks vertex 0's out-set O and in-set I (disjoint, since each
-pair holds one trit).  H is decoded once per block, and each code is judged
-from H alone:
+so ``code = low + 3**(n-1) * code(H)`` where H = D - 0, and the lowest n-2
+trits of code(H) are vertex 1's pairs with vertices 2..n-1.  So each
+aligned block of 3**(n-1) consecutive codes shares H, whose ``low`` only
+picks vertex 0's out-set O and in-set I (disjoint, since each pair holds
+one trit), and each aligned vertex-1 group of 3**(n-2) consecutive blocks
+shares H' = D - {0, 1}.  The split judges at two levels:
+
+* per group, H' is decoded once and its ``Tables`` are grown vertex by
+  vertex (``tables``): over its 2**(n-2) vertex sets, the unions of the
+  forward closures, of the backward closures and of the successor rows,
+  and girth(H');
+* per block, one extension step (``extend``) adds vertex 1 to them, with
+  its out-set O1 and in-set I1 from its trits.  The new vertex x reaches
+  fwd(x) = x | ahead'[O1], and a vertex u of H' reaches fwd'(u) and, when
+  fwd'(u) meets I1, fwd(x) too; the backward closures mirror this with
+  behind'[I1] and O1, the rows of I1 gain x, and girth(H) = min(girth(H'),
+  2 + dist_H'(O1, I1)), read by balls around O1 in the row table of H'.  Each
+  table doubles, so H's tables take list operations on 2**(n-1) entries
+  and no search.  The tables list x last: vertex v >= 2 of D is v - 2 in
+  them, and vertex 1 is n - 2.
+
+Each code of the block is then judged from H's tables for vertex 0:
 
 * D is strong iff the vertices that H reaches from O and the vertices that
   reach I in H each cover V(H): a shortest path out of or into vertex 0
-  never returns to it.  The lone vertex (n = 1) is not strong.
+  never returns to it, so this is two lookups.  The lone vertex (n = 1) is
+  not strong.
 * girth(D) = min(girth(H), 2 + dist_H(O, I)): a cycle avoiding vertex 0 lies
   in H, and a shortest one through it is 0 -> a ~> b -> 0 with a in O and
-  b in I.  This holds for every girth target.
+  b in I.  This holds for every girth target, and costs at most
+  girth_target - 2 lookups out from O in H's row table.
 
-Each block builds tables over vertex 0's 2**(n-1) possible vertex sets by
-subset doubling: the unions of the forward closures in H and of the
-backward closures, and, when the block holds strong codes and the girth
-target is in play, of H's successor rows.  A code's strongness is then two
-lookups, and its girth test at most girth_target - 2 lookups out from O.  The
-(value, O, I) of vertex 0's trits come from one ascending list per pair of
-must-sets (the vertices of H with no in-arc or no out-arc, which a strong D
-joins to vertex 0), cut to the block's window by bisection.  The tables
+These are extend's identities for vertex 0 added to H, of which only its
+own closures and the girth are read.  The (value, O, I) of vertex
+0's trits come from one ascending list per pair of must-sets (the vertices
+of H with no in-arc or no out-arc, which a strong D joins to vertex 0),
+in the tables' labels, cut to the block's window by bisection.  The tables
 grow as 2**(n-1) and the list as 3**(n-1), so filter_range takes orders up
 to RANGE_MAX_ORDER = 7 and refuses larger ones with CapExceeded before it
 builds any table: exhaustive sweeps stop at order 6, and sampled codes of
-every order up to CODE_MAX_ORDER go through filter_codes.
+every order up to CODE_MAX_ORDER go through filter_codes.  ``extend`` adds
+a vertex last to any Tables, so the same step can grow a graph vertex by
+vertex for a generator.
 """
 
 from __future__ import annotations
@@ -358,27 +376,102 @@ def girth(succ: Sequence[int], pred: Sequence[int], n: int, target: int = 0) -> 
     return best
 
 
-@lru_cache(maxsize=None)
-def _low_choices(must_out: int, must_in: int) -> list[tuple[int, int, int]]:
-    """(value, O, I) for each value of vertex 0's RANGE_MAX_ORDER - 1 trits
-    whose out-set O contains must_out and whose in-set I contains must_in,
-    ascending, with O and I in H's labels (_trit_sets).  The values below
-    3**(n-1) are those of order n.
+class Tables(NamedTuple):
+    """A graph on vertices 0..m-1 by the tables the vertex-0 split reads
+    (module doc), as ``extend`` grows it one vertex at a time.
 
-    Keys are disjoint masks, so all entries over all keys number at most
-    5**(RANGE_MAX_ORDER - 1).
+    Entry s of a table is a union over the members of vertex set s:
+    ``ahead[s]`` of their forward closures (a vertex and all it reaches),
+    ``behind[s]`` of their backward closures, and ``heads[s]`` of their
+    successor rows.  So the graph has m = len(heads).bit_length() - 1
+    vertices, v's successor row is ``heads[1 << v]``, and its closures are
+    ``ahead[1 << v]`` and ``behind[1 << v]``.
+    """
+
+    ahead: list[int]
+    behind: list[int]
+    heads: list[int]
+    girth: int  # 0 when acyclic
+
+
+# The graph with no vertices, from which ``tables`` grows every graph.
+NO_TABLES = Tables([0], [0], [0], 0)
+
+
+def extend(t: Tables, out: int, into: int) -> Tables:
+    """t's graph with one vertex x added last, its arcs x -> out and into -> x.
+
+    out and into are disjoint masks of t's vertices.  x reaches itself and
+    what out reaches; a vertex reaches x, and so all that x reaches, iff it
+    reaches into; the backward closures mirror this.  Each row of into
+    gains x, and x's row is out.  A shortest cycle through x is x -> a ~>
+    b -> x with a in out and b in into, so girth = min(t.girth, 2 +
+    dist(out, into)), read by balls around out in t.heads.  Each table
+    doubles: the entries of the sets without x, then of the same sets
+    with x.
+    """
+    ahead, behind, heads = t.ahead, t.behind, t.heads
+    x = len(heads)  # 1 << m
+    fwd = x | ahead[out]
+    bak = x | behind[into]
+    low = [a | fwd if a & into else a for a in ahead]
+    grown_ahead = low + [a | fwd for a in low]
+    low = [b | bak if b & out else b for b in behind]
+    grown_behind = low + [b | bak for b in low]
+    low = [h | x if s & into else h for s, h in enumerate(heads)]
+    grown_heads = low + [h | out for h in low]
+    g = t.girth
+    if into:
+        near, length = out, 2  # near: the vertices within length - 2 of out
+        while near and not (g and length >= g):
+            if near & into:
+                g = length
+                break
+            wider = near | heads[near]
+            if wider == near:
+                break
+            near, length = wider, length + 1
+    return Tables(grown_ahead, grown_behind, grown_heads, g)
+
+
+def tables(succ: Sequence[int], pred: Sequence[int]) -> Tables:
+    """The Tables of the graph with rows succ and pred, grown from
+    NO_TABLES by extend, one vertex at a time in label order."""
+    t = NO_TABLES
+    for v, (out, into) in enumerate(zip(succ, pred)):
+        below = (1 << v) - 1
+        t = extend(t, out & below, into & below)
+    return t
+
+
+@lru_cache(maxsize=None)
+def _low_choices(n: int, must_out: int, must_in: int) -> list[tuple[int, int, int]]:
+    """(value, O, I) for each value below 3**(n-1) of vertex 0's trits at
+    order n whose out-set O contains must_out and whose in-set I contains
+    must_in, ascending.  O and I are in the labels of H = D - 0 grown from
+    D - {0, 1} (module doc): vertex v >= 2 of D is v - 2 and vertex 1 is
+    n - 2, so _trit_sets' bit 0 moves to the top.
+
+    Keys are disjoint masks, so all entries over all keys of one order
+    number at most 5**(n-1).
     """
     if must_out or must_in:
         return [
             choice
-            for choice in _low_choices(0, 0)
+            for choice in _low_choices(n, 0, 0)
             if not (must_out & ~choice[1] or must_in & ~choice[2])
         ]
-    return [(value, *_trit_sets(value)) for value in range(3 ** (RANGE_MAX_ORDER - 1))]
+    top = n - 2
+    return [
+        (value, o >> 1 | (o & 1) << top, i >> 1 | (i & 1) << top)
+        for value, (o, i) in enumerate(map(_trit_sets, range(3 ** (n - 1))))
+    ]
 
 
+@lru_cache(maxsize=None)
 def _trit_sets(value: int) -> tuple[int, int]:
-    """Vertex 0's out- and in-set in H's labels (v -> v-1) from its trits."""
+    """A vertex's out- and in-set from the trits of its pairs with the
+    vertices above it: bit k for the pair with the k-th of them."""
     out = into = 0
     bit = 1
     while value:
@@ -391,50 +484,33 @@ def _trit_sets(value: int) -> tuple[int, int]:
     return out, into
 
 
-def _judge_block(n, base, first, last, girth_target, survivors):
-    """Judge codes base+first .. base+last-1, which share D - 0 (module doc).
+def _judge_block(n, H, base, first, last, girth_target, survivors):
+    """Judge codes base+first .. base+last-1, which share H = D - 0 with
+    its Tables in the labels of _low_choices (module doc).
 
     Appends the survivors in ascending order and returns the strong count.
     """
-    layout = _layout(n)
-    succ, pred = _split(layout, _pack(layout, base))  # vertex 0 is isolated
-    succ = [x >> 1 for x in succ[1:]]  # H, relabelled v -> v-1
-    pred = [x >> 1 for x in pred[1:]]
+    ahead, behind, heads, g_h = H
     full = (1 << n - 1) - 1  # V(H)
     # A strong D gives vertex 0 every vertex of H with no in-arc as an
     # out-neighbour and every one with no out-arc as an in-neighbour.
-    must_out = must_in = 0
+    must_out = full & ~heads[full]
+    must_in = 0
     for v in range(n - 1):
-        if not pred[v]:
-            must_out |= 1 << v
-        if not succ[v]:
+        if not heads[1 << v]:
             must_in |= 1 << v
     if must_out & must_in:
         return 0
-    # Entry s of a table is a union over the members of vertex set s: of the
-    # vertices that each reaches in H, and of those that reach each.
-    ahead, behind = [0], [0]
-    for v in range(n - 1):
-        fwd, back = reach(succ, v, full), reach(pred, v, full)
-        ahead += [x | fwd for x in ahead]
-        behind += [x | back for x in behind]
-    choices = _low_choices(must_out, must_in)
+    choices = _low_choices(n, must_out, must_in)
     window = choices[bisect_left(choices, first, key=_choice_value) : bisect_left(choices, last, key=_choice_value)]
     strong = [(value, o, i) for value, o, i in window if ahead[o] == full and behind[i] == full]
     if not (girth_target and strong):
         survivors += [base + value for value, _, _ in strong]
         return len(strong)
-    # Below the target g_h need not be girth(H), but girth(H) is below it
-    # too; otherwise g_h is girth(H).  girth(D) <= girth(H), and an oriented
-    # graph has no cycle shorter than 3.
-    g_h = girth(succ, pred, n - 1, girth_target)
+    # girth(D) <= girth(H), and an oriented graph has no cycle shorter than 3.
     if girth_target < 3 or 0 < g_h < girth_target:
         return len(strong)
     exact = g_h != girth_target
-    # The third table: entry s is the union of H's successor rows over s.
-    heads = [0]
-    for row in succ:
-        heads += [x | row for x in heads]
     for value, o, i in strong:
         # dist_H(O, I) >= k + 1 iff the k-ball around O misses I
         near = o
@@ -450,6 +526,11 @@ def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, 
     """Scan enumeration codes [lo, hi) and keep the strong ones, of girth
     girth_target when it is nonzero.
 
+    Codes are taken a vertex-1 group at a time (module doc): the Tables of
+    D - {0, 1} are built once per group, each block of the group extends
+    them by vertex 1, and each code is judged by lookups for vertex 0.
+    Partial groups and blocks at either end of the range are judged alike.
+
     Returns (seen, strong_count, survivor_codes), survivors ascending.
     Raises as check_codes does, then CapExceeded above RANGE_MAX_ORDER
     before any table is built, and InvalidDigraph when the range ends
@@ -462,14 +543,22 @@ def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, 
         raise InvalidDigraph(f"code range {lo}..{hi} for n={n} ends before it starts")
     if n < 2:
         return filter_codes(n, range(lo, hi), girth_target)
-    size = 3 ** (n - 1)
+    layout = _layout(n)
+    block = 3 ** (n - 1)
+    group = block * 3 ** (n - 2)
     strong_count = 0
     survivors: list[int] = []
     code = lo
     while code < hi:
-        base = code - code % size
-        strong_count += _judge_block(n, base, code - base, min(size, hi - base), girth_target, survivors)
-        code = base + size
+        base = code - code % group
+        succ, pred = _split(layout, _pack(layout, base))  # vertices 0 and 1 are isolated
+        rest = tables([row >> 2 for row in succ[2:]], [row >> 2 for row in pred[2:]])  # D - {0, 1}
+        end = min(base + group, hi)
+        while code < end:
+            start = code - code % block
+            H = extend(rest, *_trit_sets((start - base) // block))
+            strong_count += _judge_block(n, H, start, code - start, min(block, end - start), girth_target, survivors)
+            code = start + block
     return hi - lo, strong_count, survivors
 
 

@@ -190,17 +190,20 @@ class Digraph:
 
 
 def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> tuple[Arc, ...]:
-    pairs = [(out.bit_count(), into.bit_count()) for out, into in zip(succ, pred)]
-    outs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    ins: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    # A degree pair (out, in) as one integer out << w | in: both degrees are
+    # below 2**w, so the integers sort as the pairs do.
+    w = n.bit_length()
+    degrees = [out.bit_count() << w | into.bit_count() for out, into in zip(succ, pred)]
+    outs: list[list[int]] = [[] for _ in range(n)]
+    ins: list[list[int]] = [[] for _ in range(n)]
     for t, h in arcs:
-        outs[t].append(pairs[h])
-        ins[h].append(pairs[t])
+        outs[t].append(degrees[h])
+        ins[h].append(degrees[t])
     cells: dict[tuple, list[int]] = {}
     for v in range(n):
         outs[v].sort()
         ins[v].sort()
-        cells.setdefault((pairs[v], tuple(outs[v]), tuple(ins[v])), []).append(v)
+        cells.setdefault((degrees[v], tuple(outs[v]), tuple(ins[v])), []).append(v)
     blocks = [cells[key] for key in sorted(cells)]
     if len(blocks) == n:  # single-vertex cells leave one order to try
         orders: Iterable[Iterable[int]] = [[v for v, in blocks]]

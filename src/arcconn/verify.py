@@ -64,9 +64,11 @@ import multiprocessing
 import os
 import random
 import time
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field, fields, replace
 from itertools import repeat
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional
 
 from . import _kernels
@@ -230,7 +232,22 @@ def _relabeled(rec: VerificationRecord, D: Digraph) -> VerificationRecord:
     (the family is an invariant, but which parameters match_family reports
     is not: one H1 class holds labelings it reads as p=0,s=2 and as p=2,s=0)."""
     params = match_family(D).params.describe() if rec.family is not None else None
-    return replace(rec, graph_id=emit_digraph6(D), family_params=params)
+    return _with_labeling(rec, emit_digraph6(D), params)
+
+
+# The positions of the two labeling fields among a record's field values.
+_GRAPH_ID = _ATTRS.index("graph_id")
+_FAMILY_PARAMS = _ATTRS.index("family_params")
+
+
+def _with_labeling(rec: VerificationRecord, graph_id: str, family_params: Optional[str]) -> VerificationRecord:
+    """rec with graph_id and family_params swapped in, built from its field
+    values in field order (a frozen dataclass sets them in that order in
+    its __dict__), which costs half of dataclasses.replace."""
+    values = list(rec.__dict__.values())
+    values[_GRAPH_ID] = graph_id
+    values[_FAMILY_PARAMS] = family_params
+    return VerificationRecord(*values)
 
 
 def check_graph(
@@ -479,7 +496,7 @@ def _run_chunk(args: tuple[SweepSpec, Task, Optional[ClassMemo]]) -> tuple[str, 
         if known is not None:
             rec = _relabeled(known, D)
             records.append(rec)
-            others.append(replace(memo[_class_key(D, other)], graph_id=rec.graph_id, family_params=rec.family_params))
+            others.append(_with_labeling(memo[_class_key(D, other)], rec.graph_id, rec.family_params))
             continue
         meas = measure(D, spec.reading)
         records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))
@@ -487,6 +504,29 @@ def _run_chunk(args: tuple[SweepSpec, Task, Optional[ClassMemo]]) -> tuple[str, 
             meas = replace(meas, certificate=lambda_prime_exact(D, reading=other))
         others.append(check_graph(D, reading=other, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))
     return key, _Chunk(n, seen, strong, records, others)
+
+
+# A record's clause verdicts, in CLAUSE_FIELDS order.
+_clause_verdicts = attrgetter(*CLAUSE_FIELDS)
+
+
+class _Verdicts(NamedTuple):
+    """The clause verdicts of one chunk's records, each record read once:
+    how many records hold each tuple of verdicts (in CLAUSE_FIELDS order),
+    and each record with a failing clause, with the names of those clauses."""
+
+    counts: Counter
+    failures: list[tuple[VerificationRecord, list[str]]]
+
+    @classmethod
+    def read(cls, records: list[VerificationRecord]) -> "_Verdicts":
+        verdicts = list(map(_clause_verdicts, records))
+        failures = [
+            (rec, [name for name, verdict in zip(CLAUSE_FIELDS, row) if verdict == "fail"])
+            for rec, row in zip(records, verdicts)
+            if "fail" in row
+        ]
+        return cls(Counter(verdicts), failures)
 
 
 def _total(key: str) -> property:
@@ -542,11 +582,17 @@ class SweepResult:
         }
 
 
-def _aggregate(spec: SweepSpec, chunks: dict[str, _Chunk], completed: bool) -> SweepResult:
+def _aggregate(
+    spec: SweepSpec, chunks: dict[str, _Chunk], verdicts: dict[str, _Verdicts], completed: bool
+) -> SweepResult:
+    """The sweep's result from its chunks and their _Verdicts, by key."""
     result = SweepResult(spec=spec, completed=completed, backend=_kernels.backend_name())
     records: list[VerificationRecord] = []
     others: list[VerificationRecord] = []
-    for chunk in chunks.values():
+    result.clause_tallies = {
+        name: {"pass": 0, "fail": 0, "na": 0} for name in CLAUSE_FIELDS
+    }
+    for key, chunk in chunks.items():
         slot = result.per_n.setdefault(
             chunk.n, {"seen": 0, "strong": 0, "stratum": 0, "family": 0, "lambda_prime_connected": 0}
         )
@@ -555,27 +601,26 @@ def _aggregate(spec: SweepSpec, chunks: dict[str, _Chunk], completed: bool) -> S
         slot["stratum"] += len(chunk.records)
         records += chunk.records
         others += chunk.others
-    records.sort(key=lambda r: r.graph_id)
+        for row, count in verdicts[key].counts.items():
+            for name, verdict in zip(CLAUSE_FIELDS, row):
+                result.clause_tallies[name][verdict] += count
+        result.counterexamples += [rec for rec, _ in verdicts[key].failures]
+    by_id = attrgetter("graph_id")
+    records.sort(key=by_id)
     result.records = records
-    result.clause_tallies = {
-        name: {"pass": 0, "fail": 0, "na": 0} for name in CLAUSE_FIELDS
-    }
+    result.counterexamples.sort(key=by_id)  # stable: the order they hold in records
     for rec in records:
         if rec.family is not None:
             result.family_counts[rec.family] = result.family_counts.get(rec.family, 0) + 1
             result.per_n[rec.n]["family"] += 1
         if rec.lambda_prime_exists:
             result.per_n[rec.n]["lambda_prime_connected"] += 1
-        for name, verdict in rec.clauses().items():
-            result.clause_tallies[name][verdict] += 1
-        if not rec.passed:
-            result.counterexamples.append(rec)
     if spec.girth == 4:
         result.accounting_ok = (
             result.stratum == result.family_total + result.lambda_prime_connected
         )
     if spec.audit_readings:
-        result.audit = _audit(records, sorted(others, key=lambda r: r.graph_id))
+        result.audit = _audit(records, sorted(others, key=by_id))
     return result
 
 
@@ -671,6 +716,7 @@ def run_sweep(
         else:
             with open(ck_path, "w", encoding="ascii") as fh:
                 fh.write(json.dumps({"spec": spec.fingerprint()}) + "\n")
+    verdicts = {key: _Verdicts.read(chunk.records) for key, chunk in chunks.items()}
 
     # One class memo per sweep, for the exhaustive chunks only: a sample
     # meets few graphs of one class twice.  Chunks run here share it; a
@@ -691,10 +737,9 @@ def run_sweep(
             if ck_handle is not None:
                 ck_handle.write(chunk.line(key, spec.audit_readings))
                 ck_handle.flush()
-            for rec in chunk.records:
-                if not rec.passed:
-                    bad = [c for c, v in rec.clauses().items() if v == "fail"]
-                    emit(f"counterexample {rec.graph_id} fails {', '.join(bad)}")
+            verdicts[key] = _Verdicts.read(chunk.records)
+            for rec, bad in verdicts[key].failures:
+                emit(f"counterexample {rec.graph_id} fails {', '.join(bad)}")
             emit(
                 f"chunk {len(chunks)}/{total} key={key} "
                 f"stratum={len(chunk.records)} of {chunk.seen} codes"
@@ -703,7 +748,7 @@ def run_sweep(
                 break
 
     completed = len(chunks) == total
-    result = _aggregate(spec, chunks, completed)
+    result = _aggregate(spec, chunks, verdicts, completed)
     result.runtime = time.perf_counter() - t0
     if out_dir is not None and completed:
         result.paths = _write_artifacts(result, out_dir)

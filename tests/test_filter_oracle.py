@@ -1,10 +1,11 @@
 """The pure enumeration filters against the oracles in conftest.
 
-``filter_range`` judges each block of 3**(n-1) codes from one decode of
-D - 0, and ``filter_codes`` judges blocks of _kernels._LANES codes at once,
-one code per bit lane; both must keep exactly the codes whose graph, decoded
-here trit by trit, the Kosaraju and cycle oracles call strong with the
-target girth.
+``filter_range`` decodes D - {0, 1} once per vertex-1 group of 3**(2n-3)
+codes and extends its tables by vertex 1 once per block of 3**(n-1) codes
+that share D - 0, and ``filter_codes`` judges blocks of _kernels._LANES
+codes at once, one code per bit lane; both must keep exactly the codes
+whose graph, decoded here trit by trit, the Kosaraju and cycle oracles call
+strong with the target girth.
 """
 
 from __future__ import annotations
@@ -122,6 +123,44 @@ def unaligned_windows(draw):
 @given(unaligned_windows())
 def test_filters_match_oracles_on_unaligned_windows(window):
     check_window(*window)
+
+
+@st.composite
+def group_windows(draw):
+    """Windows at n = 5..7 near the first code of a vertex-1 group of
+    3**(2n-3) codes (the blocks that share D - {0, 1}), often straddling it;
+    they start and end at any code, inside a block or at its edge."""
+    n = draw(st.integers(min_value=5, max_value=7))
+    group = 3 ** (2 * n - 3)
+    groups = 3 ** ((n - 2) * (n - 3) // 2)
+    boundary = group * draw(st.integers(min_value=1, max_value=groups - 1))
+    lo = boundary - draw(st.integers(min_value=-24, max_value=48))
+    return n, lo, lo + draw(st.integers(min_value=1, max_value=60))
+
+
+@given(group_windows())
+def test_filters_match_oracles_across_vertex_1_groups(window):
+    check_window(*window)
+
+
+def test_filter_range_matches_filter_codes_on_a_whole_n7_group():
+    # D - {0, 1} is the 5-cycle 2 -> 3 -> 4 -> 5 -> 6 -> 2, so vertices 0
+    # and 1 close shorter cycles through them or none.  All 81 * 729 codes
+    # of the group, in one call and in pieces that cut blocks, against the
+    # lane filter.
+    n = 7
+    group = 3 ** (2 * n - 3)
+    base = trit_code(Digraph(n, [(v, v % 5 + 2) for v in range(2, 7)]))
+    assert base % group == 0
+    codes = range(base, base + group)
+    for girth_target in TARGETS:
+        want = _kernels.filter_codes(n, codes, girth_target)
+        assert want[2]
+        assert _kernels.filter_range(n, base, base + group, girth_target) == want
+    cuts = [base, base + 1000, base + group // 3, base + group - 1, base + group]
+    pieces = [_kernels.filter_range(n, lo, hi, 4) for lo, hi in zip(cuts, cuts[1:])]
+    want = _kernels.filter_codes(n, codes, 4)
+    assert (sum(p[0] for p in pieces), sum(p[1] for p in pieces), [c for p in pieces for c in p[2]]) == want
 
 
 # D - 0 of one whole n = 7 block per girth target, as arcs among vertices

@@ -385,6 +385,44 @@ def test_class_memo_reads_each_labelings_family_params():
     assert replace(direct[0], **{name: getattr(direct[1], name) for name in labeled}) == direct[1]
 
 
+def test_relabeled_copy_matches_dataclass_replace():
+    """A memo hit's record is built from the class record's field values
+    with the two labeling fields swapped in: the record replace gives."""
+    for code in (110009, 110010, 4_000_000, 0):
+        rec = check_graph(Digraph.from_code(6, code), check_proof=True)
+        for graph_id, params in (("E?~?", None), ("E?~?", "H1(p=0,q=0,r=1,s=1)")):
+            copy = verify._with_labeling(rec, graph_id, params)
+            assert copy == replace(rec, graph_id=graph_id, family_params=params)
+            assert copy.to_row() == replace(rec, graph_id=graph_id, family_params=params).to_row()
+
+
+def test_sweep_reads_each_records_verdicts_once(tmp_path, monkeypatch):
+    """run_sweep and its aggregate read a record's clause verdicts in one
+    call per record, fresh or resumed, and tally them as clauses() reads."""
+    calls = []
+    read = verify._clause_verdicts
+    monkeypatch.setattr(verify, "_clause_verdicts", lambda rec: calls.append(rec) or read(rec))
+    spec = SweepSpec(n_lo=3, n_hi=5, girth=None, chunk_size=9_000)
+    out = str(tmp_path / "out")
+    run_sweep(spec, out_dir=out, _stop_after_chunks=2)
+    fresh = len(calls)
+    res = run_sweep(spec, out_dir=out, resume=True)
+    assert fresh and len(calls) == fresh + len(res.records)
+    tallies = {name: {"pass": 0, "fail": 0, "na": 0} for name in verify.CLAUSE_FIELDS}
+    for rec in res.records:
+        for name, verdict in rec.clauses().items():
+            tallies[name][verdict] += 1
+    assert res.clause_tallies == tallies
+
+
+def test_verdicts_name_each_failing_clause():
+    rec = check_graph(Digraph.from_code(6, 110009), check_proof=True)
+    bad = replace(rec, theorem1_ok="fail", proof_ok="fail")
+    verdicts = verify._Verdicts.read([rec, bad, rec])
+    assert verdicts.failures == [(bad, ["theorem1_ok", "proof_ok"])]
+    assert verdicts.counts == {tuple(rec.clauses().values()): 2, tuple(bad.clauses().values()): 1}
+
+
 def test_sweep_resume_rejects_other_spec(tmp_path):
     out = str(tmp_path / "out")
     run_sweep(SweepSpec(n_lo=4, n_hi=4), out_dir=out)
