@@ -394,10 +394,6 @@ class Tables(NamedTuple):
     girth: int  # 0 when acyclic
 
 
-# The graph with no vertices, from which ``tables`` grows every graph.
-NO_TABLES = Tables([0], [0], [0], 0)
-
-
 def extend(t: Tables, out: int, into: int) -> Tables:
     """t's graph with one vertex x added last, its arcs x -> out and into -> x.
 
@@ -435,9 +431,9 @@ def extend(t: Tables, out: int, into: int) -> Tables:
 
 
 def tables(succ: Sequence[int], pred: Sequence[int]) -> Tables:
-    """The Tables of the graph with rows succ and pred, grown from
-    NO_TABLES by extend, one vertex at a time in label order."""
-    t = NO_TABLES
+    """The Tables of the graph with rows succ and pred, grown by extend
+    from the graph with no vertices, one vertex at a time in label order."""
+    t = Tables([0], [0], [0], 0)
     for v, (out, into) in enumerate(zip(succ, pred)):
         below = (1 << v) - 1
         t = extend(t, out & below, into & below)
