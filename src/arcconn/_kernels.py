@@ -339,13 +339,10 @@ def topological_key(succ: Sequence[int], comp: int, within: int) -> tuple[int, i
     return -reach(succ, v, within).bit_count(), v
 
 
-def girth(succ: Sequence[int], pred: Sequence[int], n: int, target: int = 0) -> int:
+def girth(succ: Sequence[int], pred: Sequence[int], n: int) -> int:
     """Length of a shortest directed cycle; 0 if acyclic.
 
-    pred must hold the same digraph's predecessor masks.  With a target, the
-    search returns at the first cycle shorter than target that it finds: the
-    value is then below target but need not be the girth.  When no cycle is
-    shorter than target, the value is the girth.
+    pred must hold the same digraph's predecessor masks.
     """
     best = 0
     for v in range(n):
@@ -359,8 +356,6 @@ def girth(succ: Sequence[int], pred: Sequence[int], n: int, target: int = 0) -> 
             if frontier & back:
                 if best == 0 or length + 1 < best:
                     best = length + 1
-                    if best < target:
-                        return best
                 break
             if best and length + 1 >= best:
                 break

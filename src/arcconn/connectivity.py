@@ -20,10 +20,12 @@ least source side.  No capacity matrix is built.  Each augmenting path,
 each strong-bridge test and each partner path of the pair pass comes from
 one _kernels.layers search; this module runs no search loop of its own.
 
-The restricted-cut rule is stated once, in _hosts: of the strong parts of a
-residue, those with an arc wholly outside them, read in D or in the residue
-as the reading says.  The witness of a cut, the one-arc pass and the pair
-pass all apply it.
+The restricted-cut rule is stated once, in _residue_hosts: of the strong
+parts of a residue D - S, those with an arc wholly outside them, read in D
+or in the residue as the reading says.  The one-arc pass and the pair pass
+read those hosts directly; is_restricted_arc_cut picks its witness among
+them and is the one test of a given arc set, behind the certificate of the
+walk, lambda_prime_bruteforce and proof_cut.
 
 The surviving component holds a cycle, so it has at least g = girth(D)
 vertices, and a girth cycle spans it if it has g; two vertices are left for
@@ -259,55 +261,29 @@ def arc_connectivity(D: Digraph) -> int:
 # restricted arc-cuts
 
 
-def _hosts(
-    D: Digraph, succ: Sequence[int], comps: Iterable[int], reading: DefinitionReading
-) -> list[tuple[int, Arc]]:
-    """The restricted-cut rule: each strong part of comps that has an arc
-    with both endpoints outside it, with the smallest such arc.
-
-    succ holds the successor masks of the residue the parts were found in;
-    the arc is looked for in D under OriginalHost and in that residue under
+def _residue_hosts(
+    D: Digraph, arcs: Iterable[Arc], reading: DefinitionReading, within: Optional[int] = None
+) -> tuple[list[int], list[int], list[tuple[int, Arc]]]:
+    """The restricted-cut rule, stated once, on the residue D - arcs: its
+    successor masks, its non-trivial strong parts inside within (a union of
+    its strong components; every vertex by default), and the hosts among
+    them: each part with an arc wholly outside it, and the smallest such
+    arc, looked for in D under OriginalHost and in the residue under
     ResidualHost.
     """
     full = (1 << D.n) - 1
-    rows = D.succ if reading is ORIGINAL_HOST else succ
-    found = []
-    for comp in comps:
-        arc = _kernels.arc_within(rows, full & ~comp)
-        if arc is not None:
-            found.append((comp, arc))
-    return found
-
-
-def _residue(D: Digraph, arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
-    """D's successor and predecessor masks with the arcs taken out."""
     succ, pred = list(D.succ), list(D.pred)
     for t, h in arcs:
         succ[t] &= ~(1 << h)
         pred[h] &= ~(1 << t)
-    return succ, pred
-
-
-def _witness_scan(
-    D: Digraph, succ: list[int], pred: list[int], reading: DefinitionReading
-) -> Optional[tuple[tuple[int, ...], Arc]]:
-    """Shared core of the restricted-arc-cut test.
-
-    succ and pred must be D's successor and predecessor masks with the cut
-    taken out.  Among the _hosts of the residue's non-trivial strong
-    components, returns the one whose lowest vertex reaches the fewest
-    vertices in the residue, ties going to the larger lowest vertex (the
-    last one in _kernels.topological_key order, so a sink-most one),
-    together with the lexicographically smallest arc outside it.
-    """
-    full = (1 << D.n) - 1
-    found = _hosts(D, succ, _kernels.strong_parts(succ, pred, full), reading)
-    if not found:
-        return None
-    if len(found) > 1:
-        found.sort(key=lambda c: _kernels.topological_key(succ, c[0], full))
-    comp, arc = found[-1]
-    return tuple(_bits(comp)), arc
+    parts = _kernels.strong_parts(succ, pred, full if within is None else within)
+    rows = D.succ if reading is ORIGINAL_HOST else succ
+    hosts = []
+    for comp in parts:
+        arc = _kernels.arc_within(rows, full & ~comp)
+        if arc is not None:
+            hosts.append((comp, arc))
+    return succ, parts, hosts
 
 
 def is_restricted_arc_cut(
@@ -315,6 +291,10 @@ def is_restricted_arc_cut(
 ) -> Optional[tuple[tuple[int, ...], Arc]]:
     """Witness (component, outside arc) if S is a restricted arc-cut, else None.
 
+    Among the hosts of D - S (_residue_hosts), the witness is the one whose
+    lowest vertex reaches the fewest vertices in D - S, ties going to the
+    larger lowest vertex (the last one in _kernels.topological_key order, so
+    a sink-most one), with the lexicographically smallest arc outside it.
     The caller is responsible for D being strong; arcs not in D raise
     UnknownArc.
     """
@@ -324,7 +304,14 @@ def is_restricted_arc_cut(
         if not D.has_arc(*arc):
             raise UnknownArc("cut contains an arc not in the digraph", arc=arc)
         cut.append(arc)
-    return _witness_scan(D, *_residue(D, cut), reading)
+    succ, _, found = _residue_hosts(D, cut, reading)
+    if not found:
+        return None
+    if len(found) > 1:
+        full = (1 << D.n) - 1
+        found.sort(key=lambda c: _kernels.topological_key(succ, c[0], full))
+    comp, arc = found[-1]
+    return tuple(_bits(comp)), arc
 
 
 def _found(
@@ -361,7 +348,7 @@ def lambda_prime_bruteforce(
     arcs = D.arcs
     for k in range(k_max + 1):
         for S in combinations(arcs, k):
-            witness = _witness_scan(D, *_residue(D, S), reading)
+            witness = is_restricted_arc_cut(D, S, reading)
             if witness is not None:
                 return _found(reading, tuple(S), witness)
     if k_max >= m:
@@ -437,7 +424,7 @@ def _unit_cut_hosts(
     with it removed; and every other arc with the layers of its search.
 
     A vertex set X has flow 1 exactly when, for some arc a, X is one of the
-    _hosts among the strong components of D - a.  D - a is not strong
+    hosts of the residue D - a (_residue_hosts).  D - a is not strong
     exactly when the tail of a no longer reaches its head (a is a strong
     bridge).  An arc that is its head's only in-arc is one; any other is
     searched once, by _kernels.layers from the tail's other out-neighbours,
@@ -446,7 +433,6 @@ def _unit_cut_hosts(
     then are its components listed.  _pair_cut_hosts starts from the
     bridges and the layers.
     """
-    full = (1 << D.n) - 1
     succ, pred = D.succ, D.pred
     hosts: set[int] = set()
     bridges: dict[Arc, list[int]] = {}
@@ -458,9 +444,8 @@ def _unit_cut_hosts(
             if hit:
                 searches[t, h] = layers
                 continue
-        rest, back = _residue(D, [(t, h)])
-        comps = bridges[t, h] = _kernels.strong_parts(rest, back, full)
-        for comp, _ in _hosts(D, rest, comps, reading):
+        _, bridges[t, h], found = _residue_hosts(D, [(t, h)], reading)
+        for comp, _ in found:
             hosts.add(comp)
     return hosts, bridges, searches
 
@@ -478,7 +463,7 @@ def _pair_cut_hosts(
     candidate sets whose contraction flow is at most 2.
 
     A vertex set X is one of those exactly when, for some two arcs a and b,
-    X is one of the _hosts among the strong components of D - {a, b}.
+    X is one of the hosts of the residue D - {a, b} (_residue_hosts).
     A set of flow 2 lies strictly inside a strong component of D - a that
     removing b splits, and inside one of D - b that removing a splits, so
     the tail of a does not reach its head in D - {a, b}.  Hence b lies on
@@ -524,8 +509,7 @@ def _pair_cut_hosts(
                 continue
             home_b = homes.get((tb, hb))
             within = (home_a[tb] if home_a else full) & (home_b[ta] if home_b else full)
-            succ, pred = _residue(D, (a, (tb, hb)))
-            for comp, _ in _hosts(D, succ, _kernels.strong_parts(succ, pred, within), reading):
+            for comp, _ in _residue_hosts(D, (a, (tb, hb)), reading, within)[2]:
                 hosts.add(comp)
     return hosts
 
@@ -578,7 +562,7 @@ def _walk(
                 continue
             cut = _cut(succ, side, mask)
             assert len(cut) == flow, "min cut must match the flow value"
-            witness = _witness_scan(D, *_residue(D, cut), reading)
+            witness = is_restricted_arc_cut(D, cut, reading)
             assert witness is not None, "flow cut must certify as restricted"
             best = flow
             kept = _found(reading, cut, witness)
@@ -745,8 +729,26 @@ def proof_cut_constructions(D: Digraph, C: Cycle) -> list[tuple[Arc, ...]]:
     Built on masks: arc sets are n*n-bit masks with bit t * n + h for the
     arc t -> h, so "shares at least two arcs" is one popcount, and a cut
     mask lists its arcs in sorted order.  The candidates come from
-    _proof_cuts, which the proof clause of verify draws from one at a time.
+    _proof_cuts, which proof_cut draws from one at a time.
     """
     if not (is_cycle(D, C) and len(C) == 4):
         raise NotAFourCycle(f"{tuple(C)} is not a 4-cycle of the digraph")
     return [S for S in dict.fromkeys(_proof_cuts(D, C)) if S]
+
+
+def proof_cut(D: Digraph, reading: DefinitionReading, bound: int) -> Optional[tuple[Arc, ...]]:
+    """The first candidate of proof_cut_constructions, around D's girth
+    cycles in order, that is a restricted arc-cut of at most bound arcs, or
+    None: the constructive half of the girth-4 upper-bound argument.
+
+    The candidates are built one at a time by _proof_cuts and each is put
+    to is_restricted_arc_cut, up to the first cut.  D must be strong; a
+    girth other than 4 raises NotAFourCycle.
+    """
+    if girth(D) != 4:
+        raise NotAFourCycle(f"proof cuts are built around 4-cycles; the girth is {girth(D)}")
+    for C in girth_cycles(D):
+        for S in _proof_cuts(D, C):
+            if len(S) <= bound and is_restricted_arc_cut(D, S, reading) is not None:
+                return S
+    return None

@@ -59,6 +59,7 @@ class Digraph:
     __slots__ = ("n", "arcs", "succ", "pred", "_strong", "_canonical", "_girth", "_girth_cycles")
 
     def __init__(self, n: int, arcs: Iterable[Arc] = ()) -> None:
+        n = _vertex(n)
         if n < 0:
             raise InvalidVertex(f"vertex count must be non-negative, got {n}")
         succ = [0] * n

@@ -54,6 +54,10 @@ def parse_edge_list(text: str) -> Digraph:
             raise ParseError(f"expected {what}, got {raw.strip()!r}", line=lineno)
         a, b = int(parts[0]), int(parts[1])
         if header is None:
+            if a > _D6_MAX_ORDER:
+                # Refused before any vertex is allocated: digraph6, the graph
+                # id, could not name it.
+                raise ParseError(f"edge lists handle n <= {_D6_MAX_ORDER} only, got {a}", line=lineno)
             header = (a, b)
         else:
             arcs.append(((a, b), lineno))

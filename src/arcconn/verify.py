@@ -12,7 +12,12 @@ them read):
   match, a restricted cut exists and lambda <= lambda' <= xi.
 * ``family_consistency_ok``: exception-family members admit no restricted cut.
 * ``proof_ok``: some constructive cut candidate over some girth cycle is a
-  valid restricted cut of size at most xi (same stratum as ``bounds_ok``).
+  valid restricted cut of size at most xi (same stratum as ``bounds_ok``),
+  as ``connectivity.proof_cut`` finds it.
+
+Every restricted-cut question (the cut, its witness, the proof candidates)
+is answered in ``connectivity``; this module reads the answers through its
+public functions.
 
 ``run_sweep`` drives the bitmask kernels over a code range (exhaustive) or a
 seeded sample, fans the survivors through ``check_graph``, and aggregates
@@ -78,15 +83,13 @@ from .connectivity import (
     RESIDUAL_HOST,
     RestrictedCutCertificate,
     XiResult,
-    _hosts,
-    _proof_cuts,
-    _residue,
     arc_connectivity,
     lambda_prime_exact,
     lambda_prime_existence_witness,
+    proof_cut,
     xi,
 )
-from .cycles import Cycle, girth, girth_cycles
+from .cycles import Cycle, girth
 from .digraph import Arc, Digraph
 from .errors import CapExceeded
 from .families import FamilyMatch, match_family
@@ -291,7 +294,7 @@ def check_graph(
         else:
             bounds = "fail"
         if check_proof:
-            proof = "pass" if _proof_clause(D, reading, xi_val) else "fail"
+            proof = "pass" if proof_cut(D, reading, xi_val) else "fail"  # xi is set: girth 4
 
     rec = VerificationRecord(
         graph_id=emit_digraph6(D),
@@ -314,22 +317,6 @@ def check_graph(
     if memo is not None:
         memo[key] = rec
     return rec
-
-
-def _proof_clause(D: Digraph, reading: DefinitionReading, xi_val: Optional[int]) -> bool:
-    """Some proof candidate around a girth cycle (a 4-cycle in the stratum)
-    is a restricted cut of size at most xi: some strong part of its residue
-    is one of the _hosts.  The candidates are built one at a time, up to
-    the first such cut."""
-    if xi_val is None:
-        return False
-    for C in girth_cycles(D):
-        for S in _proof_cuts(D, C):
-            if len(S) <= xi_val:
-                succ, pred = _residue(D, S)
-                if _hosts(D, succ, _kernels.strong_parts(succ, pred, (1 << D.n) - 1), reading):
-                    return True
-    return False
 
 
 @dataclass(frozen=True)

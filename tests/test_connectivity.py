@@ -437,6 +437,8 @@ def test_theorem_bounds_on_connected_graphs(D):
 def test_proof_cuts_require_four_cycle(l8):
     with pytest.raises(NotAFourCycle):
         proof_cut_constructions(l8, (0, 1, 2))
+    with pytest.raises(NotAFourCycle):  # girth 3: no girth cycle is a 4-cycle
+        connectivity.proof_cut(Digraph(3, [(0, 1), (1, 2), (2, 0)]), ORIGINAL_HOST, 3)
 
 
 def test_proof_cuts_l8(l8):

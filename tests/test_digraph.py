@@ -281,4 +281,7 @@ def test_arcs_with_non_integer_labels_are_refused(arc):
 def test_every_label_reader_refuses_non_integers(four_cycle):
     with pytest.raises(InvalidVertex):
         is_restricted_arc_cut(four_cycle, [("0", "1")])
+    for n in (True, 3.0):  # the vertex count is read as a label is
+        with pytest.raises(InvalidVertex):
+            Digraph(n, [])
     assert Digraph(3, [(_Label(0), _Label(1))]).arcs == ((0, 1),)

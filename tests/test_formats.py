@@ -223,6 +223,14 @@ def test_digraph6_rejects_orders_above_258047():
         parse_digraph6("&~~??????")
 
 
+def test_edge_list_rejects_orders_above_258047():
+    """An edge list no graph id could name is refused at its header, before
+    any vertex is allocated."""
+    with pytest.raises(ParseError, match="n <= 258047") as info:
+        parse_edge_list("258048 0\n")
+    assert info.value.line == 1
+
+
 def test_digraph6_long_order_header_is_checked():
     for bad in ("&~", "&~??", "&~?" + chr(62) + "?", "&~??" + chr(63 + 5)):
         with pytest.raises(ParseError):

@@ -45,3 +45,17 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: str(path.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_verify_imports_no_private_name_from_connectivity():
+    """Every restricted-cut question is answered in connectivity, so verify
+    reads it through public names only."""
+    tree = ast.parse((ROOT / "src/arcconn/verify.py").read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "connectivity"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

@@ -27,7 +27,7 @@ from arcconn import (
     xi,
 )
 from arcconn import _kernels, cli, verify
-from arcconn.connectivity import ORIGINAL_HOST, RESIDUAL_HOST
+from arcconn.connectivity import ORIGINAL_HOST, RESIDUAL_HOST, proof_cut
 from arcconn.verify import (
     RECORD_FIELDS,
     VerificationRecord,
@@ -40,22 +40,23 @@ from .conftest import oracle_canonical_form, stratum_codes
 
 @pytest.mark.parametrize("reading", [ORIGINAL_HOST, RESIDUAL_HOST])
 def test_proof_clause_matches_the_listed_candidates(reading):
-    """The proof clause builds candidates one at a time and asks only
-    whether a cut exists; it must say what trying every listed candidate
-    of size at most xi with is_restricted_arc_cut says, on the n = 6
-    stratum slice (family members, where it fails, included) with xi and
-    with xi - 1 as the bound."""
+    """proof_cut, behind the proof clause, builds candidates one at a time
+    and stops at the first cut; it must return what trying every listed
+    candidate of size at most the bound with is_restricted_arc_cut finds
+    first, on the n = 6 stratum slice (family members, where it finds none,
+    included) with xi and with xi - 1 as the bound."""
     verdicts = set()
     for code in stratum_codes(6):
         D = Digraph.from_code(6, code)
         for bound in (xi(D).value - 1, xi(D).value):
-            listed = any(
-                len(S) <= bound and is_restricted_arc_cut(D, S, reading) is not None
+            listed = next((
+                S
                 for C in girth_cycles(D)
                 for S in proof_cut_constructions(D, C)
-            )
-            assert verify._proof_clause(D, reading, bound) is listed
-            verdicts.add(listed)
+                if len(S) <= bound and is_restricted_arc_cut(D, S, reading) is not None
+            ), None)
+            assert proof_cut(D, reading, bound) == listed
+            verdicts.add(listed is not None)
     assert verdicts == {False, True}
 
 
