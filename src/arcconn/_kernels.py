@@ -41,14 +41,21 @@ first, refuses larger orders with CapExceeded.  The mask kernels (``reach``,
 
 Lane filter (``filter_codes``).  Sampled codes share no structure, so they
 are judged _LANES = 4,096 at a time in bit lanes, broadword style ("SIMD
-within a register", Knuth, TAOCP 4A 7.1.3).  The packed words of a block are
-transposed into 2n integers, succ[v] and pred[v] of every code, one 8-, 16-
-or 32-bit lane per code, and the degree check, the forward and backward
-reach from vertex 0 and the girth test are each a few integer operations per
-vertex on the whole block (_judge_lanes).  No code is searched on its own.
-At n = 7 this takes about 0.7 us per code, of which the word-table decode is
-about two thirds, against 1.8 us when each code was decoded and searched
-alone (round 6 of BENCH_kernels.json).
+within a register", Knuth, TAOCP 4A 7.1.3).  A block is decoded one word
+table at a time (_lane_fields): the block's digits of the table index a
+bytes copy of it, one join makes one buffer of them, and the buffers are
+ORed as integers into the block's packed words, which strided slices
+transpose into 2n integers, succ[v] and pred[v] of every code, one 8-, 16-
+or 32-bit lane per code.  The degree check, the forward and backward reach
+from vertex 0 and the girth test are each a few integer operations per
+vertex on the whole block (_judge_lanes).  No code is decoded or searched
+on its own.  At n = 7 _judge_lanes takes about 0.29 us per code, of which
+the decode is about two thirds, against 0.38 us when the decode ORed one
+Python int per code and 1.8 us when each code was decoded and searched
+alone (round 6 of BENCH_kernels.json).  The joins and ORs run over whole
+packed words, so the decode costs more as they grow: filter_codes takes
+13-15% longer at n = 16 and 41-46% longer at n = 18 than with one int per
+code (round 10), orders where uniform codes find no stratum graph.
 
 Vertex-0 split (``filter_range``).  The lowest n-1 trits are vertex 0's pairs,
 so ``code = low + 3**(n-1) * code(H)`` where H = D - 0, and the lowest n-2
@@ -102,27 +109,29 @@ import struct
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import compress
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import CapExceeded, InvalidDigraph
+from .errors import CapExceeded, InvalidDigraph, InvalidVertex
 
 BACKEND = "pure"
 
 _choice_value = itemgetter(0)
 
-# Codes per block of filter_codes, one lane each.  At n = 7 and 9 the time
-# per code is within 5% from 2,048 to 8,192 lanes and 10-15% higher at
-# 1,024 and 16,384, while memory grows with the block: at n = 7 a block's
-# lists and integers peak at about 1 MB (0.5 MB at 2,048 lanes, 4 MB at
-# 16,384, by tracemalloc).
+# Codes per block of filter_codes, one lane each.  Against 4,096 lanes,
+# the time per code at n = 7 is 6% higher at 2,048 and 2% lower at 8,192,
+# and at n = 9 1% and 8% higher (24,576 seeded codes, girth 4, best of 7,
+# three runs within 1%), while memory grows with the block: a block's
+# buffers and integers peak at 0.68 MB at n = 7 and 0.86 MB at n = 9 (0.34
+# and 0.44 MB at 2,048 lanes, 1.35 and 1.73 MB at 8,192, by tracemalloc).
 _LANES = 4096
 
 # The highest order whose codes are read.  No sweep needs more: of 20,000
 # random codes none is strong with girth 4 at n = 12 or n = 19, and
 # lambda_prime_exact refuses its vertex-set walk from order 21.  Its word
 # tables hold 6.6 MiB of packed words (7.8 MB as Python ints, built in
-# 13 ms); they grow as n**4 within one field width, and the 4-byte fields
+# 13 ms), and filter_codes' bytes copy of them 8.6 MB more (built in about
+# 20 ms); they grow as n**4 within one field width, and the 4-byte fields
 # of n = 17 double them.
 CODE_MAX_ORDER = 18
 
@@ -143,13 +152,35 @@ def universe_size(n: int) -> int:
     return 3 ** (n * (n - 1) // 2)
 
 
+def _vertex(x: object) -> int:
+    """x as a vertex label: any integer but a bool, else InvalidVertex."""
+    if not isinstance(x, bool):
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise InvalidVertex(f"vertex label {x!r} is not an integer")
+
+
 def check_codes(n: int, first: int = 0, last: int = -1) -> None:
-    """The check in front of every code reader: raise CapExceeded when n is
-    above CODE_MAX_ORDER, then InvalidDigraph unless codes first and last
-    encode graphs on n vertices.  When last < first (the defaults), only
-    the order is checked."""
+    """The check in front of every code reader: raise InvalidVertex unless
+    n is a non-negative integer (read as Digraph(n) reads it, so not a
+    bool), CapExceeded when n is above CODE_MAX_ORDER, then InvalidDigraph
+    unless codes first and last are integers, not bools, that encode graphs
+    on n vertices.  When last < first (the defaults), only the order is
+    checked."""
+    if type(n) is not int:  # an int skips the read: decode_code runs this per code
+        n = _vertex(n)
+    if n < 0:
+        raise InvalidVertex(f"vertex count must be non-negative, got {n}")
     if n > CODE_MAX_ORDER:
         raise CapExceeded(f"trit codes are read up to order {CODE_MAX_ORDER}, not n={n}")
+    if type(first) is not int or type(last) is not int:
+        for code in (first, last):
+            try:
+                _vertex(code)
+            except InvalidVertex:
+                raise InvalidDigraph(f"code {code!r} for n={n} is not an integer") from None
     if first > last:
         return
     size = universe_size(n)
@@ -558,7 +589,10 @@ def filter_codes(n: int, codes: Sequence[int], girth_target: int = 0) -> tuple[i
 
     Codes are judged _LANES at a time, all codes of a block at once in the
     bit lanes of Python integers (_judge_lanes).  The survivors keep the
-    order and the repeats of codes.  Raises as check_codes does.
+    order and the repeats of codes.  Raises as check_codes does on the
+    smallest and the largest code: the batch is not scanned code by code,
+    since this is the sampled sweep's hot path, so the codes between them
+    must be ints.
     """
     check_codes(n, min(codes, default=0), max(codes, default=-1))
     strong_count = 0
@@ -571,17 +605,55 @@ def filter_codes(n: int, codes: Sequence[int], girth_target: int = 0) -> tuple[i
     return len(codes), strong_count, survivors
 
 
+@lru_cache(maxsize=4)
+def _word_bytes(n: int) -> list[list[bytes]]:
+    """The word tables of _layout(n), each packed word as its little-endian
+    bytes, built on first use: the lane decode joins them."""
+    layout = _layout(n)
+    return [[q.to_bytes(layout.size, "little") for q in table] for table in layout.words]
+
+
+def _lane_fields(n: int, block: Sequence[int]) -> list[int]:
+    """The 2n fields of the codes of block, each as one integer of one lane
+    per code: succ[0..n-1], then pred[0..n-1] (_judge_lanes).
+
+    The codes must lie in the universe of order n, as check_codes finds.
+    For each word table, the block's digits index its bytes copy
+    (_word_bytes), one join makes the block's words of that table into one
+    buffer, and its integer is ORed into the block's packed words.  The
+    digits of the next table come from the quotients by 3**7, and the last
+    table is indexed by the quotient itself, which is below its size.
+    Strided slices of the packed words, which read the same on either byte
+    order, then turn each field into one integer.
+    """
+    layout = _layout(n)
+    size = _field_bytes(n)
+    *inner, last = _word_bytes(n)
+    packed = 0
+    high = block
+    for table in inner:
+        packed |= int.from_bytes(b"".join([table[code % _WORD_SPAN] for code in high]), "little")
+        high = [code // _WORD_SPAN for code in high]
+    packed |= int.from_bytes(b"".join(map(last.__getitem__, high)), "little")
+    buffer = packed.to_bytes(len(block) * layout.size, "little")
+    column = bytearray(len(block) * size)
+    fields = []
+    for f in range(0, layout.size, size):
+        for b in range(size):
+            column[b::size] = buffer[f + b :: layout.size]
+        fields.append(int.from_bytes(column, "little"))
+    return fields
+
+
 def _judge_lanes(n: int, block: Sequence[int], girth_target: int) -> tuple[int, bytes]:
     """The count of strong codes in block, and one flag byte per code,
     nonzero where the code is strong and of girth girth_target (of any girth
     when it is 0).
 
     Lane k of an integer is its bits w*k .. w*k+w-1, w = 8 * _field_bytes(n),
-    and holds one field of code k.  The codes' packed words are joined into
-    one buffer, and strided slices of it, which read the same on either
-    byte order, turn each of the 2n fields into one integer: succ[v] and
-    pred[v] of every code at once.  Each test is then a few integer
-    operations per vertex on whole blocks:
+    and holds one field of code k.  _lane_fields turns each of the 2n fields
+    into one integer: succ[v] and pred[v] of every code at once.  Each test
+    is then a few integer operations per vertex on whole blocks:
 
     * degree: no field is zero, by the rule that
       ``((x & low) + low | x) & top`` has a lane's top bit iff that lane of
@@ -596,23 +668,10 @@ def _judge_lanes(n: int, block: Sequence[int], girth_target: int) -> tuple[int, 
       girth is the target iff it has a closed walk of the target length and
       none of lengths 3 up to the target minus one.
     """
-    layout = _layout(n)
     size = _field_bytes(n)
     w = 8 * size
     lanes = len(block)
-    first, *rest = layout.words
-    words = [first[code % _WORD_SPAN] for code in block]
-    high = block
-    for table in rest:
-        high = [code // _WORD_SPAN for code in high]
-        words = [q | table[code % _WORD_SPAN] for q, code in zip(words, high)]
-    packed = b"".join([q.to_bytes(layout.size, "little") for q in words])
-    column = bytearray(lanes * size)
-    fields = []
-    for f in range(0, layout.size, size):
-        for b in range(size):
-            column[b::size] = packed[f + b :: layout.size]
-        fields.append(int.from_bytes(column, "little"))
+    fields = _lane_fields(n, block)
     succ, pred = fields[:n], fields[n:]
 
     ones = int.from_bytes(b"\1".ljust(size, b"\0") * lanes, "little")  # bit 0 of each lane

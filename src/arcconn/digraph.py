@@ -9,11 +9,11 @@ work.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain, permutations, product
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import _kernels
+from ._kernels import _vertex
 from .errors import (
     DuplicateArc,
     InvalidDigraph,
@@ -24,16 +24,6 @@ from .errors import (
 )
 
 Arc = tuple[int, int]
-
-
-def _vertex(x: object) -> int:
-    """x as a vertex label: any integer but a bool, else InvalidVertex."""
-    if not isinstance(x, bool):
-        try:
-            return operator.index(x)
-        except TypeError:
-            pass
-    raise InvalidVertex(f"vertex label {x!r} is not an integer")
 
 
 def _arc(raw: Iterable[object]) -> Arc:
@@ -161,11 +151,12 @@ class Digraph:
         Built straight from the code's packed word by _from_masks: succ and
         pred are its two halves as decode_code reads them.  A trit code
         cannot encode a loop, a repeated arc or a digon, so the checks of
-        __init__ are not run; decode_code checks only the order
-        (CapExceeded above _kernels.CODE_MAX_ORDER) and the code's range.
+        __init__ are not run; decode_code checks only the order and the
+        code, as _kernels.check_codes does: InvalidVertex unless the order
+        is read as __init__ reads it, CapExceeded above
+        _kernels.CODE_MAX_ORDER, and InvalidDigraph unless the code is an
+        integer in range.
         """
-        if n < 0:
-            raise InvalidVertex(f"vertex count must be non-negative, got {n}")
         return cls._from_masks(n, *_kernels.decode_code(n, code))
 
     # -- isomorphism-invariant form ------------------------------------

@@ -284,4 +284,16 @@ def test_every_label_reader_refuses_non_integers(four_cycle):
     for n in (True, 3.0):  # the vertex count is read as a label is
         with pytest.raises(InvalidVertex):
             Digraph(n, [])
+        # and so is the order of every code reader
+        for read in (
+            lambda: Digraph.from_code(n, 0),
+            lambda: _kernels.decode_code(n, 0),
+            lambda: _kernels.filter_range(n, 0, 1),
+            lambda: _kernels.filter_codes(n, [0]),
+        ):
+            with pytest.raises(InvalidVertex, match="is not an integer"):
+                read()
+    for code in (True, 2.0, "1"):  # a code is an integer too, and not a bool
+        with pytest.raises(InvalidDigraph, match="is not an integer"):
+            Digraph.from_code(3, code)
     assert Digraph(3, [(_Label(0), _Label(1))]).arcs == ((0, 1),)

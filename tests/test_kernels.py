@@ -10,6 +10,9 @@ oracles in ``test_filter_oracle.py``.
 
 from __future__ import annotations
 
+import random
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,6 +57,15 @@ def test_filters_reject_codes_outside_the_universe(n):
     for batch in ([size], [-1], [0, size], [size - 1, -1, 0]):
         with pytest.raises(InvalidDigraph, match=f"for n={n} is outside 0..{size - 1}"):
             _kernels.filter_codes(n, batch)
+    # bools and non-integers at either end are refused, as decode_code refuses them
+    for lo, hi in ((True, size), (0.0, size), (0, size - 0.5), (False, 1)):
+        with pytest.raises(InvalidDigraph, match="is not an integer"):
+            _kernels.filter_range(n, lo, hi)
+    for batch in ([True], [False, 0], [0, 1.0], [0.5]):
+        with pytest.raises(InvalidDigraph, match=f"for n={n} is not an integer"):
+            _kernels.filter_codes(n, batch)
+    with pytest.raises(InvalidDigraph, match="is not an integer"):
+        _kernels.decode_code(n, True)
 
 
 def test_kernels_work_past_64_vertices():
@@ -75,6 +87,35 @@ def test_decode_matches_digraph_arcs(code):
     for t in range(5):
         for h in range(5):
             assert bool(succ[t] >> h & 1) == bool(pred[h] >> t & 1) == D.has_arc(t, h)
+
+
+def _assert_lane_fields(n: int, block: list[int]) -> None:
+    """_lane_fields against decode_code lane by lane: lane k of field v is
+    succ[v] of code k, and of field n + v pred[v]; no lane spills."""
+    size = _kernels._field_bytes(n)
+    unpack = struct.Struct(f"<{len(block)}{_kernels._FORMATS[size]}").unpack
+    fields = _kernels._lane_fields(n, block)
+    assert len(fields) == 2 * n
+    lanes = [unpack(field.to_bytes(len(block) * size, "little")) for field in fields]
+    for k, code in enumerate(block):
+        succ, pred = _kernels.decode_code(n, code)
+        assert [lane[k] for lane in lanes] == succ + pred, (n, code)
+
+
+@pytest.mark.parametrize("n", range(_kernels.CODE_MAX_ORDER + 1))
+def test_lane_fields_match_decode_code_lane_by_lane(n):
+    """Every order, so each field width and its edges at 8/9 and 16/17, on
+    blocks of 1, 7, 4,096 and 4,097 codes with the first and the last code
+    of the universe in them, and every code in one block for n <= 3."""
+    size = _kernels.universe_size(n)
+    rng = random.Random(n)
+    for block in ([0], [size - 1]):
+        _assert_lane_fields(n, block)
+    for length in (7, 4096, 4097):
+        block = [rng.randrange(size) for _ in range(length - 2)]
+        _assert_lane_fields(n, [0, *block, size - 1])
+    if n <= 3:
+        _assert_lane_fields(n, list(range(size)))
 
 
 @given(st.one_of(digraphs(min_n=1, max_n=7), sparse_strong_digraphs(min_n=3, max_n=7)))
