@@ -11,7 +11,8 @@ candidates in ``connectivity``) is two such searches from one vertex, and
 ``strong_parts`` lists strong components by two such searches per
 component.  Sampled codes are judged by the lane filter below, which runs
 the same two searches on many codes at once.  The vertex-0 split below
-searches nothing: it grows every closure it reads by the extension step.
+runs no reachability search: it grows every closure it reads by the
+extension step.
 
 ``layers`` is the one layered search: breadth-first from a vertex set, never
 entering a seen mask, up to the first layer with a successor in a sink mask;
@@ -73,11 +74,11 @@ shares H' = D - {0, 1}.  The split judges at two levels:
   its out-set O1 and in-set I1 from its trits.  The new vertex x reaches
   fwd(x) = x | ahead'[O1], and a vertex u of H' reaches fwd'(u) and, when
   fwd'(u) meets I1, fwd(x) too; the backward closures mirror this with
-  behind'[I1] and O1, the rows of I1 gain x, and girth(H) = min(girth(H'),
-  2 + dist_H'(O1, I1)), read by balls around O1 in the row table of H'.  Each
-  table doubles, so H's tables take list operations on 2**(n-1) entries
-  and no search.  The tables list x last: vertex v >= 2 of D is v - 2 in
-  them, and vertex 1 is n - 2.
+  behind'[I1] and O1, the rows of I1 gain x, and girth(H) is girth(H') or
+  the shortest cycle through x (``_cycle_through``), whichever is shorter.
+  Each table doubles, so H's tables take list operations on 2**(n-1)
+  entries and no search.  The tables list x last: vertex v >= 2 of D is
+  v - 2 in them, and vertex 1 is n - 2.
 
 Each code of the block is then judged from H's tables for vertex 0:
 
@@ -85,10 +86,12 @@ Each code of the block is then judged from H's tables for vertex 0:
   reach I in H each cover V(H): a shortest path out of or into vertex 0
   never returns to it, so this is two lookups.  The lone vertex (n = 1) is
   not strong.
-* girth(D) = min(girth(H), 2 + dist_H(O, I)): a cycle avoiding vertex 0 lies
-  in H, and a shortest one through it is 0 -> a ~> b -> 0 with a in O and
-  b in I.  This holds for every girth target, and costs at most
-  girth_target - 2 lookups out from O in H's row table.
+* a cycle avoiding vertex 0 lies in H, so girth(D) is girth(H) or the
+  shortest cycle through vertex 0 (``_cycle_through``), whichever is
+  shorter.  When girth(H) is 0 or above the target, D has the target girth
+  iff that cycle, capped at the target, has the target's length; when it
+  equals the target, iff there is no such cycle below it; when it is below
+  the target, never.
 
 These are extend's identities for vertex 0 added to H, of which only its
 own closures and the girth are read.  The (value, O, I) of vertex
@@ -98,9 +101,12 @@ in the tables' labels, cut to the block's window by bisection.  The tables
 grow as 2**(n-1) and the list as 3**(n-1), so filter_range takes orders up
 to RANGE_MAX_ORDER = 7 and refuses larger ones with CapExceeded before it
 builds any table: exhaustive sweeps stop at order 6, and sampled codes of
-every order up to CODE_MAX_ORDER go through filter_codes.  ``extend`` adds
-a vertex last to any Tables, so the same step can grow a graph vertex by
-vertex for a generator.
+every order up to CODE_MAX_ORDER go through filter_codes.  A generator
+that adds a vertex to many parents judges each child as a block judges its
+codes, by lookups in the parent's Tables and ``_cycle_through``, not by
+``extend`` per child: growing the n = 7 classes from those on 6 vertices,
+with canonical forms, took 2.0 s that way and 36.0 s by ``extend`` (pure
+Python 3.11.7, shared 2-core x86-64).
 """
 
 from __future__ import annotations
@@ -113,8 +119,6 @@ from operator import index, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, InvalidDigraph, InvalidVertex
-
-BACKEND = "pure"
 
 _choice_value = itemgetter(0)
 
@@ -142,7 +146,10 @@ RANGE_MAX_ORDER = 7
 
 
 def backend_name() -> str:
-    return BACKEND
+    # There is one backend.  Its readers: perfbench's run.py (its import
+    # probe and labels()) and the three benchmark scripts, whose committed
+    # rows carry "backend" (tests/test_bench_scripts.py pins them).
+    return "pure"
 
 
 @lru_cache(maxsize=None)
@@ -162,13 +169,14 @@ def _vertex(x: object) -> int:
     raise InvalidVertex(f"vertex label {x!r} is not an integer")
 
 
-def check_codes(n: int, first: int = 0, last: int = -1) -> None:
+def check_codes(n: int, first: int = 0, last: int = -1) -> tuple[int, int, int]:
     """The check in front of every code reader: raise InvalidVertex unless
     n is a non-negative integer (read as Digraph(n) reads it, so not a
     bool), CapExceeded when n is above CODE_MAX_ORDER, then InvalidDigraph
     unless codes first and last are integers, not bools, that encode graphs
     on n vertices.  When last < first (the defaults), only the order is
-    checked."""
+    checked.  Returns n, first and last as the ints read, which the reader
+    computes with."""
     if type(n) is not int:  # an int skips the read: decode_code runs this per code
         n = _vertex(n)
     if n < 0:
@@ -176,17 +184,22 @@ def check_codes(n: int, first: int = 0, last: int = -1) -> None:
     if n > CODE_MAX_ORDER:
         raise CapExceeded(f"trit codes are read up to order {CODE_MAX_ORDER}, not n={n}")
     if type(first) is not int or type(last) is not int:
+        first, last = _code(n, first), _code(n, last)
+    if first <= last:
+        size = universe_size(n)
         for code in (first, last):
-            try:
-                _vertex(code)
-            except InvalidVertex:
-                raise InvalidDigraph(f"code {code!r} for n={n} is not an integer") from None
-    if first > last:
-        return
-    size = universe_size(n)
-    for code in (first, last):
-        if not 0 <= code < size:
-            raise InvalidDigraph(f"code {code} for n={n} is outside 0..{size - 1}")
+            if not 0 <= code < size:
+                raise InvalidDigraph(f"code {code} for n={n} is outside 0..{size - 1}")
+    return n, first, last
+
+
+def _code(n: int, code: object) -> int:
+    """code as a trit code of order n: any integer but a bool, else
+    InvalidDigraph."""
+    try:
+        return _vertex(code)
+    except InvalidVertex:
+        raise InvalidDigraph(f"code {code!r} for n={n} is not an integer") from None
 
 
 def pair_table(n: int) -> list[tuple[int, int]]:
@@ -266,7 +279,7 @@ def decode_code(n: int, code: int) -> tuple[list[int], list[int]]:
     """Successor and predecessor masks of the graph with the given
     enumeration code, as lists: the two halves of its packed word, read by
     _split.  Raises as check_codes does."""
-    check_codes(n, code, code)
+    n, code, _ = check_codes(n, code, code)
     layout = _layout(n)
     succ, pred = _split(layout, _pack(layout, code))
     return list(succ), list(pred)
@@ -402,6 +415,29 @@ def girth(succ: Sequence[int], pred: Sequence[int], n: int) -> int:
     return best
 
 
+def _cycle_through(heads: Sequence[int], out: int, into: int, cap: int) -> int:
+    """The arcs of a shortest cycle through a vertex x added to a graph with
+    arcs x -> out and into -> x, or 0 when every such cycle has more than
+    cap arcs.
+
+    heads is the graph's successor table over vertex sets (``Tables``).
+    Such a cycle is x -> a ~> b -> x with a in out and b in into, so it has
+    2 + dist(out, into) arcs: the balls around out grow until one meets
+    into, stops growing or would pass cap, and an empty into returns 0 at
+    once.  extend takes the new graph's girth from this, and filter_range
+    the girth through vertex 0.
+    """
+    near, length = out, 2  # near: the vertices within length - 2 of out
+    while into and length <= cap:
+        if near & into:
+            return length
+        wider = near | heads[near]
+        if wider == near:
+            return 0
+        near, length = wider, length + 1
+    return 0
+
+
 class Tables(NamedTuple):
     """A graph on vertices 0..m-1 by the tables the vertex-0 split reads
     (module doc), as ``extend`` grows it one vertex at a time.
@@ -426,9 +462,8 @@ def extend(t: Tables, out: int, into: int) -> Tables:
     out and into are disjoint masks of t's vertices.  x reaches itself and
     what out reaches; a vertex reaches x, and so all that x reaches, iff it
     reaches into; the backward closures mirror this.  Each row of into
-    gains x, and x's row is out.  A shortest cycle through x is x -> a ~>
-    b -> x with a in out and b in into, so girth = min(t.girth, 2 +
-    dist(out, into)), read by balls around out in t.heads.  Each table
+    gains x, and x's row is out.  The girth is t.girth or the shortest
+    cycle through x (_cycle_through), whichever is shorter.  Each table
     doubles: the entries of the sets without x, then of the same sets
     with x.
     """
@@ -443,17 +478,9 @@ def extend(t: Tables, out: int, into: int) -> Tables:
     low = [h | x if s & into else h for s, h in enumerate(heads)]
     grown_heads = low + [h | out for h in low]
     g = t.girth
-    if into:
-        near, length = out, 2  # near: the vertices within length - 2 of out
-        while near and not (g and length >= g):
-            if near & into:
-                g = length
-                break
-            wider = near | heads[near]
-            if wider == near:
-                break
-            near, length = wider, length + 1
-    return Tables(grown_ahead, grown_behind, grown_heads, g)
+    # only a shorter cycle lowers the girth; no cycle is longer than the order
+    cap = g - 1 if g else x.bit_length()
+    return Tables(grown_ahead, grown_behind, grown_heads, _cycle_through(heads, out, into, cap) or g)
 
 
 def tables(succ: Sequence[int], pred: Sequence[int]) -> Tables:
@@ -508,7 +535,8 @@ def _trit_sets(value: int) -> tuple[int, int]:
 
 def _judge_block(n, H, base, first, last, girth_target, survivors):
     """Judge codes base+first .. base+last-1, which share H = D - 0 with
-    its Tables in the labels of _low_choices (module doc).
+    its Tables in the labels of _low_choices (module doc): strong by two
+    lookups, of girth girth_target by _cycle_through from vertex 0.
 
     Appends the survivors in ascending order and returns the strong count.
     """
@@ -529,18 +557,14 @@ def _judge_block(n, H, base, first, last, girth_target, survivors):
     if not (girth_target and strong):
         survivors += [base + value for value, _, _ in strong]
         return len(strong)
-    # girth(D) <= girth(H), and an oriented graph has no cycle shorter than 3.
-    if girth_target < 3 or 0 < g_h < girth_target:
-        return len(strong)
-    exact = g_h != girth_target
-    for value, o, i in strong:
-        # dist_H(O, I) >= k + 1 iff the k-ball around O misses I
-        near = o
-        for _ in range(girth_target - 3):
-            near |= heads[near]
-        if near & i or (exact and not (near | heads[near]) & i):
-            continue
-        survivors.append(base + value)
+    if 0 < g_h < girth_target:
+        return len(strong)  # girth(D) <= girth(H)
+    if g_h == girth_target:
+        survivors += [base + value for value, o, i in strong if not _cycle_through(heads, o, i, g_h - 1)]
+    else:
+        survivors += [
+            base + value for value, o, i in strong if _cycle_through(heads, o, i, girth_target) == girth_target
+        ]
     return len(strong)
 
 
@@ -558,7 +582,9 @@ def filter_range(n: int, lo: int, hi: int, girth_target: int = 0) -> tuple[int, 
     before any table is built, and InvalidDigraph when the range ends
     before it starts.
     """
-    check_codes(n, lo, hi - 1)
+    n = check_codes(n)[0]
+    hi = _code(n, hi)  # the end is read before any arithmetic on it
+    lo = check_codes(n, lo, hi - 1)[1]
     if n > RANGE_MAX_ORDER:
         raise CapExceeded(f"code ranges are filtered up to order {RANGE_MAX_ORDER}, not n={n}")
     if lo > hi:
@@ -594,7 +620,7 @@ def filter_codes(n: int, codes: Sequence[int], girth_target: int = 0) -> tuple[i
     since this is the sampled sweep's hot path, so the codes between them
     must be ints.
     """
-    check_codes(n, min(codes, default=0), max(codes, default=-1))
+    n = check_codes(n, min(codes, default=0), max(codes, default=-1))[0]
     strong_count = 0
     survivors: list[int] = []
     for first in range(0, len(codes), _LANES):

@@ -265,7 +265,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"  counterexamples: {len(result.counterexamples)}")
     for path_name, path in sorted(result.paths.items()):
         print(f"  wrote {path_name}: {path}")
-    print(f"  runtime {result.runtime:.1f}s ({result.backend} backend)")
+    print(f"  runtime {result.runtime:.1f}s")
     return 0 if result.ok else 1
 
 

@@ -155,9 +155,11 @@ class Digraph:
         code, as _kernels.check_codes does: InvalidVertex unless the order
         is read as __init__ reads it, CapExceeded above
         _kernels.CODE_MAX_ORDER, and InvalidDigraph unless the code is an
-        integer in range.
+        integer in range.  The order is the count of rows decode_code
+        returns, so an integer type other than int is read, not kept.
         """
-        return cls._from_masks(n, *_kernels.decode_code(n, code))
+        succ, pred = _kernels.decode_code(n, code)
+        return cls._from_masks(len(succ), succ, pred)
 
     # -- isomorphism-invariant form ------------------------------------
 

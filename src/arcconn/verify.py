@@ -95,9 +95,13 @@ from .errors import CapExceeded
 from .families import FamilyMatch, match_family
 from .formats import emit_digraph6
 
-# Above this order SweepSpec.validate refuses an exhaustive sweep: n = 7 has
-# 3**21 = 10,460,353,203 labeled codes, over 2 h of work, so random mode is
-# the labeled route from n = 7 up to _kernels.CODE_MAX_ORDER.
+# Above this order SweepSpec.validate refuses an exhaustive sweep.  n = 7 has
+# 3**21 = 10,460,353,203 labeled codes: filter_range takes about 9 min on one
+# core over them, and decoding and canonicalizing the 15,576,000 stratum
+# graphs about 5 min more, but a sweep of per-graph records would hold 15.6 M
+# of them in memory and write a records.csv of about 1 GB (62 bytes a row at
+# n = 6).  So random mode is the labeled route from n = 7 up to
+# _kernels.CODE_MAX_ORDER.
 EXHAUSTIVE_MAX_ORDER = 6
 
 CLAUSE_FIELDS = ("theorem1_ok", "bounds_ok", "family_consistency_ok", "proof_ok")
@@ -537,7 +541,6 @@ class SweepResult:
     audit: Optional[dict] = None
     accounting_ok: Optional[bool] = None
     runtime: float = 0.0
-    backend: str = ""
     paths: dict[str, str] = field(default_factory=dict)
 
     seen = _total("seen")
@@ -567,7 +570,6 @@ class SweepResult:
             "accounting_ok": self.accounting_ok,
             "ok": self.ok,
             "runtime_seconds": round(self.runtime, 3),
-            "backend": self.backend,
         }
 
 
@@ -575,7 +577,7 @@ def _aggregate(
     spec: SweepSpec, chunks: dict[str, _Chunk], verdicts: dict[str, _Verdicts], completed: bool
 ) -> SweepResult:
     """The sweep's result from its chunks and their _Verdicts, by key."""
-    result = SweepResult(spec=spec, completed=completed, backend=_kernels.backend_name())
+    result = SweepResult(spec=spec, completed=completed)
     records: list[VerificationRecord] = []
     others: list[VerificationRecord] = []
     result.clause_tallies = {

@@ -27,10 +27,6 @@ settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
 
 
-def pytest_report_header(config):
-    return f"arcconn backend: {_kernels.backend_name()}"
-
-
 Arc = tuple[int, int]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -140,7 +141,7 @@ def test_sweep_cli_writes_artifacts(tmp_path, capsys):
         assert os.path.exists(os.path.join(out_dir, name))
 
 
-def test_sweep_reports_pure_backend(tmp_path):
+def test_sweep_runs_as_a_module(tmp_path):
     out_dir = tmp_path / "out"
     run = subprocess.run(
         [sys.executable, "-m", "arcconn", "sweep", "--n", "4", "--out", str(out_dir), "--quiet"],
@@ -149,10 +150,10 @@ def test_sweep_reports_pure_backend(tmp_path):
         check=True,
         timeout=120,
     )
-    assert "(pure backend)" in run.stdout
+    assert re.search(r"^  runtime \d+\.\ds$", run.stdout, re.MULTILINE), run.stdout
     summary = json.loads((out_dir / "summary.json").read_text())
-    assert summary["backend"] == "pure"
-    assert "backend_reason" not in summary
+    assert (summary["completed"], summary["seen"], summary["stratum"]) == (True, 729, 6)
+    assert "backend" not in summary
 
 
 def test_sweep_cli_cap_is_usage_error(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import index
 
 import pytest
 from hypothesis import given, strategies as st
@@ -281,18 +282,24 @@ def test_arcs_with_non_integer_labels_are_refused(arc):
 def test_every_label_reader_refuses_non_integers(four_cycle):
     with pytest.raises(InvalidVertex):
         is_restricted_arc_cut(four_cycle, [("0", "1")])
+    readers = (
+        lambda n, code: Digraph.from_code(n, code).arcs,
+        lambda n, code: _kernels.decode_code(n, code),
+        lambda n, code: _kernels.filter_range(n, code, 27),
+        lambda n, code: _kernels.filter_range(n, 0, code),
+        lambda n, code: _kernels.filter_codes(n, [index(code)]),  # a batch holds ints
+    )
     for n in (True, 3.0):  # the vertex count is read as a label is
         with pytest.raises(InvalidVertex):
             Digraph(n, [])
         # and so is the order of every code reader
-        for read in (
-            lambda: Digraph.from_code(n, 0),
-            lambda: _kernels.decode_code(n, 0),
-            lambda: _kernels.filter_range(n, 0, 1),
-            lambda: _kernels.filter_codes(n, [0]),
-        ):
+        for read in readers:
             with pytest.raises(InvalidVertex, match="is not an integer"):
-                read()
+                read(n, 0)
+    # an order and a code of an integer type read as the ints they stand for;
+    # code 23 is the 3-cycle 0 -> 2 -> 1 -> 0
+    for read in readers:
+        assert read(_Label(3), _Label(23)) == read(3, 23)
     for code in (True, 2.0, "1"):  # a code is an integer too, and not a bool
         with pytest.raises(InvalidDigraph, match="is not an integer"):
             Digraph.from_code(3, code)

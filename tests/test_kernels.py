@@ -40,7 +40,7 @@ def codes(n: int):
 
 
 def test_kernels_facade_backend():
-    assert arcconn.backend_name() == _kernels.backend_name() == _kernels.BACKEND == "pure"
+    assert arcconn.backend_name() == _kernels.backend_name() == "pure"
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
@@ -58,7 +58,7 @@ def test_filters_reject_codes_outside_the_universe(n):
         with pytest.raises(InvalidDigraph, match=f"for n={n} is outside 0..{size - 1}"):
             _kernels.filter_codes(n, batch)
     # bools and non-integers at either end are refused, as decode_code refuses them
-    for lo, hi in ((True, size), (0.0, size), (0, size - 0.5), (False, 1)):
+    for lo, hi in ((True, size), (0.0, size), (0, size - 0.5), (False, 1), (0, True), (0, str(size))):
         with pytest.raises(InvalidDigraph, match="is not an integer"):
             _kernels.filter_range(n, lo, hi)
     for batch in ([True], [False, 0], [0, 1.0], [0.5]):
@@ -284,17 +284,25 @@ def test_extend_matches_reach_and_the_oracles_exhaustively(m):
     from the Tables of the graph on its first n - 1.  The girth is the
     breadth-first oracle's here (the permutation oracle made this test
     take 9.6 s instead of 2.7 over these 59,049 graphs); the hypothesis
-    twin below uses the permutation oracle."""
+    twin below uses the permutation oracle.  The cycle through the new
+    vertex, 2 + dist(out, into) by the distance oracle, is also read under
+    every cap from 2 to m + 2, which is 0 where it is longer."""
     full = (1 << m) - 1
+    caps = range(2, m + 3)
     for code in range(3 ** (m * (m - 1) // 2)):
         G = Digraph.from_code(m, code)
         t = _kernels.tables(G.succ, G.pred)
         assert t == _oracle_tables(G), G
         for out in range(1 << m):
+            dist = oracle_distances(m, G.arcs, _bits(out), ())
             rest = full & ~out
             into = rest
             while True:  # every subset of rest
                 _assert_grown(G, _kernels.extend(t, out, into), out, into)
+                cycle = 2 + min((dist[b] for b in _bits(into) if b in dist), default=m + 1)
+                assert [_kernels._cycle_through(t.heads, out, into, cap) for cap in caps] == [
+                    cycle if cycle <= cap else 0 for cap in caps
+                ], (G, out, into)
                 if not into:
                     break
                 into = (into - 1) & rest
