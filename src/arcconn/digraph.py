@@ -168,15 +168,19 @@ class Digraph:
 
         One refinement round orders the vertices before the search: a
         vertex's signature is its (out, in) degree pair, then the sorted
-        degree pairs of its out-neighbours and of its in-neighbours.  The
+        degree pairs of its out-neighbours and of its in-neighbours, held as
+        one integer per vertex that sorts as those tuples do (each multiset
+        of degree pairs is a sum of count fields, see _canonical_form).  The
         vertices of equal signature form a cell, the cells are laid out in
         signature order, and only the relabelings that permute vertices
-        within their cells are tried.  An isomorphism maps every vertex to
-        one of the same signature, so isomorphic graphs try the same set of
-        relabeled arc tuples and reach the same minimum.  The cost grows
-        with the factorials of the cell sizes (n! relabelings when every
-        vertex has one signature, as in a vertex-transitive graph), so this
-        is meant for desk-scale graphs.  Memoised in _canonical.
+        within their cells are tried; when every cell holds one vertex, that
+        one relabeling is the form, taken without a search.  An isomorphism
+        maps every vertex to one of the same signature, so isomorphic graphs
+        try the same set of relabeled arc tuples and reach the same minimum.
+        The cost grows with the factorials of the cell sizes (n! relabelings
+        when every vertex has one signature, as in a vertex-transitive
+        graph), so this is meant for desk-scale graphs.  Memoised in
+        _canonical.
         """
         if self._canonical is None:
             object.__setattr__(self, "_canonical", _canonical_form(self.n, self.arcs, self.succ, self.pred))
@@ -184,34 +188,40 @@ class Digraph:
 
 
 def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> tuple[Arc, ...]:
-    # A degree pair (out, in) as one integer out << w | in: both degrees are
-    # below 2**w, so the integers sort as the pairs do.
+    # A vertex's cell key is one integer that sorts as the tuple (degree
+    # pair, sorted degree pairs of its out-neighbours, sorted degree pairs of
+    # its in-neighbours) does.  A degree pair (out, in) is d = out * n + in,
+    # below n * n.  A multiset of degree pairs is a sum of one w-bit count
+    # field per pair, pair d in field n * n - 1 - d (a count is below
+    # n < 2**w), so it fits in b bits.  The key is d << 2b, less the out-sum
+    # << b, less the in-sum.  Two vertices of one degree pair have as many
+    # out-neighbours, and as many in-neighbours; at the least pair whose
+    # count differs, the vertex with more of it has both the smaller sorted
+    # tuple and the larger sum, so the smaller key.
     w = n.bit_length()
-    degrees = [out.bit_count() << w | into.bit_count() for out, into in zip(succ, pred)]
-    outs: list[list[int]] = [[] for _ in range(n)]
-    ins: list[list[int]] = [[] for _ in range(n)]
+    b = w * n * n
+    degrees = [out.bit_count() * n + into.bit_count() for out, into in zip(succ, pred)]
+    unit = [1 << b - w - w * d for d in degrees]
+    keys = [d << b + b for d in degrees]
     for t, h in arcs:
-        outs[t].append(degrees[h])
-        ins[h].append(degrees[t])
-    cells: dict[tuple, list[int]] = {}
-    for v in range(n):
-        outs[v].sort()
-        ins[v].sort()
-        cells.setdefault((degrees[v], tuple(outs[v]), tuple(ins[v])), []).append(v)
-    blocks = [cells[key] for key in sorted(cells)]
-    if len(blocks) == n:  # single-vertex cells leave one order to try
-        orders: Iterable[Iterable[int]] = [[v for v, in blocks]]
-    else:
-        orders = map(chain.from_iterable, product(*map(permutations, blocks)))
+        keys[t] -= unit[h] << b
+        keys[h] -= unit[t]
+    rank = dict(zip(sorted(keys), range(n)))
+    if len(rank) == n:  # single-vertex cells leave one order to try
+        perm = list(map(rank.__getitem__, keys))
+        return tuple(sorted([(perm[t], perm[h]) for t, h in arcs]))
+    cells: dict[int, list[int]] = {}
+    for v in sorted(range(n), key=keys.__getitem__):
+        cells.setdefault(keys[v], []).append(v)
     best: Optional[list[Arc]] = None
     perm = [0] * n
-    for order in orders:
+    for order in map(chain.from_iterable, product(*map(permutations, cells.values()))):
         for new, v in enumerate(order):
             perm[v] = new
         cand = sorted([(perm[t], perm[h]) for t, h in arcs])
         if best is None or cand < best:
             best = cand
-    return tuple(best or ())
+    return tuple(best)  # n >= 2 here: some cell holds two vertices
 
 
 def _orientation_fault(t: int, h: int) -> InvalidDigraph:

@@ -38,7 +38,9 @@ memo, keyed by the order, ``Digraph.canonical_form`` and the reading, and
 ``check_graph`` measures only a graph whose class the memo lacks.  A graph
 of a known class still goes through ``check_graph``, which takes its key
 and copies the class's record with the graph's own digraph6 and, for a
-family member, the parameters ``match_family`` reports for this labeling;
+family member, the parameters ``match_family`` reports for this labeling
+(``_with_labeling``: a copy of the record's field dict with the two
+swapped in, without a second run of the dataclass ``__init__``);
 an audit sweep reads these two fields once and copies both readings'
 records of the class in ``_run_chunk``.  The memo holds one record per
 class met and reading: at most 71 at the n = 6 stratum, and the strong
@@ -133,7 +135,7 @@ class VerificationRecord:
     """One graph's measurements plus per-clause verdicts.
 
     Its fields, in order, are the columns of records.csv and of the
-    checkpoint's rows (RECORD_FIELDS); each cell is written by _cell and
+    checkpoint's rows (RECORD_FIELDS); each cell is written by to_row and
     read back by the reader of its field's annotation.
     """
 
@@ -162,7 +164,12 @@ class VerificationRecord:
         return all(v != "fail" for v in self.clauses().values())
 
     def to_row(self) -> list[str]:
-        return [_cell(getattr(self, name)) for name in _ATTRS]
+        # A cell is "" for None, "true" or "false" for a bool (True and
+        # False are the only bools) and str() of an int or a str.
+        return [
+            "" if v is None else "true" if v is True else "false" if v is False else str(v)
+            for v in _field_values(self)
+        ]
 
     @classmethod
     def from_row(cls, row: list[str]) -> "VerificationRecord":
@@ -171,15 +178,7 @@ class VerificationRecord:
         return cls(*[read(cell) for read, cell in zip(_READERS, row)])
 
 
-def _cell(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-# The inverse of _cell for each annotation a record field has.
+# The inverse of to_row's cell for each annotation a record field has.
 _CELL_READERS: dict[str, Callable[[str], object]] = {
     "str": str,
     "int": int,
@@ -189,6 +188,7 @@ _CELL_READERS: dict[str, Callable[[str], object]] = {
     "Optional[bool]": lambda cell: None if cell == "" else cell == "true",
 }
 _ATTRS = tuple(f.name for f in fields(VerificationRecord))
+_field_values = attrgetter(*_ATTRS)
 _READERS = tuple(_CELL_READERS[f.type] for f in fields(VerificationRecord))
 # A column is named by its field; a trailing underscore only escapes a keyword.
 RECORD_FIELDS = tuple(name.rstrip("_") for name in _ATTRS)
@@ -244,19 +244,18 @@ def _relabeled(rec: VerificationRecord, D: Digraph) -> VerificationRecord:
     return _with_labeling(rec, emit_digraph6(D), params)
 
 
-# The positions of the two labeling fields among a record's field values.
-_GRAPH_ID = _ATTRS.index("graph_id")
-_FAMILY_PARAMS = _ATTRS.index("family_params")
-
-
 def _with_labeling(rec: VerificationRecord, graph_id: str, family_params: Optional[str]) -> VerificationRecord:
-    """rec with graph_id and family_params swapped in, built from its field
-    values in field order (a frozen dataclass sets them in that order in
-    its __dict__), which costs half of dataclasses.replace."""
-    values = list(rec.__dict__.values())
-    values[_GRAPH_ID] = graph_id
-    values[_FAMILY_PARAMS] = family_params
-    return VerificationRecord(*values)
+    """rec with graph_id and family_params swapped in: a new record whose
+    field dict is a copy of rec's with those two values replaced.  The
+    frozen dataclass __init__, which dataclasses.replace runs, is not run:
+    the fields are rec's, already read.  The copy compares, hashes and
+    refuses assignment as replace's does."""
+    values = rec.__dict__.copy()
+    values["graph_id"] = graph_id
+    values["family_params"] = family_params
+    copy = object.__new__(VerificationRecord)
+    object.__setattr__(copy, "__dict__", values)
+    return copy
 
 
 def check_graph(
@@ -340,6 +339,12 @@ class SweepSpec:
     check_proof_cuts: bool = False
     chunk_size: int = 250_000
     jobs: int = 1
+
+    def __post_init__(self) -> None:
+        # Both ends are orders, read as Digraph(n) reads one (InvalidVertex
+        # unless an integer but a bool), so the spec holds them as ints.
+        for end in ("n_lo", "n_hi"):
+            object.__setattr__(self, end, _kernels._vertex(getattr(self, end)))
 
     def validate(self) -> None:
         if self.n_lo < 1 or self.n_lo > self.n_hi:

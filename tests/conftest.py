@@ -113,6 +113,21 @@ def delete_arcs(D: Digraph, S: Iterable[Arc]) -> Digraph:
 
 
 # ---------------------------------------------------------------------------
+# an integer type other than int
+
+
+class Label:
+    """An integer type that is not int: operator.index reads it, as
+    Digraph(n) and every code reader do."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+# ---------------------------------------------------------------------------
 # readings of a digraph that only the tests take
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from operator import index
 
@@ -19,6 +20,7 @@ from arcconn import (
 )
 
 from .conftest import (
+    Label,
     delete_arcs,
     digraphs,
     induced,
@@ -199,6 +201,24 @@ def test_canonical_form_is_memoised(l8):
     assert Digraph(0).canonical_form() == ()
 
 
+# SHA-256 of the lines repr((n, D.canonical_form())) for every code of every
+# order n = 0..5, in code order, joined by newlines: 59,810 graphs.
+CANONICAL_FORMS_TO_5_SHA256 = "2430984960e942860baaf1822f1584d83cd7bdf1184cbc17e60b07d1f70a16b6"
+
+
+def test_canonical_forms_up_to_order_5_are_pinned():
+    """The form of each labeled graph with n <= 5, not only the classes it
+    splits them into: the class memo's keys, the family census and every
+    isomorphism test read these exact tuples."""
+    lines = [
+        repr((n, Digraph.from_code(n, code).canonical_form()))
+        for n in range(6)
+        for code in range(_kernels.universe_size(n))
+    ]
+    assert len(lines) == 59_810
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == CANONICAL_FORMS_TO_5_SHA256
+
+
 @given(digraphs(max_n=7))
 def test_code_round_trip(D):
     assert Digraph.from_code(D.n, trit_code(D)) == D
@@ -263,16 +283,6 @@ def test_relabel_requires_permutation():
         D.relabel([0, 0, 1])
 
 
-class _Label:
-    """An integer type that is not int: operator.index reads it."""
-
-    def __init__(self, value: int) -> None:
-        self.value = value
-
-    def __index__(self) -> int:
-        return self.value
-
-
 @pytest.mark.parametrize("arc", [(0.5, 1), (True, 2), ("0", "1"), (0, 1.0), (None, 1)])
 def test_arcs_with_non_integer_labels_are_refused(arc):
     with pytest.raises(InvalidVertex, match="is not an integer"):
@@ -299,8 +309,8 @@ def test_every_label_reader_refuses_non_integers(four_cycle):
     # an order and a code of an integer type read as the ints they stand for;
     # code 23 is the 3-cycle 0 -> 2 -> 1 -> 0
     for read in readers:
-        assert read(_Label(3), _Label(23)) == read(3, 23)
+        assert read(Label(3), Label(23)) == read(3, 23)
     for code in (True, 2.0, "1"):  # a code is an integer too, and not a bool
         with pytest.raises(InvalidDigraph, match="is not an integer"):
             Digraph.from_code(3, code)
-    assert Digraph(3, [(_Label(0), _Label(1))]).arcs == ((0, 1),)
+    assert Digraph(3, [(Label(0), Label(1))]).arcs == ((0, 1),)

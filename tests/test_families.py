@@ -26,6 +26,7 @@ from arcconn.families import (
     _incidence_table,
     _params_for_order,
 )
+from arcconn.formats import emit_digraph6
 
 from .conftest import stratum_codes, stratum_digraphs
 
@@ -221,6 +222,50 @@ def test_census_has_no_isomorphic_duplicates():
         assert len(forms) == len(members)
         for params, D in members:
             assert params.n == n == D.n
+
+
+# (params.describe(), digraph6) of every family_census(n) entry, in order:
+# the lines of `arcconn family census 6` and `... 7`.
+CENSUS_LINES = {
+    6: [
+        ("H1(p=0,q=0,r=0,s=2)", "&ECAA@_Y"),
+        ("H1(p=0,q=0,r=1,s=1)", "&ECA@OHc"),
+        ("H1(p=0,q=1,r=0,s=1)", "&EGCA@Sg"),
+        ("H2(p=0,q=1)", "&EAA@@Ko"),
+        ("H2(p=1,q=0)", "&EAAA@Cw"),
+        ("H3(p=0,q=1,r=0)", "&ECC@AHo"),
+        ("H3(p=1,q=0,r=0)", "&EC@@AWc"),
+        ("H4(p=0,yv)", "&E@@AIoK"),
+        ("H6(p=0,q=1,xz)", "&E@GC`WQ"),
+        ("H6(p=1,q=0,xz)", "&EOC@IHo"),
+        ("H7(xz,yv)", "&EA@aPSg"),
+    ],
+    7: [
+        ("H1(p=0,q=0,r=0,s=3)", "&FA?_OGB?\\?"),
+        ("H1(p=0,q=0,r=1,s=2)", "&FA@?OC_Hq?"),
+        ("H1(p=0,q=0,r=2,s=1)", "&FA?_OCPCX?"),
+        ("H1(p=0,q=1,r=0,s=2)", "&FC@?_CDGY?"),
+        ("H1(p=0,q=1,r=1,s=1)", "&FC?OOPBGH?"),
+        ("H2(p=0,q=2)", "&F@?_OCAKw?"),
+        ("H2(p=2,q=0)", "&F@?_OGAC{?"),
+        ("H3(p=0,q=1,r=1)", "&FA@?_CCHw?"),
+        ("H3(p=0,q=2,r=0)", "&FA@?OGB_L?"),
+        ("H3(p=1,q=0,r=1)", "&FA?_OGBC[?"),
+        ("H3(p=1,q=1,r=0)", "&FA?_OD_Ha?"),
+        ("H3(p=2,q=0,r=0)", "&FA@?GCCWq?"),
+        ("H4(p=1,yv)", "&F@?_OCQKw?"),
+        ("H6(p=0,q=2,xz)", "&F@?`?CoSp?"),
+        ("H6(p=1,q=1,xz)", "&FA?OPHBCK?"),
+        ("H6(p=2,q=0,xz)", "&FCA?GOcPs?"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_LINES))
+def test_census_lines_are_pinned(n):
+    """Each representative is the canonical relabeling of its class, so
+    these lines pin Digraph.canonical_form on the members too."""
+    assert [(params.describe(), emit_digraph6(D)) for params, D in family_census(n)] == CENSUS_LINES[n]
 
 
 def test_match_labels_respect_first_family_precedence():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import pytest
@@ -16,11 +16,14 @@ from arcconn import (
     Digraph,
     Family,
     FamilyParams,
+    InvalidVertex,
     SweepSpec,
     check_graph,
+    emit_digraph6,
     generate,
     girth_cycles,
     is_restricted_arc_cut,
+    match_family,
     parse_digraph6,
     proof_cut_constructions,
     run_sweep,
@@ -35,7 +38,7 @@ from arcconn.verify import (
     sample_codes,
 )
 
-from .conftest import oracle_canonical_form, stratum_codes
+from .conftest import Label, oracle_canonical_form, stratum_codes
 
 
 @pytest.mark.parametrize("reading", [ORIGINAL_HOST, RESIDUAL_HOST])
@@ -137,6 +140,27 @@ def test_record_row_round_trip_field(field):
     assert again == rec
     attr = "lambda_" if field == "lambda" else field
     assert getattr(again, attr) == getattr(rec, attr)
+
+
+def test_record_row_round_trip_cells():
+    """Records holding None, bool, int and str cells come back from their rows."""
+    base = check_graph(Digraph.from_code(6, 110009), check_proof=True)
+    records = [
+        base,
+        check_graph(Digraph(3)),
+        check_graph(Digraph(3, [(0, 1), (1, 2), (2, 0)]), reading=RESIDUAL_HOST),
+        replace(base, girth=None, is_strong=False, family=None, family_params=None,
+                lambda_=None, lambda_prime_exists=None, lambda_prime=None, xi=None),
+        replace(base, lambda_prime_exists=True, lambda_prime=0, xi=7, family="H2", theorem1_ok="fail"),
+    ]
+    cells = {type(value) for rec in records for value in rec.__dict__.values()}
+    assert cells == {type(None), bool, int, str}
+    for rec in records:
+        row = rec.to_row()
+        assert all(type(cell) is str for cell in row) and len(row) == len(RECORD_FIELDS)
+        assert VerificationRecord.from_row(row) == rec
+    assert records[3].to_row()[3:11] == ["", "false", "", "", "", "", "", ""]
+    assert records[4].to_row()[8:11] == ["true", "0", "7"]
 
 
 def test_sweep_n4_pinned_counts(tmp_path):
@@ -387,7 +411,7 @@ def test_class_memo_reads_each_labelings_family_params():
 
 
 def test_relabeled_copy_matches_dataclass_replace():
-    """A memo hit's record is built from the class record's field values
+    """A memo hit's record is a copy of the class record's field dict
     with the two labeling fields swapped in: the record replace gives."""
     for code in (110009, 110010, 4_000_000, 0):
         rec = check_graph(Digraph.from_code(6, code), check_proof=True)
@@ -395,6 +419,31 @@ def test_relabeled_copy_matches_dataclass_replace():
             copy = verify._with_labeling(rec, graph_id, params)
             assert copy == replace(rec, graph_id=graph_id, family_params=params)
             assert copy.to_row() == replace(rec, graph_id=graph_id, family_params=params).to_row()
+
+
+def test_memo_hits_copy_the_class_record():
+    """Over every stratum graph of one n = 6 slice (the codes whose pairs
+    within {3, 4, 5} read 0, 0, 1), each memo hit's record is the class
+    record with this labeling's digraph6 and family parameters: it equals
+    and hashes like that replace copy, is a VerificationRecord, and is
+    frozen."""
+    _, _, codes = _kernels.filter_range(6, 3**12, 2 * 3**12, girth_target=4)
+    memo = {}
+    hits = 0
+    for code in codes:
+        D = Digraph.from_code(6, code)
+        known = memo.get(verify._class_key(D, ORIGINAL_HOST))
+        rec = check_graph(D, check_proof=True, memo=memo)
+        if known is None:
+            continue
+        hits += 1
+        params = match_family(D).params.describe() if known.family is not None else None
+        twin = replace(known, graph_id=emit_digraph6(D), family_params=params)
+        assert rec == twin and hash(rec) == hash(twin)
+        assert type(rec) is VerificationRecord
+        with pytest.raises(FrozenInstanceError):
+            rec.graph_id = "E?~?"
+    assert (len(codes), hits) == (1_776, 1_710)
 
 
 def test_sweep_reads_each_records_verdicts_once(tmp_path, monkeypatch):
@@ -571,6 +620,23 @@ def test_sweep_spec_validation():
     for extra in ({"samples": 5}, {"seed": 3}, {"samples": 5, "seed": 3}):
         with pytest.raises(ValueError, match="only to a sweep with --mode random"):
             SweepSpec(n_lo=4, n_hi=4, **extra).validate()
+
+
+def test_sweep_spec_reads_its_orders_as_digraph_does():
+    for ends in ((4, Label(4)), (Label(4), 4), (Label(4), Label(5))):
+        spec = SweepSpec(n_lo=ends[0], n_hi=ends[1])
+        spec.validate()
+        assert (type(spec.n_lo), type(spec.n_hi)) == (int, int)
+    assert run_sweep(SweepSpec(n_lo=Label(4), n_hi=Label(4))).summary()["per_n"] == \
+        run_sweep(SweepSpec(n_lo=4, n_hi=4)).summary()["per_n"]
+    for ends in ((5, Label(4)), (Label(5), 4), (Label(5), Label(4)), (Label(0), 4)):
+        with pytest.raises(ValueError, match="bad order range"):
+            SweepSpec(n_lo=ends[0], n_hi=ends[1]).validate()
+    for bad in (True, 4.0, "4"):
+        with pytest.raises(InvalidVertex):
+            SweepSpec(n_lo=bad, n_hi=4)
+        with pytest.raises(InvalidVertex):
+            SweepSpec(n_lo=4, n_hi=bad)
 
 
 def test_sweep_counterexample_channel(tmp_path, monkeypatch):
