@@ -41,9 +41,10 @@ class Digraph:
         succ: per-vertex successor bitmasks (bit u of succ[v] iff v->u).
         pred: per-vertex predecessor bitmasks.
 
-    is_strong(), canonical_form(), cycles.girth and cycles.girth_cycles
-    memoise their answers in _strong, _canonical, _girth (0 when acyclic)
-    and _girth_cycles.
+    is_strong(), cycles.girth and cycles.girth_cycles memoise their
+    answers in _strong, _girth (0 when acyclic) and _girth_cycles;
+    canonical_form() and canonical_labeling() share _canonical, the pair
+    (form, labeling).
     """
 
     __slots__ = ("n", "arcs", "succ", "pred", "_strong", "_canonical", "_girth", "_girth_cycles")
@@ -180,14 +181,29 @@ class Digraph:
         The cost grows with the factorials of the cell sizes (n! relabelings
         when every vertex has one signature, as in a vertex-transitive
         graph), so this is meant for desk-scale graphs.  Memoised in
-        _canonical.
+        _canonical, beside the relabeling that attains it
+        (canonical_labeling).
         """
         if self._canonical is None:
             object.__setattr__(self, "_canonical", _canonical_form(self.n, self.arcs, self.succ, self.pred))
-        return self._canonical
+        return self._canonical[0]
+
+    def canonical_labeling(self) -> tuple[int, ...]:
+        """The relabeling perm (perm[old] = new) that canonical_form settles
+        on: the one of single-vertex cells, else the first minimizing order
+        of its search.  relabel(perm) has the canonical form as its arcs.
+        Another graph of the class may be relabeled onto the form by a
+        different map when the form has automorphisms; any two such maps
+        differ by one of them.  Memoised with the form."""
+        if self._canonical is None:
+            self.canonical_form()
+        return self._canonical[1]
 
 
-def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]) -> tuple[Arc, ...]:
+def _canonical_form(
+    n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Sequence[int]
+) -> tuple[tuple[Arc, ...], tuple[int, ...]]:
+    # The form, and the relabeling (new label of each vertex) that gives it.
     # A vertex's cell key is one integer that sorts as the tuple (degree
     # pair, sorted degree pairs of its out-neighbours, sorted degree pairs of
     # its in-neighbours) does.  A degree pair (out, in) is d = out * n + in,
@@ -208,20 +224,21 @@ def _canonical_form(n: int, arcs: tuple[Arc, ...], succ: Sequence[int], pred: Se
         keys[h] -= unit[t]
     rank = dict(zip(sorted(keys), range(n)))
     if len(rank) == n:  # single-vertex cells leave one order to try
-        perm = list(map(rank.__getitem__, keys))
-        return tuple(sorted([(perm[t], perm[h]) for t, h in arcs]))
+        perm = tuple(map(rank.__getitem__, keys))
+        return tuple(sorted([(perm[t], perm[h]) for t, h in arcs])), perm
     cells: dict[int, list[int]] = {}
     for v in sorted(range(n), key=keys.__getitem__):
         cells.setdefault(keys[v], []).append(v)
     best: Optional[list[Arc]] = None
+    best_perm: tuple[int, ...] = ()
     perm = [0] * n
     for order in map(chain.from_iterable, product(*map(permutations, cells.values()))):
         for new, v in enumerate(order):
             perm[v] = new
         cand = sorted([(perm[t], perm[h]) for t, h in arcs])
         if best is None or cand < best:
-            best = cand
-    return tuple(best)  # n >= 2 here: some cell holds two vertices
+            best, best_perm = cand, tuple(perm)
+    return tuple(best), best_perm  # n >= 2 here: some cell holds two vertices
 
 
 def _orientation_fault(t: int, h: int) -> InvalidDigraph:

@@ -42,6 +42,16 @@ the definition lists the family.
 Every member of H1, H2 and H3 has 2n-4 arcs, every member of H4, H5 and H6
 has 2n-3, and H7 has 2n-2, so match_family rejects any graph whose arc
 count lies outside [2n-4, 2n-2] without looking further.
+
+A graph can be a member at several sites: for H1 the girth cycles whose
+off-cycle vertices are all fans (_h1_sites, the fan test), for H2..H7 the
+spines u->v->w at which the family's rule assembles (_spines and _assemble,
+the spine rule).  match_family reports the first site it meets: the least
+girth cycle in canonical rotation, or the least (u, v, w).  _member_sites
+lists every site of a member, relabeled; a class memo keeps them in
+canonical labels, and _site_params reads off them, for any labeling of the
+class, the parameters match_family would report there, without matching
+again.
 """
 
 from __future__ import annotations
@@ -51,7 +61,7 @@ from enum import Enum
 from itertools import product
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .cycles import girth, girth_cycles
+from .cycles import Cycle, girth, girth_cycles
 from .digraph import Arc, Digraph, _bits
 from .errors import InvalidDigraph, InvalidParams
 
@@ -222,18 +232,20 @@ def _incidence_table(D: Digraph) -> list[Incidence]:
 _H1_SIDES = tuple(("uvwz".index(t), "uvwz".index(h)) for t, h in _SHAPES[Family.H1].fans)
 
 
-def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
-    """H1 on a graph with 2n-4 arcs.
+def _h1_sites(D: Digraph, inc: list[Incidence]) -> Iterator[tuple[Cycle, tuple[list[int], ...]]]:
+    """Every girth cycle (u, v, w, z) of D whose off-cycle vertices are all
+    fans, with the fans on its sides uv, vw, wz and zu, in girth_cycles
+    order (canonical rotations, sorted); D has 2n-4 arcs.
 
     Every H1 member has girth 4, so only the girth cycles of a girth-4 graph
     are tried.  Once every vertex off the 4-cycle is a fan vertex, the cycle
     and fan arcs are 2n-4 distinct arcs of D, so they are all of its arcs.
     A vertex t on the fan from s to d has incidence (1 << d, 1 << s).  The
     four sides of a cycle are the same under every rotation, so a cycle
-    matches in its canonical rotation or not at all.
+    passes in its canonical rotation or not at all.
     """
     if girth(D) != 4:
-        return None
+        return
     for C in girth_cycles(D):
         bits = [1 << c for c in C]
         side = {(bits[h], bits[t]): k for k, (t, h) in enumerate(_H1_SIDES)}
@@ -247,10 +259,16 @@ def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
                 break
             fans[k].append(t)
         else:
-            params = FamilyParams(Family.H1, tuple(len(fan) for fan in fans))
-            roles: dict[str, RoleValue] = dict(zip("uvwz", C))
-            roles.update(zip("ABCD", map(tuple, fans)))
-            return FamilyMatch(Family.H1, params, roles)
+            yield C, fans
+
+
+def _match_h1(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
+    """H1 on a graph with 2n-4 arcs, at its first site."""
+    for C, fans in _h1_sites(D, inc):
+        params = FamilyParams(Family.H1, tuple(map(len, fans)))
+        roles: dict[str, RoleValue] = dict(zip("uvwz", C))
+        roles.update(zip("ABCD", map(tuple, fans)))
+        return FamilyMatch(Family.H1, params, roles)
     return None
 
 
@@ -324,34 +342,40 @@ _SPINE_RULES = tuple(
 )
 
 
-def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
-    """The lowest of H2..H7 that D belongs to, in one pass over the spines.
-
-    Spines u->v->w are visited in arc order and bucketed once each.  A spine
-    is only tried for the families below the best match so far, so every
-    family is judged on its first matching spine.
+def _spines(D: Digraph, inc: list[Incidence]) -> Iterator[tuple[int, int, int, list[list[int]]]]:
+    """Every spine u->v->w with u and w not adjacent and every other vertex
+    bucketed, in arc order and then head order, with its buckets.
 
     The buckets prescribe every arc at a vertex off the spine, and _assemble
-    checks the arcs a bucket leaves open, so D is the prescribed graph
-    exactly when u and w are not adjacent.
+    checks the arcs a bucket leaves open, so D is the member _assemble
+    builds exactly when u and w are not adjacent.
     """
-    best: Optional[FamilyMatch] = None
-    limit = len(_SPINE_RULES)
     succ, pred = D.succ, D.pred
     for u, v in D.arcs:
         for w in _bits(succ[v]):
             if (succ[u] | pred[u]) >> w & 1:
                 continue
             b = _bucket_outside(inc, u, v, w)
-            if b is None:
-                continue
-            for i, rule in enumerate(_SPINE_RULES[:limit]):
-                match = _assemble(D, inc, rule, u, v, w, b)
-                if match is not None:
-                    best, limit = match, i
-                    break
-            if limit == 0:
-                return best
+            if b is not None:
+                yield u, v, w, b
+
+
+def _match_spines(D: Digraph, inc: list[Incidence]) -> Optional[FamilyMatch]:
+    """The lowest of H2..H7 that D belongs to, in one pass over the spines.
+
+    A spine is only tried for the families below the best match so far, so
+    every family is judged on its first site.
+    """
+    best: Optional[FamilyMatch] = None
+    limit = len(_SPINE_RULES)
+    for u, v, w, b in _spines(D, inc):
+        for i, rule in enumerate(_SPINE_RULES[:limit]):
+            match = _assemble(D, inc, rule, u, v, w, b)
+            if match is not None:
+                best, limit = match, i
+                break
+        if limit == 0:
+            return best
     return best
 
 
@@ -410,6 +434,58 @@ def match_family(D: Digraph) -> Optional[FamilyMatch]:
         if match is not None:
             return match
     return _match_spines(D, inc)
+
+
+# A place where a graph is a member of its family: for H1 a girth cycle
+# (u, v, w, z) with the fan sizes on its sides uv, vw, wz and zu, for H2..H7
+# a spine (u, v, w) with the member's parameters.
+Site = tuple[tuple[int, ...], FamilyParams]
+
+
+def _member_sites(D: Digraph, family: Family, labels: Sequence[int]) -> tuple[Site, ...]:
+    """Every site of D, a member of family, with its vertices relabeled by
+    labels (labels[old] = new).
+
+    The sites of H1 are the cycles _h1_sites passes, those of H2..H7 the
+    spines of _spines at which family's rule assembles: match_family
+    reports the first one it meets.  An isomorphism maps the sites of one
+    graph onto those of the other, so the sites of a class, listed once in
+    its canonical labels, give every graph of the class its parameters
+    (_site_params).
+    """
+    inc = _incidence_table(D)
+    if family is Family.H1:
+        found = [(C, FamilyParams(family, tuple(map(len, fans)))) for C, fans in _h1_sites(D, inc)]
+    else:
+        rule = next(rule for rule in _SPINE_RULES if rule[0] is family)
+        found = []
+        for u, v, w, b in _spines(D, inc):
+            match = _assemble(D, inc, rule, u, v, w, b)
+            if match is not None:
+                found.append(((u, v, w), match.params))
+    return tuple((tuple(map(labels.__getitem__, at)), params) for at, params in found)
+
+
+def _site_params(sites: Sequence[Site], labels: Sequence[int]) -> FamilyParams:
+    """The parameters match_family reports on the graph that the sites'
+    graph becomes under labels (labels[old] = new): those of the first
+    site it meets there.
+
+    It meets H1's cycles in canonical rotation, in sorted order, so the
+    least rotated cycle, whose fan sizes rotate with it; and the spines of
+    H2..H7 in arc order and then head order, so the least (u, v, w).
+    """
+    best: Optional[tuple[list[int], int, FamilyParams]] = None
+    for at, params in sites:
+        moved = [labels[x] for x in at]
+        k = moved.index(min(moved)) if params.family is Family.H1 else 0
+        met = moved[k:] + moved[:k]
+        if best is None or met < best[0]:
+            best = met, k, params
+    _, k, params = best
+    if k:
+        params = FamilyParams(Family.H1, params.sizes[k:] + params.sizes[:k])
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -38,18 +38,25 @@ memo, keyed by the order, ``Digraph.canonical_form`` and the reading, and
 ``check_graph`` measures only a graph whose class the memo lacks.  A graph
 of a known class still goes through ``check_graph``, which takes its key
 and copies the class's record with the graph's own digraph6 and, for a
-family member, the parameters ``match_family`` reports for this labeling
-(``_with_labeling``: a copy of the record's field dict with the two
-swapped in, without a second run of the dataclass ``__init__``);
-an audit sweep reads these two fields once and copies both readings'
-records of the class in ``_run_chunk``.  The memo holds one record per
-class met and reading: at most 71 at the n = 6 stratum, and the strong
-classes of orders up to 6 with the girth filter off.  With jobs = 1 it
-spans the whole sweep; a pool worker gets its own empty copy with each
-chunk, so with jobs > 1 it spans one chunk.  A random chunk computes no
-key: a sample of 50,000 codes at n = 7 holds about 80 stratum graphs among
-3,307 classes, so a key would almost never find its class.  Nothing of the
-memo outlives a ``run_sweep`` call.
+family member, the parameters ``match_family`` would report for this
+labeling (``_with_labeling``: a copy of the record's field dict with the
+two swapped in, without a second run of the dataclass ``__init__``).
+Those parameters are read without a second recognition: the miss that
+measures a family class also lists every site where the class is a member
+(``families._member_sites``: the girth cycles of H1 with their fan sizes,
+the spines of H2..H7 with their parameters) in the labels of
+``Digraph.canonical_labeling``, and a hit maps them back through its own
+canonical labeling and takes the site ``match_family`` would meet first
+(``families._site_params``).  An audit sweep reads these two fields once
+and copies both readings' records of the class in ``_run_chunk``.  The
+memo holds one record per class met and reading, with the class's sites:
+at most 71 records at the n = 6 stratum, and the strong classes of orders
+up to 6 with the girth filter off.  With jobs = 1 it spans the whole
+sweep; a pool worker gets its own empty copy with each chunk, so with
+jobs > 1 it spans one chunk.  A random chunk computes no key: a sample of
+50,000 codes at n = 7 holds about 80 stratum graphs among 3,307 classes,
+so a key would almost never find its class.  Nothing of the memo outlives
+a ``run_sweep`` call.
 
 Each file format is stated in one place:
 
@@ -93,8 +100,8 @@ from .connectivity import (
 )
 from .cycles import Cycle, girth
 from .digraph import Arc, Digraph
-from .errors import CapExceeded
-from .families import FamilyMatch, match_family
+from .errors import CapExceeded, InvalidVertex
+from .families import FamilyMatch, Site, _member_sites, _site_params, match_family
 from .formats import emit_digraph6
 
 # Above this order SweepSpec.validate refuses an exhaustive sweep.  n = 7 has
@@ -224,23 +231,33 @@ def measure(D: Digraph, reading: DefinitionReading = ORIGINAL_HOST) -> Measureme
     )
 
 
-# A sweep's class memo: the record of the first graph judged in each
-# isomorphism class under each reading, keyed by _class_key.  One memo
-# serves one sweep, so check_proof is the same for every record in it.
+# A sweep's class memo: for each isomorphism class met and each reading,
+# keyed by _class_key, the record of the first graph judged in it and, for a
+# family class, its sites in canonical labels (families._member_sites; an
+# empty tuple otherwise).  One memo serves one sweep, so check_proof is the
+# same for every record in it.
 ClassKey = tuple[int, tuple[Arc, ...], DefinitionReading]
-ClassMemo = dict[ClassKey, VerificationRecord]
+ClassMemo = dict[ClassKey, tuple[VerificationRecord, tuple[Site, ...]]]
 
 
 def _class_key(D: Digraph, reading: DefinitionReading) -> ClassKey:
     return D.n, D.canonical_form(), reading
 
 
-def _relabeled(rec: VerificationRecord, D: Digraph) -> VerificationRecord:
-    """rec, a record of D's class, with the two fields that depend on the
-    labeling read off D: its digraph6, and a family member's parameters
-    (the family is an invariant, but which parameters match_family reports
-    is not: one H1 class holds labelings it reads as p=0,s=2 and as p=2,s=0)."""
-    params = match_family(D).params.describe() if rec.family is not None else None
+def _relabeled(rec: VerificationRecord, sites: tuple[Site, ...], D: Digraph) -> VerificationRecord:
+    """rec, a record of D's class with the class's sites, with the two
+    fields that depend on the labeling read off D: its digraph6, and a
+    family member's parameters (the family is an invariant, but which
+    parameters match_family reports is not: one H1 class holds labelings it
+    reads as p=0,s=2 and as p=2,s=0).  The parameters are read off the
+    sites through the inverse of the relabeling D.canonical_labeling, which
+    the class key has settled, so match_family is not run again; any
+    relabeling that attains the form gives the same answer, as the
+    automorphisms of the canonical graph permute its sites."""
+    params = None
+    if sites:
+        back = sorted(range(D.n), key=D.canonical_labeling().__getitem__)
+        params = _site_params(sites, back).describe()
     return _with_labeling(rec, emit_digraph6(D), params)
 
 
@@ -276,7 +293,7 @@ def check_graph(
         key = _class_key(D, reading)
         known = memo.get(key)
         if known is not None:
-            return _relabeled(known, D)
+            return _relabeled(*known, D)
     if meas is None:
         meas = measure(D, reading)
     family = meas.match.family.value if meas.match else None
@@ -320,7 +337,8 @@ def check_graph(
         reading=reading.value,
     )
     if memo is not None:
-        memo[key] = rec
+        sites = () if meas.match is None else _member_sites(D, meas.match.family, D.canonical_labeling())
+        memo[key] = rec, sites
     return rec
 
 
@@ -345,6 +363,12 @@ class SweepSpec:
         # unless an integer but a bool), so the spec holds them as ints.
         for end in ("n_lo", "n_hi"):
             object.__setattr__(self, end, _kernels._vertex(getattr(self, end)))
+        # The counts, the seed and a girth filter are read as integers too,
+        # so validate and _plan_chunks compute with ints.
+        for name in ("samples", "seed", "chunk_size", "jobs"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.girth is not None:
+            object.__setattr__(self, "girth", _integer("girth", self.girth))
 
     def validate(self) -> None:
         if self.n_lo < 1 or self.n_lo > self.n_hi:
@@ -371,6 +395,15 @@ class SweepSpec:
         identities nor record content: the checkpoint header's spec."""
         spec = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "jobs"}
         return {**spec, "reading": self.reading.value}
+
+
+def _integer(name: str, value: object) -> int:
+    """The spec field name's value read as an order is (_kernels._vertex:
+    any integer but a bool); anything else raises ValueError naming it."""
+    try:
+        return _kernels._vertex(value)
+    except InvalidVertex:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _audit(base: list[VerificationRecord], other: list[VerificationRecord]) -> dict:
@@ -492,9 +525,9 @@ def _run_chunk(args: tuple[SweepSpec, Task, Optional[ClassMemo]]) -> tuple[str, 
         # reading.
         known = memo.get(_class_key(D, spec.reading)) if memo is not None else None
         if known is not None:
-            rec = _relabeled(known, D)
+            rec = _relabeled(*known, D)
             records.append(rec)
-            others.append(_with_labeling(memo[_class_key(D, other)], rec.graph_id, rec.family_params))
+            others.append(_with_labeling(memo[_class_key(D, other)][0], rec.graph_id, rec.family_params))
             continue
         meas = measure(D, spec.reading)
         records.append(check_graph(D, reading=spec.reading, check_proof=spec.check_proof_cuts, meas=meas, memo=memo))

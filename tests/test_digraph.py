@@ -171,10 +171,11 @@ def test_canonical_form_is_isomorphism_invariant(D, rnd):
 
 def _assert_same_classes(graphs) -> None:
     """canonical_form and the brute oracle split graphs into the same
-    classes, and each graph's form is one of its relabelings."""
+    classes, and each graph's form is its relabeling by canonical_labeling."""
     pairs = set()
     for D in graphs:
         form = D.canonical_form()
+        assert D.relabel(D.canonical_labeling()).arcs == form, D
         brute = oracle_canonical_form(D)
         assert oracle_canonical_form(Digraph(D.n, form)) == brute, D
         pairs.add((D.n, form, brute))
@@ -198,7 +199,10 @@ def test_canonical_form_splits_drawn_graphs_as_the_brute_oracle(D, E, rnd):
 
 def test_canonical_form_is_memoised(l8):
     assert l8.canonical_form() is l8.canonical_form()
-    assert Digraph(0).canonical_form() == ()
+    assert l8.canonical_labeling() is l8.canonical_labeling()
+    assert Digraph(0).canonical_form() == () and Digraph(0).canonical_labeling() == ()
+    fresh = Digraph(l8.n, l8.arcs)  # the labeling alone fills the memo, form included
+    assert fresh.canonical_labeling() == l8.canonical_labeling() and fresh._canonical is not None
 
 
 # SHA-256 of the lines repr((n, D.canonical_form())) for every code of every

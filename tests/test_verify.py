@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
@@ -20,6 +21,7 @@ from arcconn import (
     SweepSpec,
     check_graph,
     emit_digraph6,
+    family_census,
     generate,
     girth_cycles,
     is_restricted_arc_cut,
@@ -270,7 +272,8 @@ def test_sweep_parses_rows_only_when_resuming(tmp_path, monkeypatch):
 def test_reading_audit_measures_each_graph_once(monkeypatch):
     """With the audit on, only lambda' is taken again for the other reading,
     and only the first graph of each class is measured.  A later family
-    member has its parameters read again once, for both readings."""
+    member reads its parameters off the class's sites, so match_family runs
+    once per class."""
     import arcconn.verify as verify
 
     calls = {}
@@ -290,7 +293,7 @@ def test_reading_audit_measures_each_graph_once(monkeypatch):
     assert classes == 3 and res.family_total == graphs
     assert calls == {
         "girth": classes,
-        "match_family": classes + (graphs - classes),
+        "match_family": classes,
         "arc_connectivity": classes,
         "xi": classes,
         "lambda_prime_existence_witness": classes,
@@ -303,9 +306,8 @@ def test_measure_lists_girth_cycles_once(monkeypatch, l8):
     once per graph measured: on the sweep path (H1 recognition and the proof
     clause included) and on the direct calls the params command makes.  An
     exhaustive sweep measures one graph per class; a later graph of a class
-    takes no strongness run, and takes one girth run and one enumeration
-    only when it is a family member with 2n-4 arcs, whose parameters
-    match_family's H1 pass reads again for its labeling."""
+    takes no strongness run, no girth run and no enumeration, a family
+    member included, since its parameters are read off the class's sites."""
     import arcconn
     import arcconn._kernels as kernels
     import arcconn.connectivity as connectivity
@@ -344,8 +346,7 @@ def test_measure_lists_girth_cycles_once(monkeypatch, l8):
     h1_pass_classes = {oracle_canonical_form(parse_digraph6(rec.graph_id)) for rec in h1_pass}
     assert len(classes) == 3 and len(h1_pass) == 180 and len(h1_pass_classes) == 2
     measured = len(classes) + res6.stratum
-    rematched = len(h1_pass) - len(h1_pass_classes)
-    assert calls == {"girth": measured + rematched, "enumerations": measured + rematched, "is_strong": measured}
+    assert calls == {"girth": measured, "enumerations": measured, "is_strong": measured}
 
     h1 = generate(FamilyParams(Family.H1, (1, 1, 0, 0)))
     # generate has taken h1's girth and strongness, so measure a fresh copy.
@@ -410,6 +411,36 @@ def test_class_memo_reads_each_labelings_family_params():
     assert replace(direct[0], **{name: getattr(direct[1], name) for name in labeled}) == direct[1]
 
 
+def _family_labelings(n: int, rnd: random.Random):
+    """Every labeling of order 4..6, and 300 seeded ones at orders 7 and 8."""
+    if n <= 6:
+        return itertools.permutations(range(n))
+    return (rnd.sample(range(n), n) for _ in range(300))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_memo_hits_read_the_params_match_family_reports(n):
+    """A memo hit reads its family parameters off the class's sites, listed
+    once from the graph measured first, through its own canonical
+    labeling.  On every labeling of every family class of order 4..6, and
+    on 300 seeded labelings per class at orders 7 and 8, that reading is
+    what match_family reports for the labeling, H1's rotated fan sizes and
+    the spines of H2..H7 included."""
+    rnd = random.Random(n)
+    labelings = 0
+    for params, G in family_census(n):
+        first = G.relabel(rnd.sample(range(n), n))  # the graph a miss measures
+        memo = {}
+        check_graph(first, memo=memo)
+        [(rec, sites)] = memo.values()
+        assert sites and rec.family == params.family.value
+        for perm in _family_labelings(n, rnd):
+            E = G.relabel(perm)
+            assert verify._relabeled(rec, sites, E).family_params == match_family(E).params.describe()
+            labelings += 1
+    assert labelings == {4: 24, 5: 3 * 120, 6: 11 * 720, 7: 16 * 300, 8: 27 * 300}[n]
+
+
 def test_relabeled_copy_matches_dataclass_replace():
     """A memo hit's record is a copy of the class record's field dict
     with the two labeling fields swapped in: the record replace gives."""
@@ -432,7 +463,7 @@ def test_memo_hits_copy_the_class_record():
     hits = 0
     for code in codes:
         D = Digraph.from_code(6, code)
-        known = memo.get(verify._class_key(D, ORIGINAL_HOST))
+        known, _ = memo.get(verify._class_key(D, ORIGINAL_HOST), (None, ()))
         rec = check_graph(D, check_proof=True, memo=memo)
         if known is None:
             continue
@@ -637,6 +668,25 @@ def test_sweep_spec_reads_its_orders_as_digraph_does():
             SweepSpec(n_lo=bad, n_hi=4)
         with pytest.raises(InvalidVertex):
             SweepSpec(n_lo=4, n_hi=bad)
+
+
+def test_sweep_spec_reads_its_counts_seed_and_girth_as_integers():
+    """samples, seed, chunk_size, jobs and a girth filter are read as the
+    orders are: an integer type other than int is held as an int, so
+    validate compares it and _plan_chunks adds to the seed; a bool, a float
+    or a str raises ValueError naming the field."""
+    spec = SweepSpec(n_lo=5, n_hi=5, mode="random", samples=Label(300), seed=Label(7),
+                     girth=Label(4), chunk_size=Label(100), jobs=Label(1))
+    spec.validate()
+    assert [type(getattr(spec, name)) for name in ("samples", "seed", "chunk_size", "jobs", "girth")] == [int] * 5
+    assert [task[0] for task in verify._plan_chunks(spec)] == ["r:5:0:100", "r:5:100:200", "r:5:200:300"]
+    plain = SweepSpec(n_lo=5, n_hi=5, mode="random", samples=300, seed=7, chunk_size=100)
+    assert run_sweep(spec).records == run_sweep(plain).records
+    assert SweepSpec(n_lo=4, n_hi=4, girth=None).girth is None
+    for name in ("samples", "seed", "chunk_size", "jobs", "girth"):
+        for bad in (True, 4.0, "4"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                SweepSpec(n_lo=4, n_hi=4, **{name: bad})
 
 
 def test_sweep_counterexample_channel(tmp_path, monkeypatch):
